@@ -11,17 +11,26 @@ grand mean.  The covariance estimator is the strict-upper-triangle average
     kappa~(x, y) = C(T,2)^{-1} * sum_{m<n} Hx[m,n] * Hy[m,n],
 
 and rho~ = kappa~(x,y) / sqrt(kappa~(x,x) kappa~(y,y)).
+
+Kernel matrices are symmetric, so the strict-upper-triangle sum is half of
+the full elementwise sum less the diagonal.  With F the stack of kernels
+flattened to rows of length T^2 and d their diagonals, all pairs at once are
+
+    kappa~ = (F F^T - d d^T) / (T (T - 1)),
+
+an exact identity that needs no triangular gather.  Every caller (single
+series, panels, batches of simulated panels) goes through
+:func:`panel_kernel_stack`, :func:`pairwise_kappa` and :func:`rho_from_kappa`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (
-    DegenerateSeriesError,
+    DegenerateRegionError,
     DimensionMismatchError,
     LengthError,
     NonFiniteError,
@@ -30,16 +39,12 @@ from .exceptions import (
 #: self-covariance at or below this is treated as a degenerate (constant) series
 DEGENERACY_TOL = 1e-14
 
-#: above this length, kappa~ accumulates with math.fsum for thread-count-stable results
-_FSUM_THRESHOLD = 10_000
-
 
 @dataclass(frozen=True)
 class CenteredKernelMatrix:
     """Immutable T x T matrix of empirically centered kernel values."""
 
     entries: np.ndarray
-    source_length: int
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -56,29 +61,60 @@ def _validated_series(z, min_length: int) -> np.ndarray:
     return z
 
 
-def _kernel_entries(z: np.ndarray) -> np.ndarray:
-    """Centered kernel matrix for a validated series (vectorized, O(T^2))."""
-    T = z.size
-    D = np.abs(z[:, None] - z[None, :])
-    A = D.mean(axis=1)
-    B = A.mean()
-    f = T / (T - 1.0)
-    return -0.5 * (D - f * (A[:, None] + A[None, :] - B))
+def panel_kernel_stack(data) -> np.ndarray:
+    """Centered kernel matrices for every column of (..., T, R) panels.
+
+    Returns an (..., R, T, T) stack; each region's matrix is built exactly
+    once, and the centering is applied in place.
+    """
+    X = np.ascontiguousarray(np.swapaxes(np.asarray(data, dtype=float), -1, -2))
+    T = X.shape[-1]  # X is (..., R, T)
+    H = X[..., :, None] - X[..., None, :]
+    np.abs(H, out=H)
+    A = H.mean(axis=-1)  # row means, (..., R, T)
+    # A_m + A_n - B split as a_m + a_n with a = A - B/2
+    a = (T / (T - 1.0)) * (A - 0.5 * A.mean(axis=-1, keepdims=True))
+    H -= a[..., :, None]
+    H -= a[..., None, :]
+    H *= -0.5
+    return H
+
+
+def pairwise_kappa(H: np.ndarray) -> np.ndarray:
+    """All-pairs kappa~ (..., R, R) from an (..., R, T, T) kernel stack."""
+    T = H.shape[-1]
+    F = H.reshape(*H.shape[:-2], T * T)
+    d = np.diagonal(H, axis1=-2, axis2=-1)
+    return (F @ np.swapaxes(F, -1, -2) - d @ np.swapaxes(d, -1, -2)) / (T * (T - 1))
+
+
+def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:
+    """rho~ matrices (..., R, R) with unit diagonal from kappa~ matrices.
+
+    Raises :class:`DegenerateRegionError` naming every series (by label, or
+    1-based position) whose self-covariance is at or below
+    :data:`DEGENERACY_TOL` in any matrix of the batch.
+    """
+    diag = np.diagonal(kappa, axis1=-2, axis2=-1)
+    bad = diag <= DEGENERACY_TOL
+    if bad.any():
+        cols = np.flatnonzero(bad.reshape(-1, diag.shape[-1]).any(axis=0))
+        names = ", ".join(labels[i] if labels else f"#{i + 1}" for i in cols)
+        raise DegenerateRegionError(f"degenerate (constant) series: {names}")
+    rho = kappa / np.sqrt(diag[..., :, None] * diag[..., None, :])
+    ii = np.arange(diag.shape[-1])
+    rho[..., ii, ii] = 1.0
+    return rho
 
 
 def empirical_kernel_matrix(z) -> CenteredKernelMatrix:
     """Build the empirically centered kernel matrix of a series.
 
-    Requires T >= 2 and finite values.  For T = 2 the matrix is identically
-    zero (the centering cancels the single absolute difference exactly).
+    Requires T >= 2 and finite values.  For T = 2 the off-diagonal entries
+    are zero (the centering cancels the single absolute difference exactly).
     """
     z = _validated_series(z, min_length=2)
-    return CenteredKernelMatrix(_kernel_entries(z), z.size)
-
-
-def _upper(entries: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(entries.shape[0], k=1)
-    return entries[iu]
+    return CenteredKernelMatrix(panel_kernel_stack(z[:, None])[0])
 
 
 def kappa_tilde(Hx: CenteredKernelMatrix, Hy: CenteredKernelMatrix) -> float:
@@ -90,14 +126,7 @@ def kappa_tilde(Hx: CenteredKernelMatrix, Hy: CenteredKernelMatrix) -> float:
     ex, ey = Hx.entries, Hy.entries
     if ex.shape != ey.shape:
         raise DimensionMismatchError(f"kernel shapes differ: {ex.shape} vs {ey.shape}")
-    T = ex.shape[0]
-    ux, uy = _upper(ex), _upper(ey)
-    npairs = T * (T - 1) // 2
-    if T > _FSUM_THRESHOLD:
-        total = math.fsum(ux * uy)
-    else:
-        total = float(ux @ uy)
-    return total / npairs
+    return float(pairwise_kappa(np.stack([ex, ey]))[0, 1])
 
 
 def rho_tilde(x, y) -> float:
@@ -110,35 +139,5 @@ def rho_tilde(x, y) -> float:
     y = _validated_series(y, min_length=3)
     if x.size != y.size:
         raise DimensionMismatchError(f"series lengths differ: {x.size} vs {y.size}")
-    Hx = empirical_kernel_matrix(x)
-    Hy = empirical_kernel_matrix(y)
-    kxx = kappa_tilde(Hx, Hx)
-    kyy = kappa_tilde(Hy, Hy)
-    for name, k in (("x", kxx), ("y", kyy)):
-        if k <= DEGENERACY_TOL:
-            raise DegenerateSeriesError(f"series {name} is degenerate (kappa~ = {k:g})")
-    return kappa_tilde(Hx, Hy) / math.sqrt(kxx * kyy)
-
-
-# -- batched panel kernels ---------------------------------------------------
-
-def panel_kernel_stack(data: np.ndarray) -> np.ndarray:
-    """Centered kernel matrices for every column of a T x R panel.
-
-    Returns an (R, T, T) stack; each region's matrix is built exactly once.
-    """
-    X = np.asarray(data, dtype=float).T  # (R, T)
-    T = X.shape[1]
-    D = np.abs(X[:, :, None] - X[:, None, :])  # (R, T, T)
-    A = D.mean(axis=2)  # (R, T)
-    B = A.mean(axis=1)  # (R,)
-    f = T / (T - 1.0)
-    return -0.5 * (D - f * (A[:, :, None] + A[:, None, :] - B[:, None, None]))
-
-
-def pairwise_kappa(H: np.ndarray) -> np.ndarray:
-    """All-pairs kappa~ matrix (R x R) from an (R, T, T) kernel stack."""
-    T = H.shape[1]
-    iu = np.triu_indices(T, k=1)
-    U = H[:, iu[0], iu[1]]  # (R, npairs)
-    return (U @ U.T) / (T * (T - 1) // 2)
+    H = panel_kernel_stack(np.column_stack([x, y]))
+    return float(rho_from_kappa(pairwise_kappa(H), ("x", "y"))[0, 1])

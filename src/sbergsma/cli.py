@@ -55,7 +55,7 @@ def _hash_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _resolve_weights(args, n_regions: int | None = None):
+def _resolve_weights(args):
     """Build W from --linear-chain or --weights/--weights-kind, then maybe standardize."""
     if getattr(args, "linear_chain", None):
         W = linear_chain(args.linear_chain)
@@ -106,7 +106,7 @@ def _cmd_compute(args):
     seed = args.seed if args.seed is not None else 0
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args, panel.n_regions)
+    W, wh = _resolve_weights(args)
     hashes.update(wh)
     res = sb_statistic(panel, W)
     payload = {
@@ -125,7 +125,7 @@ def _cmd_test(args):
     seed = _seed(args)
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args, panel.n_regions)
+    W, wh = _resolve_weights(args)
     hashes.update(wh)
     method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
     report = test_spatial_independence(
@@ -161,9 +161,7 @@ def _cmd_test(args):
 
 def _cmd_null(args):
     seed = _seed(args)
-    hashes = {}
-    W, wh = _resolve_weights(args, args.R)
-    hashes.update(wh)
+    W, hashes = _resolve_weights(args)
     null = monte_carlo_null(
         _dist_from_args(args), args.R, args.T, W,
         reps=args.reps, seed=seed, n_jobs=args.threads,
@@ -228,7 +226,7 @@ def _add_dist_args(p):
     p.add_argument("--df", type=float, default=1.0, help="chi-square degrees of freedom")
 
 
-def _add_weight_args(p, required=True):
+def _add_weight_args(p):
     p.add_argument("--weights", help="path to a weight matrix file")
     p.add_argument(
         "--weights-kind", choices=("dense", "edges", "coords"), default="dense"

@@ -17,8 +17,8 @@ import numpy as np
 from scipy import linalg
 
 from .exceptions import InvalidParameterError, SingularSystemError
-from .reference import ReferenceDistribution
-from .rng import stream
+from .reference import STANDARD_NORMAL, ReferenceDistribution
+from .rng import replicate_draws, stream
 from .statistic import SpatialPanel, sb_values_batch
 from .timeseries import moments
 from .weights import ProximityMatrix
@@ -26,7 +26,8 @@ from .weights import ProximityMatrix
 _COND_LIMIT = 1e12
 _COND_WARN = 1e3
 
-STANDARD_NORMAL = ReferenceDistribution("normal")
+#: noise replicates a theta sweep draws at once; results do not depend on it
+_CHUNK = 200
 
 
 def _spectral_radius(W: ProximityMatrix) -> float:
@@ -59,39 +60,38 @@ class DependenceSpec:
                 )
 
 
-class _SarFactor:
-    """LU factorization of I - theta W, computed once and reused across rows."""
-
-    def __init__(self, spec: DependenceSpec):
-        A = np.eye(spec.W.n_regions) - spec.theta * spec.W.weights
-        cond = np.linalg.cond(A)
-        if cond > _COND_LIMIT:
-            raise SingularSystemError(
-                f"I - theta W is numerically singular (theta = {spec.theta}, "
-                f"condition {cond:.3g})"
-            )
-        if cond > _COND_WARN:
-            warnings.warn(
-                f"I - theta W is badly conditioned (theta = {spec.theta}, "
-                f"condition {cond:.3g})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        self.lu = linalg.lu_factor(A)
-
-    def solve_rows(self, eps: np.ndarray) -> np.ndarray:
-        # eps is (T, R); solve A y = eps_row for each row
-        return linalg.lu_solve(self.lu, eps.T).T
+def _sar_lu(spec: DependenceSpec):
+    """LU factorization of I - theta W, checked for conditioning."""
+    A = np.eye(spec.W.n_regions) - spec.theta * spec.W.weights
+    cond = np.linalg.cond(A)
+    if cond > _COND_LIMIT:
+        raise SingularSystemError(
+            f"I - theta W is numerically singular (theta = {spec.theta}, "
+            f"condition {cond:.3g})"
+        )
+    if cond > _COND_WARN:
+        warnings.warn(
+            f"I - theta W is badly conditioned (theta = {spec.theta}, "
+            f"condition {cond:.3g})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return linalg.lu_factor(A)
 
 
-def _apply_dependence(spec: DependenceSpec, eps: np.ndarray, factor=None) -> np.ndarray:
+def _apply_dependence(spec: DependenceSpec, eps: np.ndarray, lu=None) -> np.ndarray:
+    """Transform noise rows eps (..., T, R) by the SMA or SAR model of spec.
+
+    ``lu`` is a precomputed :func:`_sar_lu` factor, reused across calls.
+    """
     if spec.theta == 0.0:
         return eps  # bitwise-identical to the raw noise draw
+    R = spec.W.n_regions
     if spec.model == "SMA":
-        A = np.eye(spec.W.n_regions) + spec.theta * spec.W.weights
-        return eps @ A.T
-    factor = factor or _SarFactor(spec)
-    return factor.solve_rows(eps)
+        return eps @ (np.eye(R) + spec.theta * spec.W.weights).T
+    if lu is None:
+        lu = _sar_lu(spec)
+    return linalg.lu_solve(lu, eps.reshape(-1, R).T).T.reshape(eps.shape)
 
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
@@ -120,39 +120,23 @@ def theta_sweep(
     reps: int = 2000,
     seed: int = 0,
     noise: ReferenceDistribution = STANDARD_NORMAL,
-    chunk: int = 200,
 ) -> SweepResult:
     """reps independent panels per theta, each reduced to its S~_B value.
 
-    Replicate r draws its noise from stream (seed, r) for every theta
-    (common random numbers), so per-theta means are compared on shared noise
-    and the theta = 0 samples coincide bitwise with a Monte Carlo null run
-    at the same seed, up to the T scaling.
+    Replicate r draws its noise from stream (seed, r) once and reuses it for
+    every theta (common random numbers), so per-theta means are compared on
+    shared noise and the theta = 0 samples coincide bitwise with a Monte
+    Carlo null run at the same seed, up to the T scaling.
     """
     thetas = tuple(float(t) for t in thetas)
-    R = W.n_regions
-    samples = {}
-    summaries = {}
-    for theta in thetas:
-        spec = DependenceSpec(model, theta, W, noise)
-        factor = _SarFactor(spec) if (model == "SAR" and theta != 0.0) else None
-        vals = np.empty(reps)
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            eps = np.empty((hi - lo, T, R))
-            for r in range(lo, hi):
-                eps[r - lo] = noise.sample((T, R), stream(seed, r))
-            if theta != 0.0:
-                if model == "SMA":
-                    A = np.eye(R) + theta * W.weights
-                    panels = eps @ A.T
-                else:
-                    panels = linalg.lu_solve(factor.lu, eps.reshape(-1, R).T).T.reshape(
-                        hi - lo, T, R
-                    )
-            else:
-                panels = eps
-            vals[lo:hi] = sb_values_batch(panels, W)
-        samples[theta] = vals
-        summaries[theta] = moments(vals)
+    specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
+    lus = [_sar_lu(s) if model == "SAR" and s.theta != 0.0 else None for s in specs]
+    samples = {theta: np.empty(reps) for theta in thetas}
+    for lo in range(0, reps, _CHUNK):
+        hi = min(lo + _CHUNK, reps)
+        eps = replicate_draws(noise, (T, W.n_regions), seed, lo, hi)
+        for spec, lu in zip(specs, lus):
+            panels = _apply_dependence(spec, eps, lu)
+            samples[spec.theta][lo:hi] = sb_values_batch(panels, W)
+    summaries = {theta: moments(vals) for theta, vals in samples.items()}
     return SweepResult(model, thetas, samples, summaries)

@@ -50,7 +50,8 @@ class SizeError(SbergsmaError):
 
 
 class IsolatedRegionError(SbergsmaError):
-    """Row standardization hit one or more all-zero rows."""
+    """All-zero weight rows where weight is required: row standardization,
+    or a W whose weights are all zero (S0 = 0)."""
 
 
 class NegativeWeightError(SbergsmaError):
@@ -59,7 +60,7 @@ class NegativeWeightError(SbergsmaError):
 
 # --- panel / statistic errors -----------------------------------------------
 
-class DegenerateRegionError(SbergsmaError):
+class DegenerateRegionError(DegenerateSeriesError):
     """A panel column is constant; its Bergsma self-covariance vanishes."""
 
 
@@ -135,3 +136,11 @@ class NotSquareError(ParseError):
 
 class NonzeroDiagonalError(ParseError):
     """Dense weight matrix file has a nonzero diagonal entry."""
+
+
+class NonIntegerError(ParseError):
+    """A cell expected to be an integer region index is not."""
+
+
+class DuplicateLabelError(ParseError):
+    """A panel header names the same region twice."""

@@ -6,8 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import DEGENERACY_TOL, panel_kernel_stack, pairwise_kappa
-from .exceptions import EmptyNullError, TooManyDegenerateResamplesError
+from .bergsma import pairwise_kappa, panel_kernel_stack, rho_from_kappa
+from .exceptions import (
+    EmptyNullError,
+    InvalidParameterError,
+    TooManyDegenerateResamplesError,
+)
 from .nulldist import (
     NullDistribution,
     asymptotic_null_sample,
@@ -15,12 +19,13 @@ from .nulldist import (
     nystrom_eigenvalues,
     p_value,
 )
-from .reference import ReferenceDistribution
+from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
 from .statistic import SBResult, SpatialPanel, sb_statistic, sb_values_batch
-from .weights import ProximityMatrix
+from .weights import ProximityMatrix, linear_chain
 
-STANDARD_NORMAL = ReferenceDistribution("normal")
+#: independent normal pairs drawn per stream for the pair-screen cutoff
+_CUTOFF_BLOCK = 2000
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,6 @@ class TestReport:
     p_value: float
     ci: tuple  # (lower, upper, level, "bootstrap_percentile") or None
     null_meta: dict
-    pairwise_flags: np.ndarray | None = None
-    pairwise_cutoff: float | None = None
     notes: tuple[str, ...] = field(default=())
 
     def table_row(self, model_name: str = "panel") -> str:
@@ -64,28 +67,26 @@ def test_spatial_independence(
     many tests.  The reference distribution defaults to standard normal: the
     null law is insensitive to F, and residual inputs are continuous.
     """
+    if null_method not in ("monte_carlo", "asymptotic_eigen"):
+        raise InvalidParameterError(f"unknown null method {null_method!r}")
+    if alternative not in ("greater", "two-sided"):
+        raise InvalidParameterError(f"unknown alternative {alternative!r}")
     sb = sb_statistic(panel, W)
     if null is None:
         if null_method == "monte_carlo":
             null = monte_carlo_null(
                 null_dist, panel.n_regions, panel.n_time, W, reps=reps, seed=seed
             )
-        elif null_method == "asymptotic_eigen":
+        else:
             spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
             null = asymptotic_null_sample(
                 [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
             )
-        else:
-            raise EmptyNullError(f"unknown null method {null_method!r}")
-    p_up = p_value(sb.scaled_value, null)
-    if alternative == "greater":
-        p = p_up
-    elif alternative == "two-sided":
+    p = p_value(sb.scaled_value, null)
+    if alternative == "two-sided":
         s = null.samples
         p_lo = (1 + int(np.count_nonzero(s <= sb.scaled_value))) / (s.size + 1)
-        p = min(1.0, 2.0 * min(p_up, p_lo))
-    else:
-        raise EmptyNullError(f"unknown alternative {alternative!r}")
+        p = min(1.0, 2.0 * min(p, p_lo))
     ci = None
     notes = []
     if ci_resamples:
@@ -116,7 +117,8 @@ def bootstrap_ci(
     Rows are resampled with replacement across all regions at once, which
     preserves the cross-sectional dependence being measured.  A resample
     that leaves some region constant is redrawn, up to 10*B total attempts.
-    No clamping at 0 is applied; raw percentiles are reported.
+    All resamples are then evaluated in one batch.  No clamping at 0 is
+    applied; raw percentiles are reported.
     """
     if B < 200:
         raise EmptyNullError(f"need B >= 200 bootstrap resamples, got {B}")
@@ -124,7 +126,7 @@ def bootstrap_ci(
         raise EmptyNullError(f"level must be in (0,1), got {level}")
     T = panel.n_time
     data = panel.data
-    values = np.empty(B)
+    resamples = np.empty((B, T, panel.n_regions))
     attempts = 0
     for b in range(B):
         rng = stream(seed, b)
@@ -134,12 +136,12 @@ def bootstrap_ci(
                 raise TooManyDegenerateResamplesError(
                     f"more than {10*B} resample attempts were degenerate"
                 )
-            idx = rng.integers(0, T, size=T)
-            sub = data[idx]
+            sub = data[rng.integers(0, T, size=T)]
             # constant column <=> degenerate kernel; cheap max-min check
             if np.all(sub.max(axis=0) - sub.min(axis=0) > 0):
                 break
-        values[b] = sb_values_batch(sub[None, :, :], W)[0]
+        resamples[b] = sub
+    values = sb_values_batch(resamples, W)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
@@ -150,7 +152,6 @@ def independence_rho_quantile(
     q: float = 0.95,
     n_sim: int = 10_000,
     seed: int = 0,
-    chunk: int = 2000,
 ) -> float:
     """Monte Carlo quantile of rho~ for independent standard normal pairs.
 
@@ -158,12 +159,10 @@ def independence_rho_quantile(
     region pairs (about 0.17 at T = 19).
     """
     # for R = 2 with the symmetric 0/1 pair matrix, S~_B reduces to rho~ itself
-    from .weights import linear_chain
-
     W2 = linear_chain(2)
     vals = np.empty(n_sim)
-    for lo in range(0, n_sim, chunk):
-        hi = min(lo + chunk, n_sim)
+    for lo in range(0, n_sim, _CUTOFF_BLOCK):
+        hi = min(lo + _CUTOFF_BLOCK, n_sim)
         rng = stream(seed, lo)
         X = rng.standard_normal((hi - lo, T, 2))
         vals[lo:hi] = sb_values_batch(X, W2)
@@ -183,16 +182,7 @@ def pairwise_screen(
     Returns ``(flags, rho, cutoff)``; the diagonal is never flagged.
     """
     H = panel_kernel_stack(panel.data)
-    kappa = pairwise_kappa(H)
-    diag = np.diagonal(kappa)
-    if np.any(diag <= DEGENERACY_TOL):
-        from .exceptions import DegenerateRegionError
-
-        bad = np.flatnonzero(diag <= DEGENERACY_TOL)
-        names = ", ".join(panel.region_labels[i] for i in bad)
-        raise DegenerateRegionError(f"degenerate region column(s): {names}")
-    rho = kappa / np.sqrt(np.outer(diag, diag))
-    np.fill_diagonal(rho, 1.0)
+    rho = rho_from_kappa(pairwise_kappa(H), panel.region_labels)
     if cutoff is None:
         cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=n_sim)
     flags = rho > cutoff

@@ -24,6 +24,8 @@ import tempfile
 import numpy as np
 
 from .exceptions import (
+    DuplicateLabelError,
+    NonIntegerError,
     NonNumericError,
     NonzeroDiagonalError,
     NotSquareError,
@@ -74,6 +76,15 @@ def _parse_cell(raw: str, row: int, col: int) -> float:
         raise NonNumericError(f"non-numeric cell {cell!r} at row {row}, column {col}")
 
 
+def _parse_index(raw: str, row: int, col: int) -> int:
+    value = _parse_cell(raw, row, col)
+    if not value.is_integer():
+        raise NonIntegerError(
+            f"region index {raw.strip()!r} at row {row}, column {col} is not an integer"
+        )
+    return int(value)
+
+
 def load_panel(path: str) -> SpatialPanel:
     """Load a time-by-region panel from CSV with a region-label header row."""
     rows = []
@@ -82,6 +93,11 @@ def load_panel(path: str) -> SpatialPanel:
         fields = next(csv.reader([line]))
         if labels is None:
             labels = [f.strip() for f in fields]
+            dups = [lb for k, lb in enumerate(labels) if lb in labels[:k]]
+            if dups:
+                raise DuplicateLabelError(
+                    f"row {lineno}: duplicate region label {dups[0]!r}"
+                )
             continue
         if len(fields) != len(labels):
             raise RaggedRowError(
@@ -104,22 +120,17 @@ def save_panel(path: str, panel: SpatialPanel, meta: dict | None = None) -> None
     atomic_write_text(path, buf.getvalue())
 
 
-def load_weights(path: str, kind: str = "dense", n_regions: int | None = None,
-                 standardize: bool = False) -> ProximityMatrix:
+def load_weights(
+    path: str, kind: str = "dense", n_regions: int | None = None
+) -> ProximityMatrix:
     """Load a proximity matrix as a dense CSV, an edge list, or coordinates."""
     if kind == "dense":
-        W = _load_dense(path)
-    elif kind == "edges":
-        W = _load_edges(path, n_regions)
-    elif kind == "coords":
-        W = _load_coords(path)
-    else:
-        raise ParseError(f"unknown weights kind {kind!r}")
-    if standardize:
-        from .weights import row_standardize
-
-        W = row_standardize(W)
-    return W
+        return _load_dense(path)
+    if kind == "edges":
+        return _load_edges(path, n_regions)
+    if kind == "coords":
+        return _load_coords(path)
+    raise ParseError(f"unknown weights kind {kind!r}")
 
 
 def _load_dense(path: str) -> ProximityMatrix:
@@ -146,8 +157,7 @@ def _load_edges(path: str, n_regions: int | None) -> ProximityMatrix:
         fields = next(csv.reader([line]))
         if len(fields) != 2:
             raise ParseError(f"row {lineno}: expected 'i,j', got {line.strip()!r}")
-        i = int(_parse_cell(fields[0], lineno, 1))
-        j = int(_parse_cell(fields[1], lineno, 2))
+        i, j = (_parse_index(c, lineno, k + 1) for k, c in enumerate(fields))
         edges.append((i, j))
     if not edges and n_regions is None:
         raise ParseError(f"{path}: empty edge list and no region count given")

@@ -24,11 +24,12 @@ import numpy as np
 from .exceptions import (
     ConvergenceError,
     EmptyNullError,
+    NonFiniteError,
     SpectraMismatchError,
     UnsupportedDistributionError,
 )
 from .reference import ReferenceDistribution
-from .rng import stream
+from .rng import replicate_draws, stream
 from .statistic import sb_values_batch
 from .weights import ProximityMatrix
 
@@ -46,7 +47,6 @@ class EigenSpectrum:
     eigenvalues: np.ndarray  # K values, decreasing by magnitude
     distribution: ReferenceDistribution
     grid_size: int
-    method: str = "nystrom"
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -196,10 +196,7 @@ def asymptotic_null_sample(
 # -- Monte Carlo route -------------------------------------------------------
 
 def _mc_chunk(dist, R, T, W, seed, lo, hi):
-    panels = np.empty((hi - lo, T, R))
-    for r in range(lo, hi):
-        panels[r - lo] = dist.sample((T, R), stream(seed, r))
-    return T * sb_values_batch(panels, W)
+    return T * sb_values_batch(replicate_draws(dist, (T, R), seed, lo, hi), W)
 
 
 def monte_carlo_null(
@@ -243,9 +240,12 @@ def monte_carlo_null(
 def p_value(observed_scaled: float, null: NullDistribution) -> float:
     """Upper-tail Monte Carlo p-value with the add-one correction.
 
-    p = (1 + #{samples >= observed}) / (N + 1); never exactly zero.
+    p = (1 + #{samples >= observed}) / (N + 1); never exactly zero.  A NaN
+    or infinite observed value raises instead of yielding the smallest p.
     """
     s = null.samples
     if s.size == 0:
         raise EmptyNullError("null distribution has no samples")
+    if not np.isfinite(observed_scaled):
+        raise NonFiniteError(f"observed statistic is not finite: {observed_scaled!r}")
     return (1 + int(np.count_nonzero(s >= observed_scaled))) / (s.size + 1)

@@ -116,6 +116,10 @@ class ReferenceDistribution:
         )
 
 
+#: default law of the null, the simulators' noise and the test's reference F
+STANDARD_NORMAL = ReferenceDistribution("normal")
+
+
 def population_g(dist: ReferenceDistribution, z):
     """g_F(z) = E|z - Z|; closed form for all supported families."""
     return dist.mean_abs_from(z)

@@ -5,6 +5,23 @@ streams are derived with ``numpy.random.SeedSequence`` spawn keys, so a
 replicate's stream depends only on ``(seed, *stream_ids)`` and never on how
 the work was scheduled across threads or processes.  The underlying bit
 generator is Philox (counter based), which makes stream construction cheap.
+
+Stream layout.  Every simulated number comes from a fixed stream, so any
+replicate can be regenerated on its own and results do not depend on
+chunking or thread count:
+
+* Monte Carlo null replicate r and theta-sweep replicate r: one
+  ``dist.sample((T, R))`` draw from ``stream(seed, r)``.  The sweep reuses
+  that noise for every theta (common random numbers), so its theta = 0
+  samples equal the Monte Carlo null at the same seed.
+* Bootstrap resample b: ``integers(0, T, size=T)`` row indices from
+  ``stream(seed, b)``; a resample with a constant column is redrawn from the
+  same stream, with at most 10 * B draws over all B resamples.
+* Pair-screen cutoff: standard normal pairs in blocks of 2000; the block
+  starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
+  ``stream(seed, lo)``.
+* Asymptotic null: region pair p (i < j, row-major) from ``stream(seed, p)``.
+* ``simulate_panel``: ``stream(seed)``.
 """
 
 from __future__ import annotations
@@ -20,6 +37,14 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def replicate_draws(dist, shape, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Replicates lo..hi-1 of ``dist.sample(shape)`` stacked on a new first axis.
+
+    Replicate r is drawn from stream (seed, r).
+    """
+    return np.stack([dist.sample(shape, stream(seed, r)) for r in range(lo, hi)])
 
 
 def fresh_seed() -> int:

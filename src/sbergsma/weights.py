@@ -44,6 +44,8 @@ class ProximityMatrix:
             raise NegativeWeightError("W contains negative weights")
         if np.any(np.diagonal(w) != 0):
             raise SelfLoopError("diagonal of W must be zero")
+        if not w.any():
+            raise IsolatedRegionError("W has no nonzero weight, so S0 = 0")
         labels = self.region_labels or tuple(f"R{i+1}" for i in range(w.shape[0]))
         if len(labels) != w.shape[0]:
             raise DimensionMismatchError(

@@ -186,14 +186,12 @@ def test_criterion_08_size_and_power(null_by_dist, w_adjacency):
     size = rejections / trials
 
     spec = DependenceSpec("SAR", 0.75, w_adjacency)
-    from sbergsma.depmodels import _SarFactor
+    from sbergsma.depmodels import _apply_dependence
 
-    factor = _SarFactor(spec)
     power_hits = 0
     for lo in range(0, trials, chunk):
         rng = stream(89, lo)
-        eps = rng.standard_normal((chunk, T50, R14))
-        panels = factor.solve_rows(eps.reshape(-1, R14)).reshape(chunk, T50, R14)
+        panels = _apply_dependence(spec, rng.standard_normal((chunk, T50, R14)))
         stats = T50 * sb_values_batch(panels, w_adjacency)
         for s in stats:
             power_hits += p_value(s, null) <= 0.05

@@ -21,7 +21,7 @@ from sbergsma.exceptions import (
 )
 from sbergsma.rng import stream
 
-from conftest import naive_kernel, naive_rho
+from conftest import naive_kappa, naive_kernel, naive_rho
 
 series_strategy = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -230,3 +230,19 @@ def test_pairwise_kappa_matches_elementwise():
             Hi = empirical_kernel_matrix(data[:, i])
             Hj = empirical_kernel_matrix(data[:, j])
             assert K[i, j] == pytest.approx(kappa_tilde(Hi, Hj), rel=1e-12)
+
+
+def test_batched_stack_and_kappa_match_naive_oracle():
+    # (B, T, R) panels -> (B, R, T, T) kernels -> (B, R, R) kappa~, checked
+    # against the strict-upper-triangle definition
+    data = stream(6).standard_normal((3, 9, 4))
+    H = panel_kernel_stack(data)
+    assert H.shape == (3, 4, 9, 9)
+    K = pairwise_kappa(H)
+    assert K.shape == (3, 4, 4)
+    for b in range(3):
+        for i in range(4):
+            assert np.allclose(H[b, i], naive_kernel(data[b, :, i]), rtol=0, atol=1e-14)
+            for j in range(4):
+                want = naive_kappa(naive_kernel(data[b, :, i]), naive_kernel(data[b, :, j]))
+                assert K[b, i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)

@@ -6,12 +6,15 @@ import pytest
 from sbergsma import (
     DependenceSpec,
     ReferenceDistribution,
+    SpatialPanel,
     linear_chain,
     monte_carlo_null,
     row_standardize,
+    sb_statistic,
     simulate_panel,
     theta_sweep,
 )
+from sbergsma.depmodels import _apply_dependence
 from sbergsma.exceptions import InvalidParameterError
 from sbergsma.rng import stream
 
@@ -97,3 +100,16 @@ def test_sweep_summaries_match_samples(w_chain6):
     mean, sd, _, _ = sweep.summaries[0.2]
     assert mean == pytest.approx(vals.mean(), rel=1e-12)
     assert sd == pytest.approx(vals.std(), rel=1e-12)
+
+
+@pytest.mark.parametrize("model,theta", [("SMA", 0.7), ("SAR", 0.6), ("SAR", -0.4)])
+def test_sweep_matches_per_replicate_transform(model, theta, w_chain6):
+    # each sweep sample is the transform of replicate r's own stream (seed, r)
+    # noise; the sweep draws that noise once and shares it across thetas
+    T, reps, seed = 12, 25, 8
+    sweep = theta_sweep(model, w_chain6, [0.0, theta, 0.3], T=T, reps=reps, seed=seed)
+    spec = DependenceSpec(model, theta, w_chain6)
+    for r in range(reps):
+        panel = _apply_dependence(spec, NORMAL.sample((T, 6), stream(seed, r)))
+        want = sb_statistic(SpatialPanel(panel), w_chain6).value
+        assert abs(sweep.samples[theta][r] - want) <= 1e-12

@@ -13,12 +13,14 @@ from sbergsma import (
     monte_carlo_null,
     pairwise_screen,
     row_standardize,
+    sb_statistic,
     simulate_panel,
     test_spatial_independence,
 )
 from sbergsma.exceptions import (
     DegenerateRegionError,
     EmptyNullError,
+    InvalidParameterError,
     TooManyDegenerateResamplesError,
 )
 from sbergsma.rng import stream
@@ -76,7 +78,7 @@ def test_two_sided_alternative(w5, shared_null):
     )
     assert 0 < two.p_value <= 1
     assert two.p_value >= min(1.0, one.p_value)
-    with pytest.raises(EmptyNullError):
+    with pytest.raises(InvalidParameterError):
         test_spatial_independence(panel, w5, null=shared_null, alternative="less")
 
 
@@ -167,3 +169,41 @@ def test_pairwise_screen_degenerate_region_named():
     panel = SpatialPanel(data, ("x", "flat"))
     with pytest.raises(DegenerateRegionError, match="flat"):
         pairwise_screen(panel, cutoff=0.5)
+
+
+def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
+    # column 0 has eight equal values out of ten, so about a tenth of the
+    # resamples are constant there and get redrawn from the same stream
+    T, B, seed = 10, 240, 4
+    data = stream(12).standard_normal((T, 5))
+    data[:8, 0] = 0.0
+    panel = SpatialPanel(data)
+    values, draws = [], 0
+    for b in range(B):
+        rng = stream(seed, b)
+        while True:
+            draws += 1
+            sub = data[rng.integers(0, T, size=T)]
+            if np.all(np.ptp(sub, axis=0) > 0):
+                break
+        values.append(sb_statistic(SpatialPanel(sub), w5).value)
+    assert draws > B
+    lo, hi = bootstrap_ci(panel, w5, B=B, seed=seed)
+    want = np.quantile(values, [0.025, 0.975])
+    assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"alternative": "less"}, {"null_method": "bootstrap"}]
+)
+def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):
+    import sbergsma.inference as inference
+
+    def no_null(*args, **kw):
+        raise AssertionError("a null was simulated")
+
+    for name in ("monte_carlo_null", "nystrom_eigenvalues", "asymptotic_null_sample"):
+        monkeypatch.setattr(inference, name, no_null)
+    panel = SpatialPanel(stream(13).standard_normal((20, 5)))
+    with pytest.raises(InvalidParameterError):
+        test_spatial_independence(panel, w5, reps=20_000, **kwargs)

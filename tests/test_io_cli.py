@@ -8,6 +8,8 @@ import pytest
 from sbergsma import SpatialPanel, linear_chain, sb_statistic
 from sbergsma.cli import main
 from sbergsma.exceptions import (
+    DuplicateLabelError,
+    NonIntegerError,
     NonNumericError,
     NonzeroDiagonalError,
     NotSquareError,
@@ -71,6 +73,20 @@ def test_dense_weight_errors(tmp_path):
     bad.write_text("0,1\n1,2\n")
     with pytest.raises(NonzeroDiagonalError, match=r"w\[2,2\]"):
         load_weights(str(bad))
+
+
+def test_edge_list_rejects_fractional_index(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("1,2\n1.7,2\n")
+    with pytest.raises(NonIntegerError, match="'1.7' at row 2, column 1"):
+        load_weights(str(edges), "edges")
+
+
+def test_panel_header_rejects_duplicate_labels(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("x,x,y\n1,2,3\n4,5,6\n7,8,9\n")
+    with pytest.raises(DuplicateLabelError, match="row 1: duplicate region label 'x'"):
+        load_panel(str(path))
 
 
 def test_edge_list_matches_builtin_chain(tmp_path):
@@ -218,3 +234,21 @@ def test_cli_failure_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
     assert "theta" in err["message"]
+
+
+def test_cli_test_empty_edge_list_fails(tmp_path, capsys):
+    # an all-zero W used to give "sb": NaN and the smallest p-value
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
+    edges = tmp_path / "edges.csv"
+    edges.write_text("")
+    out = tmp_path / "report.json"
+    rc = main([
+        "test", panel_path, "--weights", str(edges), "--weights-kind", "edges",
+        "--regions", "4", "--no-standardize", "--reps", "50", "--cutoff", "0.2",
+        "--seed", "1", "--output", str(out),
+    ])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_category"] == "IsolatedRegionError"

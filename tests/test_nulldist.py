@@ -17,6 +17,7 @@ from sbergsma import (
 )
 from sbergsma.exceptions import (
     EmptyNullError,
+    NonFiniteError,
     SpectraMismatchError,
     UnsupportedDistributionError,
 )
@@ -134,3 +135,11 @@ def test_p_value_rules():
 def test_p_value_empty():
     with pytest.raises(EmptyNullError):
         p_value(0.0, NullDistribution(np.array([]), "monte_carlo"))
+
+
+@pytest.mark.parametrize("observed", [np.nan, np.inf, -np.inf])
+def test_p_value_rejects_non_finite_observed(observed):
+    # a NaN statistic must not read as the smallest possible p-value
+    null = NullDistribution(np.arange(99, dtype=float), "monte_carlo")
+    with pytest.raises(NonFiniteError):
+        p_value(observed, null)

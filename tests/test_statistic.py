@@ -134,3 +134,25 @@ def test_batch_matches_single():
         assert vals[b] == pytest.approx(
             sb_statistic(SpatialPanel(panels[b]), W).value, rel=1e-12
         )
+
+
+def test_batch_bitwise_independent_of_split(monkeypatch):
+    import sbergsma.statistic as statistic
+
+    panels = stream(23).standard_normal((10, 9, 4))
+    W = row_standardize(linear_chain(4))
+    whole = sb_values_batch(panels, W)
+    for size in (1, 3, 7):
+        parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 10, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    # the kernel byte budget only sets how many replicates share one stack
+    for budget in (1, 4 * 9 * 9 * 8 * 3, 1 << 30):
+        monkeypatch.setattr(statistic, "_KERNEL_BYTES", budget)
+        assert np.array_equal(sb_values_batch(panels, W), whole)
+
+
+def test_batch_degenerate_replicate_named():
+    panels = stream(24).standard_normal((3, 8, 3))
+    panels[1, :, 2] = 5.0
+    with pytest.raises(DegenerateRegionError, match="#3"):
+        sb_values_batch(panels, row_standardize(linear_chain(3)))

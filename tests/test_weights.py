@@ -23,8 +23,9 @@ def test_adjacency_examples():
     W = adjacency_from_edges([(1, 2), (2, 3)], 3)
     assert np.array_equal(W.weights, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert not W.standardized
-    empty = adjacency_from_edges([], 2)
-    assert np.array_equal(empty.weights, np.zeros((2, 2)))
+    # no edge at all gives S0 = 0, which would make S~_B NaN
+    with pytest.raises(IsolatedRegionError, match="S0 = 0"):
+        adjacency_from_edges([], 2)
 
 
 def test_adjacency_errors():
@@ -110,3 +111,8 @@ def test_diagonal_must_be_zero():
     w[1, 1] = 0.1
     with pytest.raises(SelfLoopError):
         ProximityMatrix(w)
+
+
+def test_all_zero_weights_rejected():
+    with pytest.raises(IsolatedRegionError, match="S0 = 0"):
+        ProximityMatrix(np.zeros((3, 3)))
