@@ -31,7 +31,7 @@ from .nulldist import (
     nystrom_eigenvalues,
     p_value,
 )
-from .reference import ReferenceDistribution, population_g, population_kernel
+from .reference import ReferenceDistribution
 from .statistic import SBResult, SpatialPanel, sb_statistic, sb_values_batch
 from .timeseries import ARFit, acf, fit_ar, moments, residual_panel
 from .weights import (
@@ -69,8 +69,6 @@ __all__ = [
     "nystrom_eigenvalues",
     "p_value",
     "pairwise_screen",
-    "population_g",
-    "population_kernel",
     "residual_panel",
     "rho_tilde",
     "row_standardize",

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: compute, test, null, simulate, sweep, prewhiten, weights,
-spectrum.  All randomness flows from one --seed; when the flag is absent a
-seed is drawn from OS entropy and printed on stderr so the run can be
-replayed.  Every output embeds the package version, the fully resolved
-configuration, the seed and SHA-256 hashes of all input files.
+spectrum.  The four that draw random numbers (test, null, simulate, sweep)
+take one --seed; when the flag is absent a seed is drawn from OS entropy and
+printed on stderr so the run can be replayed.  Every output embeds the
+package version, the fully resolved configuration, the seed (null for the
+deterministic subcommands) and SHA-256 hashes of all input files.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .depmodels import DependenceSpec, simulate_panel, theta_sweep
 from .exceptions import SbergsmaError
-from .inference import bootstrap_ci, pairwise_screen, test_spatial_independence
+from .inference import pairwise_screen, test_spatial_independence
 from .io import (
     atomic_write_text,
     load_panel,
@@ -70,7 +69,7 @@ def _resolve_weights(args):
     return W, sources
 
 
-def _meta(args, seed: int, hashes: dict) -> dict:
+def _meta(args, hashes: dict) -> dict:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -79,7 +78,7 @@ def _meta(args, seed: int, hashes: dict) -> dict:
     return {
         "version": __version__,
         "config": config,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "input_hashes": hashes,
     }
 
@@ -103,14 +102,13 @@ def _emit_json(payload: dict, output: str | None) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_compute(args):
-    seed = args.seed if args.seed is not None else 0
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
     W, wh = _resolve_weights(args)
     hashes.update(wh)
     res = sb_statistic(panel, W)
     payload = {
-        "meta": _meta(args, seed, hashes),
+        "meta": _meta(args, hashes),
         "value": res.value,
         "scaled_value": res.scaled_value,
         "s0": res.s0,
@@ -141,11 +139,12 @@ def _cmd_test(args):
         ci_resamples=args.bootstrap,
         ci_level=args.level,
     )
-    flags, rho, cutoff = pairwise_screen(
-        panel, cutoff=args.cutoff, seed=seed, n_sim=args.cutoff_sims
+    flags, cutoff = pairwise_screen(
+        report.sb.pair_rho, panel.n_time,
+        cutoff=args.cutoff, seed=seed, n_sim=args.cutoff_sims,
     )
     payload = {
-        "meta": _meta(args, seed, hashes),
+        "meta": _meta(args, hashes),
         "sb": report.sb.value,
         "scaled_sb": report.sb.scaled_value,
         "p_value": report.p_value,
@@ -153,7 +152,7 @@ def _cmd_test(args):
         "null": report.null_meta,
         "pairwise_cutoff": cutoff,
         "pairwise_flags": flags.tolist(),
-        "pair_rho": rho.tolist(),
+        "pair_rho": report.sb.pair_rho.tolist(),
         "notes": list(report.notes),
     }
     _emit_json(payload, args.output)
@@ -166,7 +165,7 @@ def _cmd_null(args):
         _dist_from_args(args), args.R, args.T, W,
         reps=args.reps, seed=seed, n_jobs=args.threads,
     )
-    save_samples(args.output, null.samples, meta=_meta(args, seed, hashes))
+    save_samples(args.output, null.samples, meta=_meta(args, hashes))
 
 
 def _cmd_simulate(args):
@@ -174,7 +173,7 @@ def _cmd_simulate(args):
     W, hashes = _resolve_weights(args)
     spec = DependenceSpec(args.model.upper(), args.theta, W, _dist_from_args(args))
     panel = simulate_panel(spec, args.T, seed=seed)
-    save_panel(args.output, panel, meta=_meta(args, seed, hashes))
+    save_panel(args.output, panel, meta=_meta(args, hashes))
 
 
 def _cmd_sweep(args):
@@ -185,15 +184,14 @@ def _cmd_sweep(args):
         args.model.upper(), W, thetas, args.T,
         reps=args.reps, seed=seed, noise=_dist_from_args(args),
     )
-    save_sweep(args.output, sweep, meta=_meta(args, seed, hashes))
+    save_sweep(args.output, sweep, meta=_meta(args, hashes))
 
 
 def _cmd_prewhiten(args):
-    seed = args.seed if args.seed is not None else 0
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
     resid = residual_panel(panel, args.ar)
-    save_panel(args.output, resid, meta=_meta(args, seed, hashes))
+    save_panel(args.output, resid, meta=_meta(args, hashes))
     if args.acf_output:
         table = {}
         threshold = None
@@ -201,20 +199,18 @@ def _cmd_prewhiten(args):
             vals, threshold = acf(resid.data[:, i], args.acf_lags)
             table[label] = vals
         save_acf_table(
-            args.acf_output, table, threshold, meta=_meta(args, seed, hashes)
+            args.acf_output, table, threshold, meta=_meta(args, hashes)
         )
 
 
 def _cmd_weights(args):
-    seed = args.seed if args.seed is not None else 0
     W, hashes = _resolve_weights(args)
-    save_weights(args.output, W, meta=_meta(args, seed, hashes))
+    save_weights(args.output, W, meta=_meta(args, hashes))
 
 
 def _cmd_spectrum(args):
-    seed = args.seed if args.seed is not None else 0
     spectrum = nystrom_eigenvalues(_dist_from_args(args), K=args.K, m=args.grid)
-    save_spectrum(args.output, spectrum.eigenvalues, meta=_meta(args, seed, {}))
+    save_spectrum(args.output, spectrum.eigenvalues, meta=_meta(args, {}))
 
 
 # -- parser ------------------------------------------------------------------
@@ -240,13 +236,19 @@ def _add_weight_args(p):
     p.set_defaults(standardize=True)
 
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=None)
+
+
+def _add_threads(p):
     p.add_argument(
         "--threads",
         type=int,
         default=int(os.environ.get("SBERGSMA_THREADS", "1")),
     )
+
+
+def _add_output(p):
     p.add_argument("--output", "-o", help="output path (default: stdout for JSON)")
 
 
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="S~_B and the pairwise rho~ matrix")
     p.add_argument("panel")
     _add_weight_args(p)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("test", help="test spatial pairwise independence")
@@ -279,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=None,
                    help="pairwise rho~ cutoff (default: simulated 95th percentile)")
     p.add_argument("--cutoff-sims", type=int, default=10_000)
-    _add_common(p)
+    _add_seed(p)
+    _add_threads(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("null", help="Monte Carlo null samples of T*S~_B")
@@ -288,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--reps", type=int, default=10_000)
-    _add_common(p)
+    _add_seed(p)
+    _add_threads(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_null)
 
     p = sub.add_parser("simulate", help="simulate an SMA/SAR dependent panel")
@@ -297,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=50)
     _add_weight_args(p)
     _add_dist_args(p)
-    _add_common(p)
+    _add_seed(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="S~_B moment summaries over a theta grid")
@@ -307,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10_000)
     _add_weight_args(p)
     _add_dist_args(p)
-    _add_common(p)
+    _add_seed(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("prewhiten", help="per-region AR(p) residual panel")
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ar", type=int, default=3)
     p.add_argument("--acf-output", help="also write an ACF table CSV here")
     p.add_argument("--acf-lags", type=int, default=10)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_prewhiten)
 
     p = sub.add_parser("weights", help="build and save a proximity matrix")
@@ -328,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     std.add_argument("--standardize", dest="standardize", action="store_true")
     std.add_argument("--no-standardize", dest="standardize", action="store_false")
     p.set_defaults(standardize=False)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("spectrum", help="Nystrom kernel eigenvalues for one F")
     _add_dist_args(p)
     p.add_argument("--K", type=int, default=100)
     p.add_argument("--grid", type=int, default=2000)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_spectrum)
 
     return ap

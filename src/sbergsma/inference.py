@@ -6,12 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import pairwise_kappa, panel_kernel_stack, rho_from_kappa
-from .exceptions import (
-    EmptyNullError,
-    InvalidParameterError,
-    TooManyDegenerateResamplesError,
-)
+from .exceptions import InvalidParameterError, TooManyDegenerateResamplesError
 from .nulldist import (
     NullDistribution,
     asymptotic_null_sample,
@@ -72,6 +67,15 @@ def test_spatial_independence(
     if alternative not in ("greater", "two-sided"):
         raise InvalidParameterError(f"unknown alternative {alternative!r}")
     sb = sb_statistic(panel, W)
+    # the bootstrap's argument checks run before the null is simulated; the
+    # two draw from independent streams, so the order changes no value
+    ci = None
+    notes = []
+    if ci_resamples:
+        lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed)
+        ci = (lo, hi, ci_level, "bootstrap_percentile")
+        if not (lo <= sb.value <= hi):
+            notes.append("percentile CI excludes the point estimate")
     if null is None:
         if null_method == "monte_carlo":
             null = monte_carlo_null(
@@ -87,13 +91,6 @@ def test_spatial_independence(
         s = null.samples
         p_lo = (1 + int(np.count_nonzero(s <= sb.scaled_value))) / (s.size + 1)
         p = min(1.0, 2.0 * min(p, p_lo))
-    ci = None
-    notes = []
-    if ci_resamples:
-        lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed)
-        ci = (lo, hi, ci_level, "bootstrap_percentile")
-        if not (lo <= sb.value <= hi):
-            notes.append("percentile CI excludes the point estimate")
     if not W.standardized:
         notes.append("W not row-standardized; S0 taken as the raw weight sum")
     return TestReport(
@@ -121,9 +118,9 @@ def bootstrap_ci(
     applied; raw percentiles are reported.
     """
     if B < 200:
-        raise EmptyNullError(f"need B >= 200 bootstrap resamples, got {B}")
+        raise InvalidParameterError(f"need B >= 200 bootstrap resamples, got {B}")
     if not (0.0 < level < 1.0):
-        raise EmptyNullError(f"level must be in (0,1), got {level}")
+        raise InvalidParameterError(f"level must be in (0,1), got {level}")
     T = panel.n_time
     data = panel.data
     resamples = np.empty((B, T, panel.n_regions))
@@ -170,21 +167,22 @@ def independence_rho_quantile(
 
 
 def pairwise_screen(
-    panel: SpatialPanel,
+    rho: np.ndarray,
+    T: int,
     cutoff: float | None = None,
     seed: int = 0,
     n_sim: int = 10_000,
 ):
     """Flag region pairs whose rho~ exceeds the cutoff.
 
-    With ``cutoff=None`` the threshold is derived by simulation as the 95th
-    percentile of rho~ under independent normal pairs at the panel's T.
-    Returns ``(flags, rho, cutoff)``; the diagonal is never flagged.
+    ``rho`` is the R x R pairwise rho~ matrix of a panel with ``T`` time
+    points, such as :attr:`SBResult.pair_rho`.  With ``cutoff=None`` the
+    threshold is derived by simulation as the 95th percentile of rho~ under
+    independent normal pairs at that T.  Returns ``(flags, cutoff)``; the
+    diagonal is never flagged.
     """
-    H = panel_kernel_stack(panel.data)
-    rho = rho_from_kappa(pairwise_kappa(H), panel.region_labels)
     if cutoff is None:
-        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=n_sim)
+        cutoff = independence_rho_quantile(T, seed=seed, n_sim=n_sim)
     flags = rho > cutoff
     np.fill_diagonal(flags, False)
-    return flags, rho, float(cutoff)
+    return flags, float(cutoff)

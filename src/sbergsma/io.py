@@ -38,10 +38,6 @@ from .weights import ProximityMatrix, adjacency_from_edges, inverse_distance
 _FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via temp-file + rename; never leaves partial files."""
     d = os.path.dirname(os.path.abspath(path)) or "."
@@ -54,6 +50,22 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, meta: dict | None, header, rows) -> None:
+    """Atomically write an optional ``# meta:`` line, an optional header row and
+    the data rows as CSV, floats with 17 significant digits."""
+    buf = _io.StringIO()
+    if meta:
+        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
+    w = csv.writer(buf, lineterminator="\n")
+    if header:
+        w.writerow(header)
+    w.writerows(
+        [_FMT % v if isinstance(v, (float, np.floating)) else v for v in row]
+        for row in rows
+    )
+    atomic_write_text(path, buf.getvalue())
 
 
 def _data_lines(path: str):
@@ -110,14 +122,7 @@ def load_panel(path: str) -> SpatialPanel:
 
 
 def save_panel(path: str, panel: SpatialPanel, meta: dict | None = None) -> None:
-    buf = _io.StringIO()
-    if meta:
-        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(panel.region_labels)
-    for row in panel.data:
-        w.writerow([_fmt(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, meta, panel.region_labels, panel.data)
 
 
 def load_weights(
@@ -185,63 +190,30 @@ def _load_coords(path: str) -> ProximityMatrix:
 
 
 def save_weights(path: str, W: ProximityMatrix, meta: dict | None = None) -> None:
-    buf = _io.StringIO()
-    if meta:
-        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    for row in W.weights:
-        w.writerow([_fmt(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, meta, None, W.weights)
 
 
 def save_samples(path: str, samples: np.ndarray, meta: dict | None = None) -> None:
     """Single-column CSV of null samples."""
-    buf = _io.StringIO()
-    if meta:
-        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write("sample\n")
-    for v in samples:
-        buf.write(_fmt(v) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, meta, ["sample"], ([v] for v in samples))
 
 
 def save_spectrum(path: str, eigenvalues: np.ndarray, meta: dict | None = None) -> None:
-    buf = _io.StringIO()
-    if meta:
-        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write("k,lambda\n")
-    for k, lam in enumerate(eigenvalues, start=1):
-        buf.write(f"{k},{_fmt(lam)}\n")
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, meta, ["k", "lambda"], enumerate(eigenvalues, start=1))
 
 
 def save_sweep(path: str, sweep, meta: dict | None = None) -> None:
     """Moment-summary CSV: model, theta, mean, sd, skewness, kurtosis."""
-    buf = _io.StringIO()
-    if meta:
-        buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write("model,theta,mean,sd,skewness,kurtosis\n")
-    for theta in sweep.thetas:
-        mean, sd, skew, kurt = sweep.summaries[theta]
-        buf.write(
-            f"{sweep.model},{_fmt(theta)},{_fmt(mean)},{_fmt(sd)},"
-            f"{_fmt(skew)},{_fmt(kurt)}\n"
-        )
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(
+        path, meta, ["model", "theta", "mean", "sd", "skewness", "kurtosis"],
+        ([sweep.model, theta, *sweep.summaries[theta]] for theta in sweep.thetas),
+    )
 
 
 def save_acf_table(path: str, table: dict, threshold: float,
                    meta: dict | None = None) -> None:
     """ACF CSV: one row per lag, one column per region, threshold in meta."""
-    buf = _io.StringIO()
-    full_meta = dict(meta or {})
-    full_meta["threshold_95"] = threshold
-    buf.write("# meta: " + json.dumps(full_meta, sort_keys=True) + "\n")
-    labels = list(table)
-    n_lags = len(next(iter(table.values())))
-    buf.write("lag," + ",".join(labels) + "\n")
-    for lag in range(n_lags):
-        buf.write(
-            str(lag) + "," + ",".join(_fmt(table[lb][lag]) for lb in labels) + "\n"
-        )
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(
+        path, {**(meta or {}), "threshold_95": threshold}, ["lag", *table],
+        ([lag, *vals] for lag, vals in enumerate(zip(*table.values()))),
+    )

@@ -120,16 +120,6 @@ class ReferenceDistribution:
 STANDARD_NORMAL = ReferenceDistribution("normal")
 
 
-def population_g(dist: ReferenceDistribution, z):
-    """g_F(z) = E|z - Z|; closed form for all supported families."""
-    return dist.mean_abs_from(z)
-
-
-def population_kernel(dist: ReferenceDistribution, z1, z2):
-    """h_F(z1, z2) = -1/2 [|z1-z2| - g_F(z1) - g_F(z2) + g(F)]."""
-    return dist.kernel(z1, z2)
-
-
 def mean_abs_quad(dist: ReferenceDistribution, z: float, tol: float = 1e-10) -> float:
     """g_F(z) by adaptive quadrature on a domain covering all but 1e-13 mass.
 

@@ -23,10 +23,8 @@ from .statistic import SpatialPanel
 class ARFit:
     """One region's AR(p) fit: intercept-first coefficients and residuals."""
 
-    order: int
     coefficients: np.ndarray  # beta_0 (intercept), beta_1, ..., beta_p
     residuals: np.ndarray  # length T - p, aligned to times p+1..T
-    region_label: str = ""
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -56,7 +54,7 @@ def fit_ar(series, p: int, region_label: str = "") -> ARFit:
         )
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
-    return ARFit(p, beta, resid, region_label)
+    return ARFit(beta, resid)
 
 
 def residual_panel(panel: SpatialPanel, p: int) -> SpatialPanel:

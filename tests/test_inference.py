@@ -18,8 +18,6 @@ from sbergsma import (
     test_spatial_independence,
 )
 from sbergsma.exceptions import (
-    DegenerateRegionError,
-    EmptyNullError,
     InvalidParameterError,
     TooManyDegenerateResamplesError,
 )
@@ -126,9 +124,9 @@ def test_bootstrap_covers_estimate_usually(w5):
 
 def test_bootstrap_b_too_small(w5):
     panel = SpatialPanel(stream(1).standard_normal((20, 5)))
-    with pytest.raises(EmptyNullError):
+    with pytest.raises(InvalidParameterError):
         bootstrap_ci(panel, w5, B=100)
-    with pytest.raises(EmptyNullError):
+    with pytest.raises(InvalidParameterError):
         bootstrap_ci(panel, w5, B=300, level=1.5)
 
 
@@ -148,7 +146,8 @@ def test_independence_rho_quantile_near_published_cutoff():
 def test_pairwise_screen_identical_and_independent():
     base = stream(40).standard_normal(19)
     panel = SpatialPanel(np.column_stack([base, base, stream(41).standard_normal(19)]))
-    flags, rho, cutoff = pairwise_screen(panel, seed=0, n_sim=2000)
+    rho = sb_statistic(panel, linear_chain(3)).pair_rho
+    flags, cutoff = pairwise_screen(rho, panel.n_time, seed=0, n_sim=2000)
     assert flags[0, 1] and flags[1, 0]
     assert rho[0, 1] == pytest.approx(1.0, abs=1e-10)
     assert not flags.diagonal().any()
@@ -158,17 +157,10 @@ def test_pairwise_screen_identical_and_independent():
 def test_pairwise_screen_explicit_cutoff():
     rng = stream(50)
     panel = SpatialPanel(rng.standard_normal((25, 4)))
-    flags, rho, cutoff = pairwise_screen(panel, cutoff=1.1)
+    rho = sb_statistic(panel, linear_chain(4)).pair_rho
+    flags, cutoff = pairwise_screen(rho, panel.n_time, cutoff=1.1)
     assert cutoff == 1.1
     assert not flags.any()
-    assert np.allclose(rho, rho.T)
-
-
-def test_pairwise_screen_degenerate_region_named():
-    data = np.column_stack([np.arange(10.0), np.full(10, 2.0)])
-    panel = SpatialPanel(data, ("x", "flat"))
-    with pytest.raises(DegenerateRegionError, match="flat"):
-        pairwise_screen(panel, cutoff=0.5)
 
 
 def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
@@ -194,7 +186,14 @@ def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"alternative": "less"}, {"null_method": "bootstrap"}]
+    "kwargs",
+    [
+        {"alternative": "less"},
+        {"null_method": "bootstrap"},
+        {"ci_resamples": 100},
+        # the level is read only when a CI is asked for
+        {"ci_resamples": 300, "ci_level": 1.5},
+    ],
 )
 def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):
     import sbergsma.inference as inference

@@ -1,5 +1,6 @@
 """CSV round trips, parse errors and the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
@@ -16,7 +17,13 @@ from sbergsma.exceptions import (
     ParseError,
     RaggedRowError,
 )
-from sbergsma.io import load_panel, load_weights, save_panel, save_weights
+from sbergsma.io import (
+    load_panel,
+    load_weights,
+    save_acf_table,
+    save_panel,
+    save_weights,
+)
 from sbergsma.rng import stream
 from sbergsma.weights import row_standardize
 
@@ -104,6 +111,16 @@ def test_coords_with_header(tmp_path):
     W = load_weights(str(path), kind="coords")
     assert W.weights[0, 1] == pytest.approx(0.5)
     assert W.region_labels == ("p1", "p2")
+
+
+def test_acf_table_label_with_comma_reads_back(tmp_path):
+    path = tmp_path / "acf.csv"
+    table = {"Pune, city": [1.0, 0.25], "Mumbai": [1.0, -0.5], "Thane": [1.0, 0.0]}
+    save_acf_table(str(path), table, 0.4)
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[0] == ["lag", "Pune, city", "Mumbai", "Thane"]
+    assert rows[1:] == [["0", "1", "1", "1"], ["1", "0.25", "-0.5", "0"]]
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -252,3 +269,52 @@ def test_cli_test_empty_edge_list_fails(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error_category"] == "IsolatedRegionError"
+
+
+def test_cli_test_flags_are_pair_rho_above_cutoff(tmp_path):
+    rng = stream(21)
+    base = rng.standard_normal(30)
+    data = np.column_stack([base, base + 0.3 * rng.standard_normal(30),
+                            rng.standard_normal((30, 2))])
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(data))
+    out = tmp_path / "report.json"
+    assert main([
+        "test", panel_path, "--linear-chain", "4", "--reps", "100",
+        "--cutoff-sims", "500", "--seed", "2", "--output", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    rho, flags = np.array(payload["pair_rho"]), np.array(payload["pairwise_flags"])
+    off = ~np.eye(4, dtype=bool)
+    assert np.array_equal(flags[off], (rho > payload["pairwise_cutoff"])[off])
+    assert not flags.diagonal().any()
+    assert flags[off].any() and not flags[off].all()
+
+
+_VALID_ARGV = {
+    "compute": ["compute", "{panel}", "--linear-chain", "3"],
+    "simulate": ["simulate", "--model", "sma", "--theta", "0.5", "--T", "10",
+                 "--linear-chain", "3", "-o", "{out}"],
+    "sweep": ["sweep", "--model", "sma", "--thetas", "0", "--T", "10",
+              "--reps", "10", "--linear-chain", "3", "-o", "{out}"],
+    "prewhiten": ["prewhiten", "{panel}", "--ar", "1", "-o", "{out}"],
+    "weights": ["weights", "--linear-chain", "3", "-o", "{out}"],
+    "spectrum": ["spectrum", "--dist", "uniform", "--K", "60", "--grid", "800",
+                 "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, "--threads") for c in _VALID_ARGV]
+    + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")],
+)
+def test_cli_rejects_flags_the_command_does_not_read(
+    command, flag, panel_file, tmp_path, capsys
+):
+    argv = [a.format(panel=panel_file, out=tmp_path / "out.csv")
+            for a in _VALID_ARGV[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

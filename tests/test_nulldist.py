@@ -30,7 +30,7 @@ W2 = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def _synthetic_spectrum(lam) -> EigenSpectrum:
-    return EigenSpectrum(np.asarray(lam, dtype=float), NORMAL, grid_size=0)
+    return EigenSpectrum(np.asarray(lam, dtype=float))
 
 
 def test_nystrom_trace_normal():

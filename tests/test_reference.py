@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbergsma import ReferenceDistribution, population_g, population_kernel
+from sbergsma import ReferenceDistribution
 from sbergsma.exceptions import UnsupportedDistributionError
 from sbergsma.reference import FAMILIES, mean_abs_quad
 from sbergsma.rng import stream
@@ -25,18 +25,18 @@ ALL_DISTS = [
 
 def test_normal_g_at_zero():
     d = ReferenceDistribution("normal")
-    assert population_g(d, 0.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
+    assert d.mean_abs_from(0.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
 
 
 def test_uniform_g_midpoint():
     d = ReferenceDistribution("uniform")
-    assert population_g(d, 0.5) == pytest.approx(0.25, rel=1e-12)
+    assert d.mean_abs_from(0.5) == pytest.approx(0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=str)
 @pytest.mark.parametrize("z", [-1.7, -0.2, 0.0, 0.4, 2.9])
 def test_g_closed_form_matches_quadrature(dist, z):
-    assert float(population_g(dist, z)) == pytest.approx(
+    assert float(dist.mean_abs_from(z)) == pytest.approx(
         mean_abs_quad(dist, z), abs=1e-8
     )
 
@@ -45,7 +45,7 @@ def test_g_closed_form_matches_quadrature(dist, z):
 def test_g_jensen_lower_bound(dist):
     mean = dist.frozen().mean()
     for z in [-3.0, -0.5, 0.0, 1.0, 4.0]:
-        assert float(population_g(dist, z)) >= abs(z - mean) - 1e-12
+        assert float(dist.mean_abs_from(z)) >= abs(z - mean) - 1e-12
 
 
 @pytest.mark.parametrize(
@@ -76,14 +76,14 @@ def test_kernel_diagonal_identity():
     # h(z, z) = g_F(z) - g(F)/2
     d = ReferenceDistribution("normal")
     for z in [-1.0, 0.0, 0.7, 2.4]:
-        expect = float(population_g(d, z)) - d.mean_abs_gap() / 2
-        assert float(population_kernel(d, z, z)) == pytest.approx(expect, rel=1e-12)
+        expect = float(d.mean_abs_from(z)) - d.mean_abs_gap() / 2
+        assert float(d.kernel(z, z)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_symmetric_distribution_reflection():
     d = ReferenceDistribution("laplace")
-    assert float(population_kernel(d, 0.4, -1.3)) == pytest.approx(
-        float(population_kernel(d, -0.4, 1.3)), rel=1e-12
+    assert float(d.kernel(0.4, -1.3)) == pytest.approx(
+        float(d.kernel(-0.4, 1.3)), rel=1e-12
     )
 
 
@@ -93,7 +93,7 @@ def test_kernel_zero_mean_under_independence(family):
     rng = stream(909)
     z1 = d.sample(1_000_000, rng)
     z2 = d.sample(1_000_000, rng)
-    h = population_kernel(d, z1, z2)
+    h = d.kernel(z1, z2)
     se = h.std() / math.sqrt(h.size)
     assert abs(h.mean()) < 3 * se
 
