@@ -19,7 +19,11 @@ import sys
 from . import __version__
 from .depmodels import DependenceSpec, simulate_panel, theta_sweep
 from .exceptions import SbergsmaError
-from .inference import pairwise_screen, test_spatial_independence
+from .inference import (
+    independence_rho_quantile,
+    pairwise_screen,
+    test_spatial_independence,
+)
 from .io import (
     atomic_write_text,
     load_panel,
@@ -40,10 +44,10 @@ from .weights import linear_chain, row_standardize
 
 
 def _dist_from_args(args) -> ReferenceDistribution:
-    kwargs = {}
+    kwargs = {k: getattr(args, k) for k in ("loc", "scale") if hasattr(args, k)}
     if args.dist == "chi-square":
         kwargs["df"] = args.df
-    return ReferenceDistribution(args.dist, loc=args.loc, scale=args.scale, **kwargs)
+    return ReferenceDistribution(args.dist, **kwargs)
 
 
 def _hash_file(path: str) -> str:
@@ -126,6 +130,10 @@ def _cmd_test(args):
     W, wh = _resolve_weights(args)
     hashes.update(wh)
     method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
+    # the cutoff simulation checks --cutoff-sims before the null is simulated
+    cutoff = args.cutoff
+    if cutoff is None:
+        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=args.cutoff_sims)
     report = test_spatial_independence(
         panel,
         W,
@@ -139,10 +147,7 @@ def _cmd_test(args):
         ci_resamples=args.bootstrap,
         ci_level=args.level,
     )
-    flags, cutoff = pairwise_screen(
-        report.sb.pair_rho, panel.n_time,
-        cutoff=args.cutoff, seed=seed, n_sim=args.cutoff_sims,
-    )
+    flags, cutoff = pairwise_screen(report.sb.pair_rho, panel.n_time, cutoff=cutoff)
     payload = {
         "meta": _meta(args, hashes),
         "sb": report.sb.value,
@@ -193,14 +198,9 @@ def _cmd_prewhiten(args):
     resid = residual_panel(panel, args.ar)
     save_panel(args.output, resid, meta=_meta(args, hashes))
     if args.acf_output:
-        table = {}
-        threshold = None
-        for i, label in enumerate(resid.region_labels):
-            vals, threshold = acf(resid.data[:, i], args.acf_lags)
-            table[label] = vals
-        save_acf_table(
-            args.acf_output, table, threshold, meta=_meta(args, hashes)
-        )
+        acfs = [acf(col, args.acf_lags) for col in resid.data.T]
+        table = dict(zip(resid.region_labels, (vals for vals, _ in acfs)))
+        save_acf_table(args.acf_output, table, acfs[0][1], meta=_meta(args, hashes))
 
 
 def _cmd_weights(args):
@@ -215,10 +215,16 @@ def _cmd_spectrum(args):
 
 # -- parser ------------------------------------------------------------------
 
-def _add_dist_args(p):
+def _add_dist_args(p, *affine):
+    """Add --dist and --df, and those of --loc and --scale named in ``affine``.
+
+    rho~ is invariant to a positive affine map of each series, so only the
+    simulated panel and the spectrum's eigenvalues (for --scale) move with them.
+    """
     p.add_argument("--dist", choices=FAMILIES, default="normal")
-    p.add_argument("--loc", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
+    for flag, default in (("--loc", 0.0), ("--scale", 1.0)):
+        if flag in affine:
+            p.add_argument(flag, type=float, default=default)
     p.add_argument("--df", type=float, default=1.0, help="chi-square degrees of freedom")
 
 
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--T", type=int, default=50)
     _add_weight_args(p)
-    _add_dist_args(p)
+    _add_dist_args(p, "--loc", "--scale")
     _add_seed(p)
     _add_output(p)
     p.set_defaults(func=_cmd_simulate)
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("spectrum", help="Nystrom kernel eigenvalues for one F")
-    _add_dist_args(p)
+    _add_dist_args(p, "--scale")
     p.add_argument("--K", type=int, default=100)
     p.add_argument("--grid", type=int, default=2000)
     _add_output(p)

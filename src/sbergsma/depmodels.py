@@ -11,14 +11,15 @@ case of no spatial association.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
-from .exceptions import InvalidParameterError, SingularSystemError
+from .exceptions import InvalidParameterError, SampleSizeError, SingularSystemError
 from .reference import STANDARD_NORMAL, ReferenceDistribution
-from .rng import replicate_draws, stream
+from .rng import stream
 from .statistic import SpatialPanel, sb_values_batch
 from .timeseries import moments
 from .weights import ProximityMatrix
@@ -26,7 +27,7 @@ from .weights import ProximityMatrix
 _COND_LIMIT = 1e12
 _COND_WARN = 1e3
 
-#: noise replicates a theta sweep draws at once; results do not depend on it
+#: noise replicates drawn at once by sb_replicates; results do not depend on it
 _CHUNK = 200
 
 
@@ -59,39 +60,69 @@ class DependenceSpec:
                     f"got theta = {self.theta}"
                 )
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """R x R map M with y_t = M eps_t, built on first use.
 
-def _sar_lu(spec: DependenceSpec):
-    """LU factorization of I - theta W, checked for conditioning."""
-    A = np.eye(spec.W.n_regions) - spec.theta * spec.W.weights
-    cond = np.linalg.cond(A)
-    if cond > _COND_LIMIT:
-        raise SingularSystemError(
-            f"I - theta W is numerically singular (theta = {spec.theta}, "
-            f"condition {cond:.3g})"
-        )
-    if cond > _COND_WARN:
-        warnings.warn(
-            f"I - theta W is badly conditioned (theta = {spec.theta}, "
-            f"condition {cond:.3g})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return linalg.lu_factor(A)
+        I + theta W for SMA; (I - theta W)^{-1} for SAR, after a conditioning
+        check that raises if I - theta W is numerically singular and warns if
+        it is badly conditioned.
+        """
+        I = np.eye(self.W.n_regions)
+        if self.model == "SMA":
+            return I + self.theta * self.W.weights
+        A = I - self.theta * self.W.weights
+        cond = np.linalg.cond(A)
+        if cond > _COND_LIMIT:
+            raise SingularSystemError(
+                f"I - theta W is numerically singular (theta = {self.theta}, "
+                f"condition {cond:.3g})"
+            )
+        if cond > _COND_WARN:
+            warnings.warn(
+                f"I - theta W is badly conditioned (theta = {self.theta}, "
+                f"condition {cond:.3g})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return np.linalg.inv(A)
 
 
-def _apply_dependence(spec: DependenceSpec, eps: np.ndarray, lu=None) -> np.ndarray:
-    """Transform noise rows eps (..., T, R) by the SMA or SAR model of spec.
-
-    ``lu`` is a precomputed :func:`_sar_lu` factor, reused across calls.
-    """
+def _apply_dependence(spec: DependenceSpec, eps: np.ndarray) -> np.ndarray:
+    """Transform noise rows eps (..., T, R) by the SMA or SAR model of spec."""
     if spec.theta == 0.0:
         return eps  # bitwise-identical to the raw noise draw
-    R = spec.W.n_regions
-    if spec.model == "SMA":
-        return eps @ (np.eye(R) + spec.theta * spec.W.weights).T
-    if lu is None:
-        lu = _sar_lu(spec)
-    return linalg.lu_solve(lu, eps.reshape(-1, R).T).T.reshape(eps.shape)
+    return eps @ spec.matrix.T
+
+
+def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.ndarray:
+    """S~_B of replicates 0..reps-1 under each spec, shape (len(specs), reps).
+
+    The specs share W and noise.  Replicate r's noise is one
+    ``noise.sample((T, R))`` draw from stream (seed, r); each chunk of noise is
+    drawn once and mapped by every spec (common random numbers), so a
+    theta = 0 spec gives the Monte Carlo null.  Chunks run on ``n_jobs``
+    threads and are joined in index order, so no value depends on the thread
+    count.
+    """
+    W, noise = specs[0].W, specs[0].noise
+    for spec in specs:
+        spec.matrix  # builds each map, and checks SAR conditioning, before any draw
+
+    def chunk(lo):
+        hi = min(lo + _CHUNK, reps)
+        eps = np.stack(
+            [noise.sample((T, W.n_regions), stream(seed, r)) for r in range(lo, hi)]
+        )
+        return [sb_values_batch(_apply_dependence(spec, eps), W) for spec in specs]
+
+    starts = range(0, reps, _CHUNK)
+    if n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            chunks = list(pool.map(chunk, starts))
+    else:
+        chunks = [chunk(lo) for lo in starts]
+    return np.concatenate(chunks, axis=1)
 
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
@@ -128,15 +159,12 @@ def theta_sweep(
     shared noise and the theta = 0 samples coincide bitwise with a Monte
     Carlo null run at the same seed, up to the T scaling.
     """
+    if reps < 4:
+        raise SampleSizeError(f"need reps >= 4 for moment summaries, got {reps}")
     thetas = tuple(float(t) for t in thetas)
+    if not thetas:
+        raise InvalidParameterError("need at least one theta")
     specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
-    lus = [_sar_lu(s) if model == "SAR" and s.theta != 0.0 else None for s in specs]
-    samples = {theta: np.empty(reps) for theta in thetas}
-    for lo in range(0, reps, _CHUNK):
-        hi = min(lo + _CHUNK, reps)
-        eps = replicate_draws(noise, (T, W.n_regions), seed, lo, hi)
-        for spec, lu in zip(specs, lus):
-            panels = _apply_dependence(spec, eps, lu)
-            samples[spec.theta][lo:hi] = sb_values_batch(panels, W)
+    samples = dict(zip(thetas, sb_replicates(specs, T, reps, seed)))
     summaries = {theta: moments(vals) for theta, vals in samples.items()}
     return SweepResult(model, thetas, samples, summaries)

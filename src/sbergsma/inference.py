@@ -6,7 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidParameterError, TooManyDegenerateResamplesError
+from .exceptions import (
+    EmptyNullError,
+    InvalidParameterError,
+    TooManyDegenerateResamplesError,
+)
 from .nulldist import (
     NullDistribution,
     asymptotic_null_sample,
@@ -66,12 +70,15 @@ def test_spatial_independence(
         raise InvalidParameterError(f"unknown null method {null_method!r}")
     if alternative not in ("greater", "two-sided"):
         raise InvalidParameterError(f"unknown alternative {alternative!r}")
+    if null is None and reps < 1:
+        raise EmptyNullError("reps must be >= 1")
     sb = sb_statistic(panel, W)
-    # the bootstrap's argument checks run before the null is simulated; the
-    # two draw from independent streams, so the order changes no value
+    # the bootstrap's argument checks run before the null is simulated; each
+    # builds its own stream(seed, r) generators, so the order changes no value
+    # (the two read the same streams, so they are not independent: see rng)
     ci = None
     notes = []
-    if ci_resamples:
+    if ci_resamples is not None:
         lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed)
         ci = (lo, hi, ci_level, "bootstrap_percentile")
         if not (lo <= sb.value <= hi):
@@ -155,6 +162,8 @@ def independence_rho_quantile(
     This is the empirical cutoff used to flag individually significant
     region pairs (about 0.17 at T = 19).
     """
+    if n_sim < 1:
+        raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
     # for R = 2 with the symmetric 0/1 pair matrix, S~_B reduces to rho~ itself
     W2 = linear_chain(2)
     vals = np.empty(n_sim)

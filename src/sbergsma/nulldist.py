@@ -16,21 +16,21 @@ Two generation routes:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .depmodels import DependenceSpec, sb_replicates
 from .exceptions import (
     ConvergenceError,
+    DimensionMismatchError,
     EmptyNullError,
     NonFiniteError,
     SpectraMismatchError,
     UnsupportedDistributionError,
 )
 from .reference import ReferenceDistribution
-from .rng import replicate_draws, stream
-from .statistic import sb_values_batch
+from .rng import stream
 from .weights import ProximityMatrix
 
 #: relative tolerance for the Nystrom trace / squared-trace consistency checks
@@ -38,7 +38,6 @@ TRACE_TOL = 0.02
 #: seed of the 10^6-pair Monte Carlo estimate behind the squared-trace check
 _CHECK_SEED = 20_210_906
 
-_MC_CHUNK = 200
 _ASYM_CHUNK = 500
 
 
@@ -151,14 +150,6 @@ def _normalized_pair_draws(spectra, n_draws, seed):
     return A
 
 
-def _spectra_common(spectra) -> bool:
-    first = spectra[0].eigenvalues
-    return all(
-        s.eigenvalues.shape == first.shape and np.array_equal(s.eigenvalues, first)
-        for s in spectra[1:]
-    )
-
-
 def asymptotic_null_sample(
     spectra,
     W: ProximityMatrix,
@@ -171,6 +162,8 @@ def asymptotic_null_sample(
     coincide the simplified common-F normalization is used (same draws,
     shared normalizer), which agrees in distribution with the general form.
     """
+    if n_draws < 1:
+        raise EmptyNullError("n_draws must be >= 1")
     spectra = list(spectra)
     R = W.n_regions
     if len(spectra) != R:
@@ -187,16 +180,14 @@ def asymptotic_null_sample(
             "K": int(spectra[0].eigenvalues.size),
             "n_draws": n_draws,
             "seed": seed,
-            "common_spectrum": _spectra_common(spectra),
+            "common_spectrum": all(
+                np.array_equal(s.eigenvalues, spectra[0].eigenvalues) for s in spectra
+            ),
         },
     )
 
 
 # -- Monte Carlo route -------------------------------------------------------
-
-def _mc_chunk(dist, R, T, W, seed, lo, hi):
-    return T * sb_values_batch(replicate_draws(dist, (T, R), seed, lo, hi), W)
-
 
 def monte_carlo_null(
     dist: ReferenceDistribution,
@@ -209,20 +200,16 @@ def monte_carlo_null(
 ) -> NullDistribution:
     """Simulate reps independent T x R i.i.d. panels and collect T * S~_B.
 
-    Replicate r's panel depends only on (seed, r); results are identical for
-    any ``n_jobs``, since chunks are reduced in index order.
+    These are the theta = 0 replicates of :func:`sbergsma.depmodels.sb_replicates`:
+    replicate r's panel depends only on (seed, r), and results are identical
+    for any ``n_jobs``.
     """
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
-    bounds = [(lo, min(lo + _MC_CHUNK, reps)) for lo in range(0, reps, _MC_CHUNK)]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(
-                pool.map(lambda b: _mc_chunk(dist, R, T, W, seed, *b), bounds)
-            )
-    else:
-        chunks = [_mc_chunk(dist, R, T, W, seed, lo, hi) for lo, hi in bounds]
-    samples = np.concatenate(chunks)
+    if W.n_regions != R:
+        raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {R}")
+    null_spec = DependenceSpec("SMA", 0.0, W, dist)
+    samples = T * sb_replicates([null_spec], T, reps, seed, n_jobs)[0]
     return NullDistribution(
         samples,
         "monte_carlo",

@@ -34,6 +34,9 @@ FAMILIES = ("normal", "uniform", "exponential", "laplace", "logistic", "chi-squa
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+_SCIPY_FAMILY = {"normal": stats.norm, "uniform": stats.uniform, "exponential": stats.expon,
+                 "laplace": stats.laplace, "logistic": stats.logistic}
+
 
 @dataclass(frozen=True)
 class ReferenceDistribution:
@@ -62,17 +65,9 @@ class ReferenceDistribution:
 
     def frozen(self):
         """Frozen scipy.stats distribution for CDF/PPF work."""
-        if self.family == "normal":
-            return stats.norm(self.loc, self.scale)
-        if self.family == "uniform":
-            return stats.uniform(self.loc, self.scale)
-        if self.family == "exponential":
-            return stats.expon(self.loc, self.scale)
-        if self.family == "laplace":
-            return stats.laplace(self.loc, self.scale)
-        if self.family == "logistic":
-            return stats.logistic(self.loc, self.scale)
-        return stats.chi2(self.df, self.loc, self.scale)
+        if self.family == "chi-square":
+            return stats.chi2(self.df, self.loc, self.scale)
+        return _SCIPY_FAMILY[self.family](self.loc, self.scale)
 
     def ppf(self, q):
         return self.frozen().ppf(q)
@@ -98,7 +93,7 @@ class ReferenceDistribution:
     def mean_abs_from(self, z):
         """g_F(z) = E|z - Z|, elementwise over ``z``."""
         u = (np.asarray(z, dtype=float) - self.loc) / self.scale
-        return self.scale * _g_standard(self.family, self.df)(u)
+        return self.scale * _g_standard(self.family, self.df, u)
 
     def mean_abs_gap(self) -> float:
         """g(F) = E|Z1 - Z2| for two independent copies."""
@@ -136,58 +131,41 @@ def mean_abs_quad(dist: ReferenceDistribution, z: float, tol: float = 1e-10) -> 
 
 # -- standard-member formulas ------------------------------------------------
 
-def _g_standard(family: str, df: float):
-    """g for the standard member (loc=0, scale=1), vectorized."""
+def _g_standard(family: str, df: float, u):
+    """g at u for the standard member (loc=0, scale=1), vectorized."""
     if family == "normal":
-        def g(u):
-            return 2.0 * np.exp(-0.5 * u * u) / _SQRT2PI + u * (2.0 * stats.norm.cdf(u) - 1.0)
-        return g
+        return 2.0 * np.exp(-0.5 * u * u) / _SQRT2PI + u * (2.0 * stats.norm.cdf(u) - 1.0)
     if family == "uniform":
-        def g(u):
-            inside = u * u - u + 0.5
-            return np.where(u < 0.0, 0.5 - u, np.where(u > 1.0, u - 0.5, inside))
-        return g
+        return np.where(u < 0.0, 0.5 - u, np.where(u > 1.0, u - 0.5, u * u - u + 0.5))
     if family == "exponential":
-        def g(u):
-            up = np.maximum(u, 0.0)
-            return np.where(u < 0.0, 1.0 - u, up - 1.0 + 2.0 * np.exp(-up))
-        return g
-    if family == "laplace":
-        def g(u):
-            return np.abs(u) + np.exp(-np.abs(u))
-        return g
-    if family == "logistic":
-        def g(u):
-            # u + 2*log(1 + e^{-u}), written for numerical symmetry
-            return np.abs(u) + 2.0 * np.log1p(np.exp(-np.abs(u)))
-        return g
-    # chi-square: partial expectation E[Z; Z<=z] = df * F_{df+2}(z)
-    def g(u):
-        u = np.asarray(u, dtype=float)
         up = np.maximum(u, 0.0)
-        val = up * (2.0 * stats.chi2.cdf(up, df) - 1.0) + df - 2.0 * df * stats.chi2.cdf(up, df + 2)
-        return np.where(u < 0.0, df - u, val)
-    return g
+        return np.where(u < 0.0, 1.0 - u, up - 1.0 + 2.0 * np.exp(-up))
+    if family == "laplace":
+        return np.abs(u) + np.exp(-np.abs(u))
+    if family == "logistic":
+        # u + 2*log(1 + e^{-u}), written for numerical symmetry
+        return np.abs(u) + 2.0 * np.log1p(np.exp(-np.abs(u)))
+    # chi-square: partial expectation E[Z; Z<=z] = df * F_{df+2}(z)
+    u = np.asarray(u, dtype=float)
+    up = np.maximum(u, 0.0)
+    val = up * (2.0 * stats.chi2.cdf(up, df) - 1.0) + df - 2.0 * df * stats.chi2.cdf(up, df + 2)
+    return np.where(u < 0.0, df - u, val)
+
+
+#: g(F) = E|Z1 - Z2| of the standard member, for the families with a closed form
+_GAP = {"normal": 2.0 / math.sqrt(math.pi), "uniform": 1.0 / 3.0, "exponential": 1.0,
+        "laplace": 1.5, "logistic": 2.0}
 
 
 @lru_cache(maxsize=64)
 def _gap_standard(family: str, df: float) -> float:
     """g(F) for the standard member."""
-    if family == "normal":
-        return 2.0 / math.sqrt(math.pi)
-    if family == "uniform":
-        return 1.0 / 3.0
-    if family == "exponential":
-        return 1.0
-    if family == "laplace":
-        return 1.5
-    if family == "logistic":
-        return 2.0
+    if family in _GAP:
+        return _GAP[family]
     # chi-square: integrate g_F against the density
-    g = _g_standard("chi-square", df)
     hi = stats.chi2.ppf(1.0 - 1e-14, df)
     val, _ = integrate.quad(
-        lambda x: g(x) * stats.chi2.pdf(x, df), 0.0, hi,
+        lambda x: _g_standard("chi-square", df, x) * stats.chi2.pdf(x, df), 0.0, hi,
         epsabs=1e-11, epsrel=1e-11, limit=400,
     )
     return val

@@ -1,10 +1,10 @@
 """Reproducible, splittable random number streams.
 
-All randomness in the package flows from a single master seed.  Independent
-streams are derived with ``numpy.random.SeedSequence`` spawn keys, so a
-replicate's stream depends only on ``(seed, *stream_ids)`` and never on how
-the work was scheduled across threads or processes.  The underlying bit
-generator is Philox (counter based), which makes stream construction cheap.
+All randomness in the package flows from a single master seed.  Streams are
+derived with ``numpy.random.SeedSequence`` spawn keys, so a replicate's
+stream depends only on ``(seed, *stream_ids)`` and never on how the work was
+scheduled across threads or processes.  The underlying bit generator is
+Philox (counter based), which makes stream construction cheap.
 
 Stream layout.  Every simulated number comes from a fixed stream, so any
 replicate can be regenerated on its own and results do not depend on
@@ -22,6 +22,11 @@ chunking or thread count:
   ``stream(seed, lo)``.
 * Asymptotic null: region pair p (i < j, row-major) from ``stream(seed, p)``.
 * ``simulate_panel``: ``stream(seed)``.
+
+These draws are not independent of one another within one seed: the Monte
+Carlo replicate, the bootstrap resample, the cutoff block and the asymptotic
+pair numbered r all read ``stream(seed, r)``.  With a standard normal null,
+replicate 0's noise is exactly the first T * R normals of cutoff block 0.
 """
 
 from __future__ import annotations
@@ -37,14 +42,6 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def replicate_draws(dist, shape, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Replicates lo..hi-1 of ``dist.sample(shape)`` stacked on a new first axis.
-
-    Replicate r is drawn from stream (seed, r).
-    """
-    return np.stack([dist.sample(shape, stream(seed, r)) for r in range(lo, hi)])
 
 
 def fresh_seed() -> int:

@@ -31,7 +31,7 @@ class ARFit:
         self.residuals.setflags(write=False)
 
 
-def fit_ar(series, p: int, region_label: str = "") -> ARFit:
+def fit_ar(series, p: int) -> ARFit:
     """OLS fit of x_t on an intercept and its first p lags.
 
     Requires T > 2p + 2 so the design is comfortably overdetermined; rank
@@ -49,9 +49,7 @@ def fit_ar(series, p: int, region_label: str = "") -> ARFit:
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diagonal(r))
     if np.any(diag < 1e-10 * max(diag.max(), 1.0)):
-        raise RankDeficientError(
-            f"collinear AR design for region {region_label or '?'} (order {p})"
-        )
+        raise RankDeficientError(f"collinear AR design (order {p})")
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
     return ARFit(beta, resid)
@@ -62,7 +60,7 @@ def residual_panel(panel: SpatialPanel, p: int) -> SpatialPanel:
     cols = []
     for i, label in enumerate(panel.region_labels):
         try:
-            cols.append(fit_ar(panel.data[:, i], p, label).residuals)
+            cols.append(fit_ar(panel.data[:, i], p).residuals)
         except (RankDeficientError, ShortSeriesError) as err:
             raise type(err)(f"region {label}: {err}") from err
     return SpatialPanel(np.column_stack(cols), panel.region_labels)

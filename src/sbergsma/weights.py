@@ -102,11 +102,7 @@ def linear_chain(R: int, labels=None) -> ProximityMatrix:
     """Lag-1 adjacency of regions arranged on a line: w_ij = 1 iff |i-j| = 1."""
     if R < 2:
         raise SizeError(f"linear chain needs R >= 2, got {R}")
-    w = np.zeros((R, R))
-    idx = np.arange(R - 1)
-    w[idx, idx + 1] = 1.0
-    w[idx + 1, idx] = 1.0
-    return ProximityMatrix(w, tuple(labels) if labels else ())
+    return adjacency_from_edges([(i, i + 1) for i in range(1, R)], R, labels)
 
 
 def row_standardize(W: ProximityMatrix) -> ProximityMatrix:

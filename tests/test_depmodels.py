@@ -15,7 +15,7 @@ from sbergsma import (
     theta_sweep,
 )
 from sbergsma.depmodels import _apply_dependence
-from sbergsma.exceptions import InvalidParameterError
+from sbergsma.exceptions import InvalidParameterError, SampleSizeError
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -61,6 +61,43 @@ def test_sar_near_unit_theta_warns():
     spec = DependenceSpec("SAR", 0.999, W)
     with pytest.warns(RuntimeWarning, match="conditioned"):
         simulate_panel(spec, T=5, seed=0)
+
+
+def test_sweep_checks_sar_conditioning_before_any_draw(monkeypatch):
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(depmodels, "stream", no_draw)
+    W = row_standardize(linear_chain(14))
+    with pytest.warns(RuntimeWarning, match="conditioned"):
+        with pytest.raises(AssertionError, match="noise was drawn"):
+            theta_sweep("SAR", W, [0.0, 0.999], T=5, reps=10)
+
+
+def test_sweep_rejects_bad_sizes_before_any_draw(monkeypatch, w_chain6):
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args, **kw):
+        raise AssertionError("replicates were simulated")
+
+    monkeypatch.setattr(depmodels, "sb_replicates", no_draw)
+    for reps in (0, 3):
+        with pytest.raises(SampleSizeError):
+            theta_sweep("SMA", w_chain6, [0.0, 0.5], T=10, reps=reps)
+    with pytest.raises(InvalidParameterError):
+        theta_sweep("SMA", w_chain6, [], T=10, reps=10)
+
+
+@pytest.mark.parametrize("theta", [0.6, -0.4])
+def test_sar_transform_solves_the_model(w_chain6, theta):
+    # y = (I - theta W)^{-1} eps  <=>  (I - theta W) y_t = eps_t for every row
+    spec = DependenceSpec("SAR", theta, w_chain6)
+    eps = stream(2).standard_normal((3, 8, 6))
+    y = _apply_dependence(spec, eps)
+    A = np.eye(6) - theta * w_chain6.weights
+    assert np.allclose(y @ A.T, eps, rtol=0, atol=1e-13)
 
 
 def test_bad_model_and_theta(w_chain6):

@@ -18,6 +18,7 @@ from sbergsma import (
     test_spatial_independence,
 )
 from sbergsma.exceptions import (
+    EmptyNullError,
     InvalidParameterError,
     TooManyDegenerateResamplesError,
 )
@@ -185,6 +186,16 @@ def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
     assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12
 
 
+def _forbid_nulls(monkeypatch):
+    import sbergsma.inference as inference
+
+    def no_null(*args, **kw):
+        raise AssertionError("a null was simulated")
+
+    for name in ("monte_carlo_null", "nystrom_eigenvalues", "asymptotic_null_sample"):
+        monkeypatch.setattr(inference, name, no_null)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -193,16 +204,27 @@ def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
         {"ci_resamples": 100},
         # the level is read only when a CI is asked for
         {"ci_resamples": 300, "ci_level": 1.5},
+        # zero resamples is an error, not a request for no CI
+        {"ci_resamples": 0},
     ],
 )
 def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):
-    import sbergsma.inference as inference
-
-    def no_null(*args, **kw):
-        raise AssertionError("a null was simulated")
-
-    for name in ("monte_carlo_null", "nystrom_eigenvalues", "asymptotic_null_sample"):
-        monkeypatch.setattr(inference, name, no_null)
+    _forbid_nulls(monkeypatch)
     panel = SpatialPanel(stream(13).standard_normal((20, 5)))
     with pytest.raises(InvalidParameterError):
         test_spatial_independence(panel, w5, reps=20_000, **kwargs)
+
+
+@pytest.mark.parametrize("null_method", ["monte_carlo", "asymptotic_eigen"])
+def test_zero_reps_rejected_before_any_null(monkeypatch, w5, null_method):
+    _forbid_nulls(monkeypatch)
+    panel = SpatialPanel(stream(13).standard_normal((20, 5)))
+    with pytest.raises(EmptyNullError):
+        test_spatial_independence(
+            panel, w5, null_method=null_method, reps=0, ci_resamples=300
+        )
+
+
+def test_independence_rho_quantile_rejects_zero_sims():
+    with pytest.raises(InvalidParameterError):
+        independence_rho_quantile(19, n_sim=0)

@@ -293,6 +293,10 @@ def test_cli_test_flags_are_pair_rho_above_cutoff(tmp_path):
 
 _VALID_ARGV = {
     "compute": ["compute", "{panel}", "--linear-chain", "3"],
+    "test": ["test", "{panel}", "--linear-chain", "3", "--reps", "10",
+             "--cutoff", "0.2", "-o", "{out}"],
+    "null": ["null", "--R", "3", "--T", "10", "--linear-chain", "3",
+             "--reps", "10", "-o", "{out}"],
     "simulate": ["simulate", "--model", "sma", "--theta", "0.5", "--T", "10",
                  "--linear-chain", "3", "-o", "{out}"],
     "sweep": ["sweep", "--model", "sma", "--thetas", "0", "--T", "10",
@@ -306,8 +310,12 @@ _VALID_ARGV = {
 
 @pytest.mark.parametrize(
     "command,flag",
-    [(c, "--threads") for c in _VALID_ARGV]
-    + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")],
+    [(c, "--threads")
+     for c in ("compute", "simulate", "sweep", "prewhiten", "weights", "spectrum")]
+    + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")]
+    # S~_B, its null and rho~ do not move under a positive affine map of F
+    + [(c, f) for c in ("test", "null", "sweep") for f in ("--loc", "--scale")]
+    + [("spectrum", "--loc")],
 )
 def test_cli_rejects_flags_the_command_does_not_read(
     command, flag, panel_file, tmp_path, capsys
@@ -318,3 +326,37 @@ def test_cli_rejects_flags_the_command_does_not_read(
         main(argv + [flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,category",
+    [
+        (["test", "{panel}", "--linear-chain", "4", "--reps", "50",
+          "--cutoff-sims", "0"], "InvalidParameterError"),
+        (["test", "{panel}", "--linear-chain", "4", "--null", "asym", "--reps", "0",
+          "--cutoff", "0.2"], "EmptyNullError"),
+        (["test", "{panel}", "--linear-chain", "4", "--reps", "50", "--bootstrap", "0",
+          "--cutoff", "0.2"], "InvalidParameterError"),
+        (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
+         "SampleSizeError"),
+    ],
+)
+def test_cli_size_arguments_rejected_before_any_simulation(
+    argv, category, monkeypatch, tmp_path, capsys
+):
+    import sbergsma.depmodels as depmodels
+    import sbergsma.inference as inference
+
+    def no_simulation(*args, **kw):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
+    monkeypatch.setattr(inference, "nystrom_eigenvalues", no_simulation)
+    monkeypatch.setattr(depmodels, "sb_replicates", no_simulation)
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
+    out = tmp_path / "out"
+    argv = [a.format(panel=panel_path) for a in argv]
+    assert main(argv + ["--seed", "1", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error_category"] == category

@@ -16,6 +16,7 @@ from sbergsma import (
     linear_chain,
 )
 from sbergsma.exceptions import (
+    DimensionMismatchError,
     EmptyNullError,
     NonFiniteError,
     SpectraMismatchError,
@@ -96,6 +97,16 @@ def test_asymptotic_common_vs_general_path_agree():
 def test_asymptotic_spectra_count_checked():
     with pytest.raises(SpectraMismatchError):
         asymptotic_null_sample([_synthetic_spectrum([1.0])] * 3, W2, 100, 0)
+
+
+def test_asymptotic_rejects_zero_draws():
+    with pytest.raises(EmptyNullError):
+        asymptotic_null_sample([_synthetic_spectrum([1.0])] * 2, W2, 0, 0)
+
+
+def test_monte_carlo_rejects_w_of_another_size():
+    with pytest.raises(DimensionMismatchError):
+        monte_carlo_null(NORMAL, 5, 10, row_standardize(linear_chain(4)), reps=10)
 
 
 def test_monte_carlo_determinism_and_threads():

@@ -1,0 +1,64 @@
+"""The study scripts under scripts/, run end to end at tiny sizes."""
+
+import csv
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from sbergsma import (
+    ReferenceDistribution,
+    linear_chain,
+    monte_carlo_null,
+    row_standardize,
+    theta_sweep,
+)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_script(name, argv, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name] + argv)
+    module.main()
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def test_run_null_study(tmp_path, monkeypatch):
+    _run_script("run_null_study", [
+        "--R", "4", "--T", "12", "--reps", "60", "--families", "normal,uniform",
+        "--K", "60", "--grid", "800", "--seed", "3", "--threads", "2",
+        "--outdir", str(tmp_path),
+    ], monkeypatch)
+    W = row_standardize(linear_chain(4))
+    for fam in ("normal", "uniform"):
+        got = [float(r["sample"]) for r in _csv_rows(tmp_path / f"null_{fam}.csv")]
+        want = monte_carlo_null(ReferenceDistribution(fam), 4, 12, W, reps=60, seed=3)
+        assert np.array_equal(got, want.samples)
+    assert len(_csv_rows(tmp_path / "null_asymptotic.csv")) == 60
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary["pairwise_ks"]) == {"normal|uniform"}
+    assert 0.0 <= summary["ks_asym_vs_mc"] <= 1.0
+
+
+def test_run_theta_sweep(tmp_path, monkeypatch):
+    _run_script("run_theta_sweep", [
+        "--R", "4", "--T", "12", "--reps", "40", "--thetas", "0,0.5",
+        "--seed", "5", "--outdir", str(tmp_path),
+    ], monkeypatch)
+    W = row_standardize(linear_chain(4))
+    for model in ("SAR", "SMA"):
+        rows = _csv_rows(tmp_path / f"sweep_{model.lower()}.csv")
+        want = theta_sweep(model, W, [0.0, 0.5], 12, reps=40, seed=5)
+        assert [float(r["theta"]) for r in rows] == [0.0, 0.5]
+        for row in rows:
+            mean, sd, _, _ = want.summaries[float(row["theta"])]
+            assert float(row["mean"]) == mean and float(row["sd"]) == sd

@@ -87,6 +87,14 @@ def test_residual_panel_names_failing_region():
         residual_panel(panel, 1)
 
 
+def test_residual_panel_error_names_region_once():
+    data = np.column_stack([np.arange(30.0), np.full(30, 1.0)])
+    panel = SpatialPanel(data, ("ok", "flat"))
+    with pytest.raises(RankDeficientError) as exc:
+        residual_panel(panel, 1)
+    assert str(exc.value).count("flat") == 1
+
+
 def test_identical_columns_keep_unit_statistic_after_whitening():
     rng = stream(21)
     base = rng.standard_normal(40)
