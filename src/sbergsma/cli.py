@@ -15,10 +15,11 @@ import hashlib
 import json
 import os
 import sys
+from itertools import zip_longest
 
 from . import __version__
 from .depmodels import DependenceSpec, simulate_panel, theta_sweep
-from .exceptions import SbergsmaError
+from .exceptions import LabelMismatchError, SbergsmaError
 from .inference import (
     independence_rho_quantile,
     pairwise_screen,
@@ -58,13 +59,27 @@ def _hash_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _resolve_weights(args):
-    """Build W from --linear-chain or --weights/--weights-kind, then maybe standardize."""
+def _check_labels(path: str, file_labels, panel_labels) -> None:
+    """Raise LabelMismatchError at the first position where the labels differ."""
+    for k, (got, want) in enumerate(zip_longest(file_labels, panel_labels), start=1):
+        if got != want:
+            raise LabelMismatchError(
+                f"{path}: region {k} is {got!r}, the panel header has {want!r} there"
+            )
+
+
+def _resolve_weights(args, panel_labels=None):
+    """Build W from --linear-chain or --weights/--weights-kind, then maybe standardize.
+
+    A coordinate file's labels must be ``panel_labels``, in the same order.
+    """
     if getattr(args, "linear_chain", None):
         W = linear_chain(args.linear_chain)
         sources = {}
     elif getattr(args, "weights", None):
         W = load_weights(args.weights, args.weights_kind, n_regions=args.regions)
+        if panel_labels is not None and args.weights_kind == "coords":
+            _check_labels(args.weights, W.region_labels, panel_labels)
         sources = {args.weights: _hash_file(args.weights)}
     else:
         raise SbergsmaError("no weight matrix given: use --weights or --linear-chain")
@@ -108,7 +123,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_compute(args):
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args)
+    W, wh = _resolve_weights(args, panel.region_labels)
     hashes.update(wh)
     res = sb_statistic(panel, W)
     payload = {
@@ -127,7 +142,7 @@ def _cmd_test(args):
     seed = _seed(args)
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args)
+    W, wh = _resolve_weights(args, panel.region_labels)
     hashes.update(wh)
     method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
     # the cutoff simulation checks --cutoff-sims before the null is simulated
@@ -146,6 +161,7 @@ def _cmd_test(args):
         alternative=args.alternative,
         ci_resamples=args.bootstrap,
         ci_level=args.level,
+        n_jobs=args.threads,
     )
     flags, cutoff = pairwise_screen(report.sb.pair_rho, panel.n_time, cutoff=cutoff)
     payload = {
@@ -236,10 +252,14 @@ def _add_weight_args(p):
     p.add_argument("--linear-chain", type=int, metavar="R",
                    help="builtin linear chain of R regions")
     p.add_argument("--regions", type=int, help="region count for edge-list input")
+    _add_standardize(p, True)
+
+
+def _add_standardize(p, default: bool):
     std = p.add_mutually_exclusive_group()
     std.add_argument("--standardize", dest="standardize", action="store_true")
     std.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.set_defaults(standardize=True)
+    p.set_defaults(standardize=default)
 
 
 def _add_seed(p):
@@ -338,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--coords", dest="weights_coords", help="label,x,y CSV")
     w.add_argument("--edges", dest="weights_edges", help="i,j edge-list file")
     p.add_argument("--regions", type=int)
-    std = p.add_mutually_exclusive_group()
-    std.add_argument("--standardize", dest="standardize", action="store_true")
-    std.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.set_defaults(standardize=False)
+    _add_standardize(p, False)
     _add_output(p)
     p.set_defaults(func=_cmd_weights)
 
@@ -368,17 +385,9 @@ def main(argv=None) -> int:
         return 2
     try:
         args.func(args)
-    except SbergsmaError as err:
-        print(
-            json.dumps({"error_category": err.category, "message": str(err)}),
-            file=sys.stderr,
-        )
-        return 1
-    except FileNotFoundError as err:
-        print(
-            json.dumps({"error_category": "FileNotFound", "message": str(err)}),
-            file=sys.stderr,
-        )
+    except (SbergsmaError, FileNotFoundError) as err:
+        category = err.category if isinstance(err, SbergsmaError) else "FileNotFound"
+        print(json.dumps({"error_category": category, "message": str(err)}), file=sys.stderr)
         return 1
     return 0
 

@@ -58,6 +58,10 @@ class NegativeWeightError(SbergsmaError):
     """Proximity weights must be nonnegative."""
 
 
+class LabelMismatchError(SbergsmaError):
+    """A weight file's region labels are not the panel's labels in the same order."""
+
+
 # --- panel / statistic errors -----------------------------------------------
 
 class DegenerateRegionError(DegenerateSeriesError):

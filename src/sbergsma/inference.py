@@ -58,6 +58,7 @@ def test_spatial_independence(
     null: NullDistribution | None = None,
     ci_resamples: int | None = None,
     ci_level: float = 0.95,
+    n_jobs: int = 1,
 ) -> TestReport:
     """Test the null of spatial pairwise independence via T * S~_B.
 
@@ -65,6 +66,7 @@ def test_spatial_independence(
     asymptotic law; a precomputed ``null`` can be passed to amortize it over
     many tests.  The reference distribution defaults to standard normal: the
     null law is insensitive to F, and residual inputs are continuous.
+    ``n_jobs`` threads the Monte Carlo null; results are identical for any value.
     """
     if null_method not in ("monte_carlo", "asymptotic_eigen"):
         raise InvalidParameterError(f"unknown null method {null_method!r}")
@@ -86,7 +88,8 @@ def test_spatial_independence(
     if null is None:
         if null_method == "monte_carlo":
             null = monte_carlo_null(
-                null_dist, panel.n_regions, panel.n_time, W, reps=reps, seed=seed
+                null_dist, panel.n_regions, panel.n_time, W,
+                reps=reps, seed=seed, n_jobs=n_jobs,
             )
         else:
             spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)

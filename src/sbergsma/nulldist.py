@@ -17,6 +17,7 @@ Two generation routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +68,7 @@ class NullDistribution:
         self.samples.setflags(write=False)
 
 
+@lru_cache(maxsize=16)
 def nystrom_eigenvalues(
     dist: ReferenceDistribution,
     K: int = 100,
@@ -79,7 +81,8 @@ def nystrom_eigenvalues(
     eigenvalues estimate the operator spectrum directly.  Two consistency
     checks guard against a too-coarse grid: the eigenvalue sum must match the
     analytic trace g(F)/2 and the squared sum must match a Monte Carlo
-    estimate of E[h_F(Z1, Z2)^2], both within 2%.
+    estimate of E[h_F(Z1, Z2)^2], both within 2%.  Results are memoised per
+    (dist, K, m); the shared spectrum is read-only.
     """
     if K < 1 or K > m:
         raise UnsupportedDistributionError(f"need 1 <= K <= m, got K={K}, m={m}")

@@ -88,6 +88,24 @@ def test_unstandardized_w_noted(shared_null):
     assert any("row-standardized" in n for n in rep.notes)
 
 
+def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
+    import sbergsma.inference as inference
+
+    seen = []
+
+    def recording(*args, **kw):
+        seen.append(kw["n_jobs"])
+        return monte_carlo_null(*args, **kw)
+
+    monkeypatch.setattr(inference, "monte_carlo_null", recording)
+    panel = simulate_panel(DependenceSpec("SMA", 0.3, w5), T=30, seed=4)
+    # 500 replicates are three chunks, so three threads each get work
+    a, b = (test_spatial_independence(panel, w5, reps=500, seed=7, n_jobs=n)
+            for n in (1, 3))
+    assert seen == [1, 3]
+    assert (a.p_value, a.null_meta) == (b.p_value, b.null_meta)
+
+
 def test_table_row_format(w5, shared_null):
     panel = simulate_panel(DependenceSpec("SMA", 0.3, w5), T=30, seed=5)
     rep = test_spatial_independence(

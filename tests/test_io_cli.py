@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sbergsma import SpatialPanel, linear_chain, sb_statistic
+from sbergsma import SpatialPanel, inverse_distance, linear_chain, sb_statistic
 from sbergsma.cli import main
 from sbergsma.exceptions import (
     DuplicateLabelError,
@@ -269,6 +269,67 @@ def test_cli_test_empty_edge_list_fails(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error_category"] == "IsolatedRegionError"
+
+
+def test_cli_test_threads_reach_the_monte_carlo_null(monkeypatch, tmp_path):
+    import sbergsma.inference as inference
+
+    seen = []
+    real = inference.monte_carlo_null
+
+    def recording(*args, **kw):
+        seen.append(kw["n_jobs"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(inference, "monte_carlo_null", recording)
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
+    assert main([
+        "test", panel_path, "--linear-chain", "4", "--reps", "50", "--cutoff", "0.2",
+        "--seed", "1", "--threads", "2", "-o", str(tmp_path / "report.json"),
+    ]) == 0
+    assert seen == [2]
+
+
+_COORDS = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (2.0, 0.0)}
+
+
+def _coords_argv(command, tmp_path, labels):
+    """argv running ``command`` on an (a, b, c) panel against a coordinate
+    file that lists ``labels`` in that order."""
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(8).standard_normal((20, 3)), ("a", "b", "c")))
+    coords = tmp_path / "coords.csv"
+    coords.write_text("label,x,y\n" + "".join(
+        f"{lb},{_COORDS[lb][0]},{_COORDS[lb][1]}\n" for lb in labels))
+    argv = [command, panel_path, "--weights", str(coords), "--weights-kind", "coords",
+            "-o", str(tmp_path / "out.json")]
+    if command == "test":
+        argv += ["--reps", "50", "--cutoff", "0.2", "--seed", "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["compute", "test"])
+@pytest.mark.parametrize("labels,position", [(("a", "c", "b"), 2), (("a", "b"), 3)])
+def test_cli_coords_labels_must_be_the_panel_header(
+    command, labels, position, tmp_path, capsys
+):
+    # a column-order mismatch used to pair the wrong regions silently
+    assert main(_coords_argv(command, tmp_path, labels)) == 1
+    assert not (tmp_path / "out.json").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_category"] == "LabelMismatchError"
+    assert f"region {position} is" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["compute", "test"])
+def test_cli_coords_labels_in_panel_order_pass(command, tmp_path):
+    assert main(_coords_argv(command, tmp_path, ("a", "b", "c"))) == 0
+    payload = json.loads((tmp_path / "out.json").read_text())
+    panel = load_panel(str(tmp_path / "p.csv"))
+    W = row_standardize(inverse_distance(list(_COORDS.values()), ("a", "b", "c")))
+    value = payload["sb" if command == "test" else "value"]
+    assert value == sb_statistic(panel, W).value
 
 
 def test_cli_test_flags_are_pair_rho_above_cutoff(tmp_path):

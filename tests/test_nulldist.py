@@ -47,6 +47,14 @@ def test_nystrom_trace_uniform():
     assert np.allclose(spec.eigenvalues[:10], 1 / (np.pi * ks) ** 2, rtol=0.01)
 
 
+def test_nystrom_memoised_per_arguments():
+    spec = nystrom_eigenvalues(UNIFORM, K=100, m=1000)
+    assert nystrom_eigenvalues(ReferenceDistribution("uniform"), K=100, m=1000) is spec
+    assert nystrom_eigenvalues(UNIFORM, K=50, m=1000) is not spec
+    # every caller shares the one array, so no caller may write to it
+    assert not spec.eigenvalues.flags.writeable
+
+
 def test_nystrom_grid_refinement():
     # doubling the grid barely moves the retained eigenvalues; the deepest
     # tail modes (lambda ~ 1e-5) converge slightly slower, hence the looser

@@ -1,13 +1,17 @@
 """Reference distribution and population kernel tests."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from sbergsma import ReferenceDistribution
 from sbergsma.exceptions import UnsupportedDistributionError
-from sbergsma.reference import FAMILIES, mean_abs_quad
+from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
 ALL_DISTS = [
@@ -21,6 +25,72 @@ ALL_DISTS = [
     ReferenceDistribution("normal", loc=-2.0, scale=3.0),
     ReferenceDistribution("laplace", loc=1.0, scale=0.5),
 ]
+
+
+_SCIPY = {"normal": stats.norm, "uniform": stats.uniform, "exponential": stats.expon,
+          "laplace": stats.laplace, "logistic": stats.logistic}
+
+
+def scipy_frozen(dist: ReferenceDistribution):
+    """The same law as a frozen scipy.stats distribution (test oracle)."""
+    if dist.family == "chi-square":
+        return stats.chi2(dist.df, dist.loc, dist.scale)
+    return _SCIPY[dist.family](dist.loc, dist.scale)
+
+
+def mean_abs_quad(dist: ReferenceDistribution, z: float, tol: float = 1e-10) -> float:
+    """g_F(z) by adaptive quadrature on a domain covering all but 2e-14 mass.
+
+    Independent of the package's closed forms; used as a cross-check oracle.
+    """
+    fr = scipy_frozen(dist)
+    lo, hi = fr.ppf(1e-14), fr.ppf(1.0 - 1e-14)
+    val, _ = integrate.quad(
+        lambda x: abs(z - x) * fr.pdf(x), lo, hi,
+        epsabs=tol, epsrel=tol, limit=400, points=[z] if lo < z < hi else None,
+    )
+    return val
+
+
+_PPF_CASES = [
+    ReferenceDistribution(family, loc, scale, df)
+    for family in FAMILIES
+    for loc, scale, df in [(0.0, 1.0, 1.0), (-2.0, 3.0, 2.5), (1.5, 0.25, 4.0)]
+]
+
+
+@pytest.mark.parametrize("dist", _PPF_CASES, ids=str)
+def test_ppf_matches_scipy_stats(dist):
+    # the Nystrom midpoint grid plus tails; not bitwise, since older scipy
+    # versions may evaluate the same formulas differently in the last bit
+    q = np.concatenate([[1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6],
+                        (np.arange(2000) + 0.5) / 2000])
+    np.testing.assert_allclose(
+        dist.ppf(q), scipy_frozen(dist).ppf(q),
+        rtol=1e-14, atol=1e-14 * (abs(dist.loc) + dist.scale),
+    )
+
+
+@pytest.mark.parametrize("df", [1.0, 2.5, 4.0])
+def test_chi_square_gap_matches_quadrature(df):
+    dist = ReferenceDistribution("chi-square", df=df)
+    fr = scipy_frozen(dist)
+    want, _ = integrate.quad(
+        lambda x: float(dist.mean_abs_from(x)) * fr.pdf(x), 0.0, fr.ppf(1.0 - 1e-14),
+        epsabs=1e-12, epsrel=1e-12, limit=400,
+    )
+    assert dist.mean_abs_gap() == pytest.approx(want, rel=1e-10)
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    # scipy.linalg is left out: whether scipy.special loads it depends on its version
+    code = ("import sys, sbergsma.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_normal_g_at_zero():
@@ -43,7 +113,7 @@ def test_g_closed_form_matches_quadrature(dist, z):
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=str)
 def test_g_jensen_lower_bound(dist):
-    mean = dist.frozen().mean()
+    mean = scipy_frozen(dist).mean()
     for z in [-3.0, -0.5, 0.0, 1.0, 4.0]:
         assert float(dist.mean_abs_from(z)) >= abs(z - mean) - 1e-12
 
