@@ -88,6 +88,13 @@ def _resolve_weights(args, panel_labels=None):
     return W, sources
 
 
+def _panel_and_weights(args):
+    """The panel, its W and the SHA-256 hashes of both input files."""
+    panel = load_panel(args.panel)
+    W, hashes = _resolve_weights(args, panel.region_labels)
+    return panel, W, {args.panel: _hash_file(args.panel), **hashes}
+
+
 def _meta(args, hashes: dict) -> dict:
     config = {
         k: v
@@ -121,10 +128,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_compute(args):
-    panel = load_panel(args.panel)
-    hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args, panel.region_labels)
-    hashes.update(wh)
+    panel, W, hashes = _panel_and_weights(args)
     res = sb_statistic(panel, W)
     payload = {
         "meta": _meta(args, hashes),
@@ -140,10 +144,7 @@ def _cmd_compute(args):
 
 def _cmd_test(args):
     seed = _seed(args)
-    panel = load_panel(args.panel)
-    hashes = {args.panel: _hash_file(args.panel)}
-    W, wh = _resolve_weights(args, panel.region_labels)
-    hashes.update(wh)
+    panel, W, hashes = _panel_and_weights(args)
     method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
     # the cutoff simulation checks --cutoff-sims before the null is simulated
     cutoff = args.cutoff
@@ -163,7 +164,7 @@ def _cmd_test(args):
         ci_level=args.level,
         n_jobs=args.threads,
     )
-    flags, cutoff = pairwise_screen(report.sb.pair_rho, panel.n_time, cutoff=cutoff)
+    flags = pairwise_screen(report.sb.pair_rho, cutoff)
     payload = {
         "meta": _meta(args, hashes),
         "sb": report.sb.value,

@@ -178,23 +178,9 @@ def independence_rho_quantile(
     return float(np.quantile(vals, q))
 
 
-def pairwise_screen(
-    rho: np.ndarray,
-    T: int,
-    cutoff: float | None = None,
-    seed: int = 0,
-    n_sim: int = 10_000,
-):
-    """Flag region pairs whose rho~ exceeds the cutoff.
-
-    ``rho`` is the R x R pairwise rho~ matrix of a panel with ``T`` time
-    points, such as :attr:`SBResult.pair_rho`.  With ``cutoff=None`` the
-    threshold is derived by simulation as the 95th percentile of rho~ under
-    independent normal pairs at that T.  Returns ``(flags, cutoff)``; the
-    diagonal is never flagged.
-    """
-    if cutoff is None:
-        cutoff = independence_rho_quantile(T, seed=seed, n_sim=n_sim)
+def pairwise_screen(rho: np.ndarray, cutoff: float) -> np.ndarray:
+    """Flag pairs of an R x R rho~ matrix (such as :attr:`SBResult.pair_rho`) above
+    ``cutoff``, never the diagonal; :func:`independence_rho_quantile` simulates one."""
     flags = rho > cutoff
     np.fill_diagonal(flags, False)
-    return flags, float(cutoff)
+    return flags

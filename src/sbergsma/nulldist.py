@@ -11,7 +11,8 @@ Two generation routes:
 
   with all Z i.i.d. standard normal, using eigenvalues of the population
   kernel obtained by a Nystrom discretization on an equal-probability-mass
-  grid.
+  grid.  Each pair term is drawn by inverse CDF from its law's CDF, inverted
+  from the characteristic function with the small weights made one normal.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ TRACE_TOL = 0.02
 #: seed of the 10^6-pair Monte Carlo estimate behind the squared-trace check
 _CHECK_SEED = 20_210_906
 
-_ASYM_CHUNK = 500
+#: weights of a pair term kept exactly; the rest become one normal
+_KEEP = 100
+#: probability mass the CDF table may leave beyond each end of its grid
+_TAIL_MASS = 1e-12
+#: grid sizes a CDF table may take, and its target truncation error
+_GRIDS = 2 ** np.arange(14, 21)
+_TRUNC_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -112,80 +119,90 @@ def nystrom_eigenvalues(
 
 # -- asymptotic draws --------------------------------------------------------
 
-def _pair_summands(lam_i, lam_j, n_draws, rng):
-    """Draws of sum_{k,l} lam_i[k] lam_j[l] (Z_kl^2 - 1) for one region pair."""
-    out = np.empty(n_draws)
-    shift = lam_i.sum() * lam_j.sum()
-    for lo in range(0, n_draws, _ASYM_CHUNK):
-        hi = min(lo + _ASYM_CHUNK, n_draws)
-        G = rng.standard_normal((hi - lo, lam_i.size, lam_j.size))
-        np.square(G, out=G)
-        out[lo:hi] = (G @ lam_j) @ lam_i
-    return out - shift
+def _chi2_edge(a, d, log_eps):
+    """x with P(sum_j a_j chi2_{d_j} > x) <= exp(-log_eps), all a_j >= 0 (Chernoff)."""
+    # the mgf is finite for s < 1 / (2 max a); with all a_j = 0 the bound is x ~ 0
+    s = (1.0 - 0.5 ** np.arange(1, 20)) / (2.0 * a.max(initial=np.finfo(float).tiny))
+    log_mgf = -0.5 * (np.log1p(-2.0 * np.multiply.outer(s, a)) @ d)
+    return float(np.min((log_eps + log_mgf) / s))
 
 
-_draw_cache: dict = {}
-_DRAW_CACHE_MAX = 4
+def _pair_law(lam_i, lam_j, keep=_KEEP):
+    """CDF table (y, F, weights kept, remainder variance) of one pair term.
 
-
-def _normalized_pair_draws(spectra, n_draws, seed):
-    """(n_pairs, n_draws) matrix of normalized per-pair limit draws.
-
-    Draws depend only on (spectra, n_draws, seed), never on W, so results
-    are memoized: evaluating the same design against several proximity
-    matrices pays for the normal generation once.
+    Y = sum_{k,l} c_kl (Z_kl^2 - 1), c_kl = lam_i[k] lam_j[l] / sqrt(sum lam_i^2
+    sum lam_j^2); equal c_kl merge into one chi-square with their count d as
+    degrees of freedom.  The ``keep`` largest |c| stay exact, the rest become
+    N(0, 2 sum d c^2) (Lindsay, Pilla & Basak 2000).  F(y) = 1/2 - int_0^inf
+    Im(exp(-ity) phi(t)) / (pi t) dt (Gil-Pelaez; Imhof 1961) is summed by the
+    midpoint rule with one FFT on a grid between Chernoff bounds that leave mass
+    _TAIL_MASS beyond each end, of the fewest _GRIDS points with truncation
+    error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
     """
-    key = (tuple(s.eigenvalues.tobytes() for s in spectra), n_draws, seed)
-    if key in _draw_cache:
-        return _draw_cache[key]
-    R = len(spectra)
-    pairs = [(i, j) for i in range(R) for j in range(i + 1, R)]
-    A = np.empty((len(pairs), n_draws))
-    for p, (i, j) in enumerate(pairs):
-        rng = stream(seed, p)
-        lam_i = spectra[i].eigenvalues
-        lam_j = spectra[j].eigenvalues
-        norm = np.sqrt(spectra[i].sum_squares * spectra[j].sum_squares)
-        A[p] = _pair_summands(lam_i, lam_j, n_draws, rng) / norm
-    if len(_draw_cache) >= _DRAW_CACHE_MAX:
-        _draw_cache.pop(next(iter(_draw_cache)))
-    _draw_cache[key] = A
-    return A
+    norm = np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
+    c, d = np.unique(np.multiply.outer(lam_i, lam_j) / norm, return_counts=True)
+    order = np.argsort(-np.abs(c), kind="stable")
+    var_rest = 2.0 * float(d[order[keep:]] @ c[order[keep:]] ** 2)
+    c, d = c[order[:keep]], d[order[:keep]]
+    log_eps, mu = -np.log(_TAIL_MASS), float(d @ c)
+    z = np.sqrt(2.0 * log_eps * var_rest)
+    lo = -mu - _chi2_edge(np.maximum(-c, 0.0), d, log_eps) - z
+    span = -mu + _chi2_edge(np.maximum(c, 0.0), d, log_eps) + z - lo
+    # |phi(t)| / (pi t) falls with t, so count the grid sizes that miss the bound
+    t_max = 2 * np.pi * _GRIDS / span
+    log_err = (-0.25 * (np.log1p(np.multiply.outer(2 * t_max, c) ** 2) @ d)
+               - 0.5 * var_rest * t_max**2 - np.log(np.pi * t_max))
+    n = int(_GRIDS[min(np.sum(log_err > np.log(_TRUNC_TOL)), _GRIDS.size - 1)])
+    t = (np.arange(n) + 0.5) * (2 * np.pi / span)
+    # log phi(t) - i t lo, summed over blocks of at most 2^21 (t, c) entries
+    log_phi = -1j * t * (mu + lo) - 0.5 * var_rest * t * t
+    step = max(1, 2**21 // n)
+    for j in range(0, c.size, step):
+        x = np.multiply.outer(2.0 * t, c[j:j + step])
+        log_phi += (0.5j * np.arctan(x) - 0.25 * np.log1p(x * x)) @ d[j:j + step]
+    S = np.fft.fft(np.exp(log_phi) / t) * np.exp(-1j * np.pi * np.arange(n) / n)
+    F = np.maximum.accumulate(np.clip(0.5 - 2.0 * S.imag / span, 0.0, 1.0))
+    return lo + span / n * np.arange(n), F, c.size, var_rest
 
 
 def asymptotic_null_sample(
-    spectra,
-    W: ProximityMatrix,
-    n_draws: int = 10_000,
-    seed: int = 0,
+    spectra, W: ProximityMatrix, n_draws: int = 10_000, seed: int = 0
 ) -> NullDistribution:
     """Sample the weighted-chi-square limit law of T * S~_B.
 
-    ``spectra`` is one :class:`EigenSpectrum` per region; when all spectra
-    coincide the simplified common-F normalization is used (same draws,
-    shared normalizer), which agrees in distribution with the general form.
+    ``spectra`` is one :class:`EigenSpectrum` per region; each distinct pair
+    of spectra, in either order, gets one CDF table.  The samples are
+    sum_p w_p Y_p / S0 over pairs of weight w_p = w_ij + w_ji > 0, with Y_p
+    drawn by inverse CDF from ``stream(seed, p)``.  ``meta`` gives the worst
+    table's weights kept, remainder variance and tail mass beyond its grid.
     """
     if n_draws < 1:
         raise EmptyNullError("n_draws must be >= 1")
-    spectra = list(spectra)
+    spectra = [s.eigenvalues for s in spectra]
     R = W.n_regions
     if len(spectra) != R:
         raise SpectraMismatchError(f"{len(spectra)} spectra for {R} regions")
-    A = _normalized_pair_draws(spectra, n_draws, seed)
     iu = np.triu_indices(R, k=1)
     w_pair = (W.weights + W.weights.T)[iu]
-    samples = (w_pair @ A) / W.s0
+    laws, samples = {}, np.zeros(n_draws)
+    for p in np.flatnonzero(w_pair):
+        lam_i, lam_j = spectra[iu[0][p]], spectra[iu[1][p]]
+        key = frozenset((lam_i.tobytes(), lam_j.tobytes()))
+        y, F, *_ = laws[key] = laws.get(key) or _pair_law(lam_i, lam_j)
+        samples += w_pair[p] * np.interp(stream(seed, int(p)).random(n_draws), F, y)
+    samples /= W.s0
     return NullDistribution(
         samples,
         "asymptotic_eigen",
         meta={
             "R": R,
-            "K": int(spectra[0].eigenvalues.size),
+            "K": int(spectra[0].size),
             "n_draws": n_draws,
             "seed": seed,
-            "common_spectrum": all(
-                np.array_equal(s.eigenvalues, spectra[0].eigenvalues) for s in spectra
-            ),
+            "common_spectrum": all(np.array_equal(s, spectra[0]) for s in spectra),
+            "weights_kept": min(law[2] for law in laws.values()),
+            "remainder_variance": max(law[3] for law in laws.values()),
+            "table_tail_mass": max(float(1.0 - law[1][-1]) for law in laws.values()),
         },
     )
 

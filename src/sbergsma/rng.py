@@ -20,7 +20,8 @@ chunking or thread count:
 * Pair-screen cutoff: standard normal pairs in blocks of 2000; the block
   starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
   ``stream(seed, lo)``.
-* Asymptotic null: region pair p (i < j, row-major) from ``stream(seed, p)``.
+* Asymptotic null pair p (i < j, row-major) of nonzero weight: ``n_draws``
+  uniforms from ``stream(seed, p)``, mapped by its law's inverse CDF.
 * ``simulate_panel``: ``stream(seed)``.
 
 These draws are not independent of one another within one seed: the Monte

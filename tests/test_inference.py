@@ -166,7 +166,8 @@ def test_pairwise_screen_identical_and_independent():
     base = stream(40).standard_normal(19)
     panel = SpatialPanel(np.column_stack([base, base, stream(41).standard_normal(19)]))
     rho = sb_statistic(panel, linear_chain(3)).pair_rho
-    flags, cutoff = pairwise_screen(rho, panel.n_time, seed=0, n_sim=2000)
+    cutoff = independence_rho_quantile(panel.n_time, seed=0, n_sim=2000)
+    flags = pairwise_screen(rho, cutoff)
     assert flags[0, 1] and flags[1, 0]
     assert rho[0, 1] == pytest.approx(1.0, abs=1e-10)
     assert not flags.diagonal().any()
@@ -177,9 +178,7 @@ def test_pairwise_screen_explicit_cutoff():
     rng = stream(50)
     panel = SpatialPanel(rng.standard_normal((25, 4)))
     rho = sb_statistic(panel, linear_chain(4)).pair_rho
-    flags, cutoff = pairwise_screen(rho, panel.n_time, cutoff=1.1)
-    assert cutoff == 1.1
-    assert not flags.any()
+    assert not pairwise_screen(rho, 1.1).any()
 
 
 def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
 from sbergsma import (
     EigenSpectrum,
@@ -22,7 +22,9 @@ from sbergsma.exceptions import (
     SpectraMismatchError,
     UnsupportedDistributionError,
 )
+from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution
+from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
 UNIFORM = ReferenceDistribution("uniform")
@@ -32,6 +34,28 @@ W2 = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 def _synthetic_spectrum(lam) -> EigenSpectrum:
     return EigenSpectrum(np.asarray(lam, dtype=float))
+
+
+def _pair_summands(lam_i, lam_j, n_draws, rng, chunk=500):
+    """Oracle: draws of sum_{k,l} lam_i[k] lam_j[l] (Z_kl^2 - 1) from K^2 normals."""
+    out = np.empty(n_draws)
+    for lo in range(0, n_draws, chunk):
+        hi = min(lo + chunk, n_draws)
+        G = rng.standard_normal((hi - lo, lam_i.size, lam_j.size))
+        out[lo:hi] = (G**2 @ lam_j) @ lam_i
+    return out - lam_i.sum() * lam_j.sum()
+
+
+def _oracle_null(spectra, W, n_draws, seed):
+    """The limit law drawn term by term: sum_{i<j} (w_ij + w_ji) Y_ij / S0."""
+    R = len(spectra)
+    out = np.zeros(n_draws)
+    for p, (i, j) in enumerate(zip(*np.triu_indices(R, k=1))):
+        lam_i, lam_j = spectra[i].eigenvalues, spectra[j].eigenvalues
+        y = _pair_summands(lam_i, lam_j, n_draws, stream(seed, p))
+        y /= np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
+        out += (W.weights[i, j] + W.weights[j, i]) * y
+    return out / W.s0
 
 
 def test_nystrom_trace_normal():
@@ -80,6 +104,78 @@ def test_asymptotic_single_eigenvalue_is_centered_chi_square():
     assert null.samples.mean() == pytest.approx(0.0, abs=0.03)
     assert null.samples.var() == pytest.approx(2.0, rel=0.05)
     assert null.samples.min() >= -1.0 - 1e-12
+    assert null.meta["weights_kept"] == 1
+    assert null.meta["remainder_variance"] == 0.0
+
+
+def test_single_eigenvalue_table_is_exact_chi_square_cdf():
+    y, F, kept, var_rest = nulldist._pair_law(np.array([1.0]), np.array([1.0]))
+    # the grid starts at the support edge -1 and never reads below it
+    assert y[0] == -1.0
+    assert np.all(np.diff(F) >= 0) and F[0] >= 0 and F[-1] <= 1
+    # P(Z^2 - 1 <= y) = 2 Phi(sqrt(y + 1)) - 1; the first 0.1 above the edge
+    # holds the ringing of the Fourier sum around the 1/sqrt density spike
+    far = y >= -0.9
+    exact = 2 * norm.cdf(np.sqrt(y[far] + 1)) - 1
+    assert np.max(np.abs(F[far] - exact)) <= 1e-6
+
+
+def test_truncated_table_matches_all_weights():
+    lam = nystrom_eigenvalues(NORMAL, K=100, m=2000).eigenvalues
+    c, d = np.unique(np.outer(lam, lam) / np.sum(lam**2), return_counts=True)
+    assert c.size == 100 * 101 // 2
+    y, F, kept, var_rest = nulldist._pair_law(lam, lam)
+    y_all, F_all, kept_all, _ = nulldist._pair_law(lam, lam, keep=c.size)
+    assert (kept, kept_all) == (100, c.size)
+    order = np.argsort(-np.abs(c))
+    assert var_rest == pytest.approx(2 * np.sum((d * c**2)[order[100:]]), rel=1e-12)
+    at = [-1.0, 0.0, 2.0, 5.0]
+    assert np.max(np.abs(np.interp(at, y, F) - np.interp(at, y_all, F_all))) <= 1e-6
+    # the table has the variance of the normalized term, sum of 2 d c^2 = 2
+    mid, mass = (y[1:] + y[:-1]) / 2, np.diff(F)
+    assert mass @ mid == pytest.approx(0.0, abs=1e-6)
+    assert mass @ mid**2 == pytest.approx(2.0, rel=1e-5)
+
+
+def test_asymptotic_negative_eigenvalue_draws_centered():
+    spectra = [_synthetic_spectrum([1.0, -0.6, 0.3, -0.1])] * 2
+    null = asymptotic_null_sample(spectra, W2, n_draws=10_000, seed=5)
+    s = null.samples
+    assert np.all(np.isfinite(s))
+    assert abs(s.mean()) < 5 * s.std(ddof=1) / np.sqrt(s.size)
+    assert s.var() == pytest.approx(2.0, rel=0.05)
+    # negative weights leave the law unbounded below: the table reaches past
+    # the -sum of the positive weights where a nonnegative law would stop
+    assert s.min() < -1.0
+
+
+def test_asymptotic_distinct_spectra_match_oracle_sampler():
+    spectra = [
+        _synthetic_spectrum(1.0 / np.arange(1.0, 21.0) ** 2),
+        _synthetic_spectrum(1.0 / np.arange(1.0, 21.0) ** 1.5),
+        _synthetic_spectrum(np.r_[1.0, -0.4, 0.5 ** np.arange(2.0, 20.0)]),
+    ]
+    W = ProximityMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [0.0, 3.0, 0.0]]))
+    new = asymptotic_null_sample(spectra, W, n_draws=10_000, seed=8).samples
+    old = _oracle_null(spectra, W, n_draws=10_000, seed=9)
+    assert ks_2samp(new, old).statistic < 0.02
+
+
+def test_asymptotic_draws_do_not_depend_on_w():
+    spectra = [_synthetic_spectrum(1.0 / np.arange(1.0, 11.0) ** 2)] * 4
+    Wa = np.zeros((4, 4))
+    Wa[0, 1] = 1.0
+    Wb = np.zeros((4, 4))
+    Wb[1, 3], Wb[2, 0] = 2.0, 0.5
+    parts = [asymptotic_null_sample(spectra, ProximityMatrix(w), 2000, seed=6)
+             for w in (Wa, Wb, Wa + Wb)]
+    # each pair keeps its own draws, so S0-weighted samples add over W
+    lhs = parts[2].samples * 3.5
+    rhs = parts[0].samples * 1.0 + parts[1].samples * 2.5
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+    again = asymptotic_null_sample(spectra, ProximityMatrix(Wa + Wb), 2000, seed=6)
+    assert np.array_equal(again.samples, parts[2].samples)
+    assert again.meta == parts[2].meta
 
 
 def test_asymptotic_pair_summand_centered():
