@@ -159,7 +159,6 @@ def _cmd_test(args):
         seed=seed,
         K=args.K,
         m=args.grid,
-        alternative=args.alternative,
         ci_resamples=args.bootstrap,
         ci_level=args.level,
         n_jobs=args.threads,
@@ -201,9 +200,8 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     seed = _seed(args)
     W, hashes = _resolve_weights(args)
-    thetas = [float(t) for t in args.thetas.split(",")]
     sweep = theta_sweep(
-        args.model.upper(), W, thetas, args.T,
+        args.model.upper(), W, args.thetas, args.T,
         reps=args.reps, seed=seed, noise=_dist_from_args(args),
     )
     save_sweep(args.output, sweep, meta=_meta(args, hashes))
@@ -275,8 +273,13 @@ def _add_threads(p):
     )
 
 
-def _add_output(p):
-    p.add_argument("--output", "-o", help="output path (default: stdout for JSON)")
+def _add_output(p, required=True):
+    p.add_argument("--output", "-o", required=required,
+                   help="output path" if required else "output path (default: stdout)")
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(t) for t in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="S~_B and the pairwise rho~ matrix")
     p.add_argument("panel")
     _add_weight_args(p)
-    _add_output(p)
+    _add_output(p, required=False)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("test", help="test spatial pairwise independence")
@@ -301,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--K", type=int, default=100)
     p.add_argument("--grid", type=int, default=2000)
-    p.add_argument("--alternative", choices=("greater", "two-sided"), default="greater")
     p.add_argument("--bootstrap", type=int, default=None,
                    help="bootstrap resamples for a CI (omit to skip)")
     p.add_argument("--level", type=float, default=0.95)
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-sims", type=int, default=10_000)
     _add_seed(p)
     _add_threads(p)
-    _add_output(p)
+    _add_output(p, required=False)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("null", help="Monte Carlo null samples of T*S~_B")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="S~_B moment summaries over a theta grid")
     p.add_argument("--model", choices=("sma", "sar"), required=True)
-    p.add_argument("--thetas", default="0,0.1,0.25,0.5,0.75,0.9")
+    p.add_argument("--thetas", type=_float_list, default="0,0.1,0.25,0.5,0.75,0.9")
     p.add_argument("--T", type=int, default=50)
     p.add_argument("--reps", type=int, default=10_000)
     _add_weight_args(p)
@@ -380,10 +382,6 @@ def main(argv=None) -> int:
         args.weights, args.weights_kind = args.weights_coords, "coords"
     elif getattr(args, "weights_edges", None):
         args.weights, args.weights_kind = args.weights_edges, "edges"
-    if args.command in ("null", "simulate", "sweep", "weights", "spectrum",
-                        "prewhiten") and not args.output:
-        print("error: --output is required for this subcommand", file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except (SbergsmaError, FileNotFoundError) as err:

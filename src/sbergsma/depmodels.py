@@ -161,9 +161,13 @@ def theta_sweep(
     """
     if reps < 4:
         raise SampleSizeError(f"need reps >= 4 for moment summaries, got {reps}")
+    if T < 3:
+        raise InvalidParameterError(f"need T >= 3, got {T}")
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise InvalidParameterError("need at least one theta")
+    if len(set(thetas)) != len(thetas):
+        raise InvalidParameterError(f"thetas must be distinct, got {thetas}")
     specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
     samples = dict(zip(thetas, sb_replicates(specs, T, reps, seed)))
     summaries = {theta: moments(vals) for theta, vals in samples.items()}

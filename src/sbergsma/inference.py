@@ -12,7 +12,6 @@ from .exceptions import (
     TooManyDegenerateResamplesError,
 )
 from .nulldist import (
-    NullDistribution,
     asymptotic_null_sample,
     monte_carlo_null,
     nystrom_eigenvalues,
@@ -37,13 +36,6 @@ class TestReport:
     null_meta: dict
     notes: tuple[str, ...] = field(default=())
 
-    def table_row(self, model_name: str = "panel") -> str:
-        lo, hi = (self.ci[0], self.ci[1]) if self.ci else (float("nan"),) * 2
-        return (
-            f"{model_name}\t{self.sb.value:.4f}\t({lo:.4f}, {hi:.4f})\t"
-            f"{self.p_value:.4f}"
-        )
-
 
 def test_spatial_independence(
     panel: SpatialPanel,
@@ -54,25 +46,26 @@ def test_spatial_independence(
     seed: int = 0,
     K: int = 100,
     m: int = 2000,
-    alternative: str = "greater",
-    null: NullDistribution | None = None,
     ci_resamples: int | None = None,
     ci_level: float = 0.95,
     n_jobs: int = 1,
 ) -> TestReport:
     """Test the null of spatial pairwise independence via T * S~_B.
 
+    The test is upper-tailed: Bergsma's rho >= 0, with equality exactly under
+    independence, so spatial dependence only moves T * S~_B up and the p-value
+    is the add-one share of null samples at or above it (:func:`p_value`).
     ``null_method`` selects Monte Carlo simulation or the eigenvalue-based
-    asymptotic law; a precomputed ``null`` can be passed to amortize it over
-    many tests.  The reference distribution defaults to standard normal: the
-    null law is insensitive to F, and residual inputs are continuous.
-    ``n_jobs`` threads the Monte Carlo null; results are identical for any value.
+    asymptotic law, built from ``reps`` replicates.  To reuse one null over
+    many panels, build it once and call
+    ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference
+    distribution defaults to standard normal: the null law is insensitive to
+    F, and residual inputs are continuous.  ``n_jobs`` threads the Monte Carlo
+    null; results are identical for any value.
     """
     if null_method not in ("monte_carlo", "asymptotic_eigen"):
         raise InvalidParameterError(f"unknown null method {null_method!r}")
-    if alternative not in ("greater", "two-sided"):
-        raise InvalidParameterError(f"unknown alternative {alternative!r}")
-    if null is None and reps < 1:
+    if reps < 1:
         raise EmptyNullError("reps must be >= 1")
     sb = sb_statistic(panel, W)
     # the bootstrap's argument checks run before the null is simulated; each
@@ -85,29 +78,23 @@ def test_spatial_independence(
         ci = (lo, hi, ci_level, "bootstrap_percentile")
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
-    if null is None:
-        if null_method == "monte_carlo":
-            null = monte_carlo_null(
-                null_dist, panel.n_regions, panel.n_time, W,
-                reps=reps, seed=seed, n_jobs=n_jobs,
-            )
-        else:
-            spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
-            null = asymptotic_null_sample(
-                [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
-            )
-    p = p_value(sb.scaled_value, null)
-    if alternative == "two-sided":
-        s = null.samples
-        p_lo = (1 + int(np.count_nonzero(s <= sb.scaled_value))) / (s.size + 1)
-        p = min(1.0, 2.0 * min(p, p_lo))
+    if null_method == "monte_carlo":
+        null = monte_carlo_null(
+            null_dist, panel.n_regions, panel.n_time, W,
+            reps=reps, seed=seed, n_jobs=n_jobs,
+        )
+    else:
+        spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
+        null = asymptotic_null_sample(
+            [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
+        )
     if not W.standardized:
         notes.append("W not row-standardized; S0 taken as the raw weight sum")
     return TestReport(
         sb=sb,
-        p_value=p,
+        p_value=p_value(sb.scaled_value, null),
         ci=ci,
-        null_meta={"method": null.method, **null.meta, "alternative": alternative},
+        null_meta={"method": null.method, **null.meta},
         notes=tuple(notes),
     )
 
@@ -154,17 +141,14 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-def independence_rho_quantile(
-    T: int,
-    q: float = 0.95,
-    n_sim: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo quantile of rho~ for independent standard normal pairs.
+def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0) -> float:
+    """Monte Carlo 95th percentile of rho~ for independent standard normal pairs.
 
     This is the empirical cutoff used to flag individually significant
     region pairs (about 0.17 at T = 19).
     """
+    if T < 3:
+        raise InvalidParameterError(f"need T >= 3, got {T}")
     if n_sim < 1:
         raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
     # for R = 2 with the symmetric 0/1 pair matrix, S~_B reduces to rho~ itself
@@ -175,7 +159,7 @@ def independence_rho_quantile(
         rng = stream(seed, lo)
         X = rng.standard_normal((hi - lo, T, 2))
         vals[lo:hi] = sb_values_batch(X, W2)
-    return float(np.quantile(vals, q))
+    return float(np.quantile(vals, 0.95))
 
 
 def pairwise_screen(rho: np.ndarray, cutoff: float) -> np.ndarray:

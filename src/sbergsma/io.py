@@ -69,13 +69,13 @@ def _write_csv(path: str, meta: dict | None, header, rows) -> None:
 
 
 def _data_lines(path: str):
-    """(line_number, raw_line) pairs with comments and blank lines skipped."""
+    """(line_number, CSV fields) pairs with comments and blank lines skipped."""
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            yield lineno, line
+            yield lineno, next(csv.reader([line]))
 
 
 def _parse_cell(raw: str, row: int, col: int) -> float:
@@ -101,8 +101,7 @@ def load_panel(path: str) -> SpatialPanel:
     """Load a time-by-region panel from CSV with a region-label header row."""
     rows = []
     labels = None
-    for lineno, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for lineno, fields in _data_lines(path):
         if labels is None:
             labels = [f.strip() for f in fields]
             dups = [lb for k, lb in enumerate(labels) if lb in labels[:k]]
@@ -140,8 +139,7 @@ def load_weights(
 
 def _load_dense(path: str) -> ProximityMatrix:
     rows = []
-    for lineno, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for lineno, fields in _data_lines(path):
         rows.append([_parse_cell(c, lineno, j + 1) for j, c in enumerate(fields)])
     if not rows:
         raise ParseError(f"{path}: empty weight matrix")
@@ -158,10 +156,9 @@ def _load_dense(path: str) -> ProximityMatrix:
 
 def _load_edges(path: str, n_regions: int | None) -> ProximityMatrix:
     edges = []
-    for lineno, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for lineno, fields in _data_lines(path):
         if len(fields) != 2:
-            raise ParseError(f"row {lineno}: expected 'i,j', got {line.strip()!r}")
+            raise ParseError(f"row {lineno}: expected 'i,j', got {','.join(fields)!r}")
         i, j = (_parse_index(c, lineno, k + 1) for k, c in enumerate(fields))
         edges.append((i, j))
     if not edges and n_regions is None:
@@ -172,8 +169,7 @@ def _load_edges(path: str, n_regions: int | None) -> ProximityMatrix:
 
 def _load_coords(path: str) -> ProximityMatrix:
     labels, points = [], []
-    for lineno, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for lineno, fields in _data_lines(path):
         if len(fields) != 3:
             raise ParseError(f"row {lineno}: expected 'label,x,y'")
         try:

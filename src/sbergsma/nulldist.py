@@ -27,6 +27,7 @@ from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
     EmptyNullError,
+    InvalidParameterError,
     NonFiniteError,
     SpectraMismatchError,
     UnsupportedDistributionError,
@@ -57,10 +58,6 @@ class EigenSpectrum:
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-
-    @property
-    def sum_squares(self) -> float:
-        return float(np.sum(self.eigenvalues**2))
 
 
 @dataclass(frozen=True)
@@ -226,6 +223,8 @@ def monte_carlo_null(
     """
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
+    if T < 3:
+        raise InvalidParameterError(f"need T >= 3, got {T}")
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {R}")
     null_spec = DependenceSpec("SMA", 0.0, W, dist)

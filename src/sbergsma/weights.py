@@ -69,7 +69,7 @@ class ProximityMatrix:
         return float(self.weights.sum())
 
 
-def adjacency_from_edges(edges, R: int, labels=None) -> ProximityMatrix:
+def adjacency_from_edges(edges, R: int) -> ProximityMatrix:
     """Symmetric 0/1 adjacency matrix from unordered region pairs (1-based)."""
     w = np.zeros((R, R))
     for i, j in edges:
@@ -79,7 +79,7 @@ def adjacency_from_edges(edges, R: int, labels=None) -> ProximityMatrix:
             raise SelfLoopError(f"self-loop ({i},{i}) not allowed")
         w[i - 1, j - 1] = 1.0
         w[j - 1, i - 1] = 1.0
-    return ProximityMatrix(w, tuple(labels) if labels else ())
+    return ProximityMatrix(w)
 
 
 def inverse_distance(points, labels=None) -> ProximityMatrix:
@@ -98,11 +98,11 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
     return ProximityMatrix(w, tuple(labels) if labels else ())
 
 
-def linear_chain(R: int, labels=None) -> ProximityMatrix:
+def linear_chain(R: int) -> ProximityMatrix:
     """Lag-1 adjacency of regions arranged on a line: w_ij = 1 iff |i-j| = 1."""
     if R < 2:
         raise SizeError(f"linear chain needs R >= 2, got {R}")
-    return adjacency_from_edges([(i, i + 1) for i in range(1, R)], R, labels)
+    return adjacency_from_edges([(i, i + 1) for i in range(1, R)], R)
 
 
 def row_standardize(W: ProximityMatrix) -> ProximityMatrix:

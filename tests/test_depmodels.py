@@ -88,6 +88,12 @@ def test_sweep_rejects_bad_sizes_before_any_draw(monkeypatch, w_chain6):
             theta_sweep("SMA", w_chain6, [0.0, 0.5], T=10, reps=reps)
     with pytest.raises(InvalidParameterError):
         theta_sweep("SMA", w_chain6, [], T=10, reps=10)
+    for T in (1, 2):
+        with pytest.raises(InvalidParameterError, match="T >= 3"):
+            theta_sweep("SMA", w_chain6, [0.0, 0.5], T=T, reps=10)
+    # SweepResult.samples holds one key per theta, so a repeat would be lost
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        theta_sweep("SMA", w_chain6, [0.0, 0.5, 0.5], T=10, reps=10)
 
 
 @pytest.mark.parametrize("theta", [0.6, -0.4])

@@ -11,6 +11,7 @@ from sbergsma import (
     independence_rho_quantile,
     linear_chain,
     monte_carlo_null,
+    p_value,
     pairwise_screen,
     row_standardize,
     sb_statistic,
@@ -40,12 +41,14 @@ def shared_null(w5):
     return monte_carlo_null(NORMAL, 5, 30, w5, reps=2000, seed=100)
 
 
+def _shared_p(panel, W, null):
+    # one null reused over many panels, as test_spatial_independence documents
+    return p_value(sb_statistic(panel, W).scaled_value, null)
+
+
 def test_report_reproducible(w5, shared_null):
     panel = simulate_panel(DependenceSpec("SMA", 0.5, w5), T=30, seed=1)
-    a = test_spatial_independence(panel, w5, null=shared_null, seed=3)
-    b = test_spatial_independence(panel, w5, null=shared_null, seed=3)
-    assert a.sb.value == b.sb.value
-    assert a.p_value == b.p_value
+    assert _shared_p(panel, w5, shared_null) == _shared_p(panel, w5, shared_null)
 
 
 def test_null_panel_p_value_roughly_uniform(w5, shared_null):
@@ -54,8 +57,7 @@ def test_null_panel_p_value_roughly_uniform(w5, shared_null):
     reps = 200
     for r in range(reps):
         panel = simulate_panel(DependenceSpec("SMA", 0.0, w5), T=30, seed=500 + r)
-        rep = test_spatial_independence(panel, w5, null=shared_null)
-        hits += rep.p_value <= 0.05
+        hits += _shared_p(panel, w5, shared_null) <= 0.05
     # binomial(200, 0.05) within 4 sd
     assert abs(hits - 10) < 4 * np.sqrt(200 * 0.05 * 0.95)
 
@@ -64,27 +66,14 @@ def test_dependent_panel_rejects(w5, shared_null):
     rejected = 0
     for r in range(40):
         panel = simulate_panel(DependenceSpec("SAR", 0.7, w5), T=30, seed=900 + r)
-        rep = test_spatial_independence(panel, w5, null=shared_null)
-        rejected += rep.p_value <= 0.05
+        rejected += _shared_p(panel, w5, shared_null) <= 0.05
     assert rejected >= 30
 
 
-def test_two_sided_alternative(w5, shared_null):
-    panel = simulate_panel(DependenceSpec("SMA", 0.0, w5), T=30, seed=77)
-    one = test_spatial_independence(panel, w5, null=shared_null)
-    two = test_spatial_independence(
-        panel, w5, null=shared_null, alternative="two-sided"
-    )
-    assert 0 < two.p_value <= 1
-    assert two.p_value >= min(1.0, one.p_value)
-    with pytest.raises(InvalidParameterError):
-        test_spatial_independence(panel, w5, null=shared_null, alternative="less")
-
-
-def test_unstandardized_w_noted(shared_null):
+def test_unstandardized_w_noted():
     W = linear_chain(5)
     panel = SpatialPanel(stream(8).standard_normal((30, 5)))
-    rep = test_spatial_independence(panel, W, null=shared_null)
+    rep = test_spatial_independence(panel, W, reps=50)
     assert any("row-standardized" in n for n in rep.notes)
 
 
@@ -104,16 +93,6 @@ def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
             for n in (1, 3))
     assert seen == [1, 3]
     assert (a.p_value, a.null_meta) == (b.p_value, b.null_meta)
-
-
-def test_table_row_format(w5, shared_null):
-    panel = simulate_panel(DependenceSpec("SMA", 0.3, w5), T=30, seed=5)
-    rep = test_spatial_independence(
-        panel, w5, null=shared_null, ci_resamples=200, seed=2
-    )
-    row = rep.table_row("SMA(0.3)")
-    assert row.startswith("SMA(0.3)\t")
-    assert row.count("\t") == 3
 
 
 def test_bootstrap_deterministic(w5):
@@ -216,7 +195,6 @@ def _forbid_nulls(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"alternative": "less"},
         {"null_method": "bootstrap"},
         {"ci_resamples": 100},
         # the level is read only when a CI is asked for
@@ -245,3 +223,7 @@ def test_zero_reps_rejected_before_any_null(monkeypatch, w5, null_method):
 def test_independence_rho_quantile_rejects_zero_sims():
     with pytest.raises(InvalidParameterError):
         independence_rho_quantile(19, n_sim=0)
+    # unchecked, T = 1 divides by C(T, 2) = 0 and T = 2 fails as a constant series
+    for T in (1, 2):
+        with pytest.raises(InvalidParameterError, match="T >= 3"):
+            independence_rho_quantile(T, n_sim=10)

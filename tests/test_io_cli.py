@@ -237,8 +237,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["compute", str(tmp_path / "absent.csv"), "--linear-chain", "3"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error_category"] == "FileNotFound"
-    # missing --output for a file-producing subcommand
-    assert main(["null", "--R", "3", "--T", "10", "--linear-chain", "3"]) == 2
+    # missing --output for a file-producing subcommand is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["null", "--R", "3", "--T", "10", "--linear-chain", "3"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --output/-o" in capsys.readouterr().err
 
 
 def test_cli_failure_leaves_no_output(tmp_path, capsys):
@@ -376,7 +379,9 @@ _VALID_ARGV = {
     + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")]
     # S~_B, its null and rho~ do not move under a positive affine map of F
     + [(c, f) for c in ("test", "null", "sweep") for f in ("--loc", "--scale")]
-    + [("spectrum", "--loc")],
+    + [("spectrum", "--loc")]
+    # the test is upper-tailed only
+    + [("test", "--alternative")],
 )
 def test_cli_rejects_flags_the_command_does_not_read(
     command, flag, panel_file, tmp_path, capsys
@@ -400,6 +405,14 @@ def test_cli_rejects_flags_the_command_does_not_read(
           "--cutoff", "0.2"], "InvalidParameterError"),
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
+        # unchecked, T = 1 ends in a ZeroDivisionError traceback and T = 2 in a
+        # DegenerateRegionError after the whole simulation
+        *[(["null", "--R", "4", "--T", T, "--linear-chain", "4"],
+           "InvalidParameterError") for T in ("1", "2")],
+        *[(["sweep", "--model", "sar", "--T", T, "--linear-chain", "4"],
+           "InvalidParameterError") for T in ("1", "2")],
+        (["sweep", "--model", "sar", "--thetas", "0,0.5,0.5", "--linear-chain", "4"],
+         "InvalidParameterError"),
     ],
 )
 def test_cli_size_arguments_rejected_before_any_simulation(
@@ -407,6 +420,7 @@ def test_cli_size_arguments_rejected_before_any_simulation(
 ):
     import sbergsma.depmodels as depmodels
     import sbergsma.inference as inference
+    import sbergsma.nulldist as nulldist
 
     def no_simulation(*args, **kw):
         raise AssertionError("a simulation ran")
@@ -414,6 +428,7 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
     monkeypatch.setattr(inference, "nystrom_eigenvalues", no_simulation)
     monkeypatch.setattr(depmodels, "sb_replicates", no_simulation)
+    monkeypatch.setattr(nulldist, "sb_replicates", no_simulation)
     panel_path = str(tmp_path / "p.csv")
     save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
     out = tmp_path / "out"
@@ -421,3 +436,14 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     assert main(argv + ["--seed", "1", "-o", str(out)]) == 1
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error_category"] == category
+
+
+@pytest.mark.parametrize("thetas", ["0,abc", "0,,0.5", ""])
+def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "sma", "--thetas", thetas, "--linear-chain", "3",
+              "--seed", "1", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "argument --thetas" in capsys.readouterr().err
+    assert not out.exists()

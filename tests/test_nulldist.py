@@ -18,6 +18,7 @@ from sbergsma import (
 from sbergsma.exceptions import (
     DimensionMismatchError,
     EmptyNullError,
+    InvalidParameterError,
     NonFiniteError,
     SpectraMismatchError,
     UnsupportedDistributionError,
@@ -211,6 +212,17 @@ def test_asymptotic_rejects_zero_draws():
 def test_monte_carlo_rejects_w_of_another_size():
     with pytest.raises(DimensionMismatchError):
         monte_carlo_null(NORMAL, 5, 10, row_standardize(linear_chain(4)), reps=10)
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_monte_carlo_rejects_short_series_before_any_draw(monkeypatch, T):
+    # unchecked, T = 1 divides by C(T, 2) = 0 and T = 2 fails as a constant series
+    def no_draw(*args, **kw):
+        raise AssertionError("replicates were simulated")
+
+    monkeypatch.setattr(nulldist, "sb_replicates", no_draw)
+    with pytest.raises(InvalidParameterError, match="T >= 3"):
+        monte_carlo_null(NORMAL, 4, T, row_standardize(linear_chain(4)), reps=10)
 
 
 def test_monte_carlo_determinism_and_threads():
