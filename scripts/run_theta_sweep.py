@@ -14,22 +14,25 @@ from sbergsma import linear_chain, row_standardize, theta_sweep
 from sbergsma.io import save_sweep
 
 
+def _float_list(text):
+    return [float(t) for t in text.split(",")]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--R", type=int, default=14)
     ap.add_argument("--T", type=int, default=50)
     ap.add_argument("--reps", type=int, default=2000)
-    ap.add_argument("--thetas", default="0,0.1,0.25,0.5,0.75,0.9")
+    ap.add_argument("--thetas", type=_float_list, default="0,0.1,0.25,0.5,0.75,0.9")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--outdir", default="theta_sweep")
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
     W = row_standardize(linear_chain(args.R))
-    thetas = [float(t) for t in args.thetas.split(",")]
 
     for model in ("SAR", "SMA"):
-        sweep = theta_sweep(model, W, thetas, args.T, reps=args.reps, seed=args.seed)
+        sweep = theta_sweep(model, W, args.thetas, args.T, reps=args.reps, seed=args.seed)
         print(f"{model}  theta    mean      sd      skew    kurt")
         for theta in sweep.thetas:
             mean, sd, skew, kurt = sweep.summaries[theta]

@@ -36,9 +36,6 @@ from .exceptions import (
     NonFiniteError,
 )
 
-#: self-covariance at or below this is treated as a degenerate (constant) series
-DEGENERACY_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class CenteredKernelMatrix:
@@ -91,17 +88,22 @@ def pairwise_kappa(H: np.ndarray) -> np.ndarray:
 def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:
     """rho~ matrices (..., R, R) with unit diagonal from kappa~ matrices.
 
-    Raises :class:`DegenerateRegionError` naming every series (by label, or
-    1-based position) whose self-covariance is at or below
-    :data:`DEGENERACY_TOL` in any matrix of the batch.
+    Raises :class:`NonFiniteError` if a self-covariance overflows or is NaN,
+    and :class:`DegenerateRegionError` naming every series (by label, or
+    1-based position) whose self-covariance is not positive in any matrix of
+    the batch: a constant series has an all-zero kernel, at any scale.
     """
     diag = np.diagonal(kappa, axis1=-2, axis2=-1)
-    bad = diag <= DEGENERACY_TOL
+    if not np.all(np.isfinite(diag)):
+        raise NonFiniteError("self-covariance is not finite: a series is NaN or overflows")
+    bad = diag <= 0.0
     if bad.any():
         cols = np.flatnonzero(bad.reshape(-1, diag.shape[-1]).any(axis=0))
         names = ", ".join(labels[i] if labels else f"#{i + 1}" for i in cols)
         raise DegenerateRegionError(f"degenerate (constant) series: {names}")
-    rho = kappa / np.sqrt(diag[..., :, None] * diag[..., None, :])
+    # square roots first, so the product cannot overflow or underflow
+    sd = np.sqrt(diag)
+    rho = kappa / (sd[..., :, None] * sd[..., None, :])
     ii = np.arange(diag.shape[-1])
     rho[..., ii, ii] = 1.0
     return rho

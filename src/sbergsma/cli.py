@@ -45,9 +45,7 @@ from .weights import linear_chain, row_standardize
 
 
 def _dist_from_args(args) -> ReferenceDistribution:
-    kwargs = {k: getattr(args, k) for k in ("loc", "scale") if hasattr(args, k)}
-    if args.dist == "chi-square":
-        kwargs["df"] = args.df
+    kwargs = {k: getattr(args, k) for k in ("loc", "scale", "df") if hasattr(args, k)}
     return ReferenceDistribution(args.dist, **kwargs)
 
 
@@ -73,16 +71,14 @@ def _resolve_weights(args, panel_labels=None):
 
     A coordinate file's labels must be ``panel_labels``, in the same order.
     """
-    if getattr(args, "linear_chain", None):
+    if args.linear_chain is not None:
         W = linear_chain(args.linear_chain)
         sources = {}
-    elif getattr(args, "weights", None):
+    else:
         W = load_weights(args.weights, args.weights_kind, n_regions=args.regions)
         if panel_labels is not None and args.weights_kind == "coords":
             _check_labels(args.weights, W.region_labels, panel_labels)
         sources = {args.weights: _hash_file(args.weights)}
-    else:
-        raise SbergsmaError("no weight matrix given: use --weights or --linear-chain")
     if args.standardize:
         W = row_standardize(W)
     return W, sources
@@ -96,11 +92,7 @@ def _panel_and_weights(args):
 
 
 def _meta(args, hashes: dict) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     return {
         "version": __version__,
         "config": config,
@@ -146,10 +138,6 @@ def _cmd_test(args):
     seed = _seed(args)
     panel, W, hashes = _panel_and_weights(args)
     method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
-    # the cutoff simulation checks --cutoff-sims before the null is simulated
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=args.cutoff_sims)
     report = test_spatial_independence(
         panel,
         W,
@@ -163,6 +151,10 @@ def _cmd_test(args):
         ci_level=args.level,
         n_jobs=args.threads,
     )
+    # drawn last: the test checks its own size arguments before it simulates
+    cutoff = args.cutoff
+    if cutoff is None:
+        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=args.cutoff_sims)
     flags = pairwise_screen(report.sb.pair_rho, cutoff)
     payload = {
         "meta": _meta(args, hashes),
@@ -243,22 +235,20 @@ def _add_dist_args(p, *affine):
     p.add_argument("--df", type=float, default=1.0, help="chi-square degrees of freedom")
 
 
-def _add_weight_args(p):
-    p.add_argument("--weights", help="path to a weight matrix file")
+def _add_weight_args(p, standardize=True):
+    """Add the W source (exactly one of --weights and --linear-chain) and its options."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--weights", help="path to a weight matrix file")
+    source.add_argument("--linear-chain", type=int, metavar="R",
+                        help="builtin linear chain of R regions")
     p.add_argument(
         "--weights-kind", choices=("dense", "edges", "coords"), default="dense"
     )
-    p.add_argument("--linear-chain", type=int, metavar="R",
-                   help="builtin linear chain of R regions")
     p.add_argument("--regions", type=int, help="region count for edge-list input")
-    _add_standardize(p, True)
-
-
-def _add_standardize(p, default: bool):
     std = p.add_mutually_exclusive_group()
     std.add_argument("--standardize", dest="standardize", action="store_true")
     std.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.set_defaults(standardize=default)
+    p.set_defaults(standardize=standardize)
 
 
 def _add_seed(p):
@@ -266,20 +256,34 @@ def _add_seed(p):
 
 
 def _add_threads(p):
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SBERGSMA_THREADS", "1")),
-    )
+    # a string default goes through ``type`` only when this subcommand runs
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.environ.get("SBERGSMA_THREADS", "1"))
 
 
 def _add_output(p, required=True):
-    p.add_argument("--output", "-o", required=required,
+    p.add_argument("--output", "-o", type=_output_path, required=required,
                    help="output path" if required else "output path (default: stdout)")
 
 
 def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _output_path(path: str) -> str:
+    """argparse type: a path that is absent or names a regular file."""
+    # the atomic rename would replace a FIFO or device node, and fail on a directory
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"{path!r} exists and is not a regular file")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--cutoff", type=float, default=None,
                    help="pairwise rho~ cutoff (default: simulated 95th percentile)")
-    p.add_argument("--cutoff-sims", type=int, default=10_000)
+    p.add_argument("--cutoff-sims", type=_positive_int, default=10_000)
     _add_seed(p)
     _add_threads(p)
     _add_output(p, required=False)
@@ -350,18 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prewhiten", help="per-region AR(p) residual panel")
     p.add_argument("panel")
     p.add_argument("--ar", type=int, default=3)
-    p.add_argument("--acf-output", help="also write an ACF table CSV here")
+    p.add_argument("--acf-output", type=_output_path,
+                   help="also write an ACF table CSV here")
     p.add_argument("--acf-lags", type=int, default=10)
     _add_output(p)
     p.set_defaults(func=_cmd_prewhiten)
 
     p = sub.add_parser("weights", help="build and save a proximity matrix")
-    w = p.add_mutually_exclusive_group(required=True)
-    w.add_argument("--linear-chain", type=int, metavar="R")
-    w.add_argument("--coords", dest="weights_coords", help="label,x,y CSV")
-    w.add_argument("--edges", dest="weights_edges", help="i,j edge-list file")
-    p.add_argument("--regions", type=int)
-    _add_standardize(p, False)
+    _add_weight_args(p, standardize=False)
     _add_output(p)
     p.set_defaults(func=_cmd_weights)
 
@@ -377,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # normalize the weights subcommand's source flags onto the common names
-    if getattr(args, "weights_coords", None):
-        args.weights, args.weights_kind = args.weights_coords, "coords"
-    elif getattr(args, "weights_edges", None):
-        args.weights, args.weights_kind = args.weights_edges, "edges"
     try:
         args.func(args)
     except (SbergsmaError, FileNotFoundError) as err:

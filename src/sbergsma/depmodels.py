@@ -105,6 +105,8 @@ def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.nd
     threads and are joined in index order, so no value depends on the thread
     count.
     """
+    if n_jobs < 1:
+        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
     W, noise = specs[0].W, specs[0].noise
     for spec in specs:
         spec.matrix  # builds each map, and checks SAR conditioning, before any draw

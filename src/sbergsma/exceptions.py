@@ -28,7 +28,7 @@ class DimensionMismatchError(SbergsmaError):
 
 
 class DegenerateSeriesError(SbergsmaError):
-    """Self-covariance of a series is (numerically) zero, e.g. a constant series."""
+    """Self-covariance of a series is zero, as for a constant series."""
 
 
 # --- spatial weights errors -------------------------------------------------

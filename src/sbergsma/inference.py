@@ -68,9 +68,12 @@ def test_spatial_independence(
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
     sb = sb_statistic(panel, W)
-    # the bootstrap's argument checks run before the null is simulated; each
-    # builds its own stream(seed, r) generators, so the order changes no value
-    # (the two read the same streams, so they are not independent: see rng)
+    # the spectrum checks K and m, and the bootstrap its own arguments, before
+    # the null is simulated; each draw builds its own stream(seed, r)
+    # generators, so the order changes no value (the bootstrap and the null
+    # read the same streams, so they are not independent: see rng)
+    if null_method == "asymptotic_eigen":
+        spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
     ci = None
     notes = []
     if ci_resamples is not None:
@@ -84,7 +87,6 @@ def test_spatial_independence(
             reps=reps, seed=seed, n_jobs=n_jobs,
         )
     else:
-        spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
         null = asymptotic_null_sample(
             [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
         )

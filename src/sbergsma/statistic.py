@@ -118,7 +118,7 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     theta sweep.  Kernel stacks are built a few replicates at a time, within
     :data:`_KERNEL_BYTES`, so memory stays bounded for any B, R and T; each
     value is bitwise the same however the batch is split.  Raises if any
-    replicate has a degenerate column.
+    replicate has a degenerate or non-finite column.
     """
     X = np.asarray(panels, dtype=float)
     B, T, R = X.shape

@@ -14,7 +14,7 @@ from sbergsma import (
     simulate_panel,
     theta_sweep,
 )
-from sbergsma.depmodels import _apply_dependence
+from sbergsma.depmodels import _apply_dependence, sb_replicates
 from sbergsma.exceptions import InvalidParameterError, SampleSizeError
 from sbergsma.rng import stream
 
@@ -94,6 +94,20 @@ def test_sweep_rejects_bad_sizes_before_any_draw(monkeypatch, w_chain6):
     # SweepResult.samples holds one key per theta, so a repeat would be lost
     with pytest.raises(InvalidParameterError, match="distinct"):
         theta_sweep("SMA", w_chain6, [0.0, 0.5, 0.5], T=10, reps=10)
+
+
+@pytest.mark.parametrize("n_jobs", [0, -4])
+def test_thread_counts_below_one_rejected_before_any_draw(monkeypatch, w_chain6, n_jobs):
+    # they used to run serially without a word
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(depmodels, "stream", no_draw)
+    spec = DependenceSpec("SMA", 0.0, w_chain6)
+    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+        sb_replicates([spec], T=10, reps=10, seed=0, n_jobs=n_jobs)
 
 
 @pytest.mark.parametrize("theta", [0.6, -0.4])

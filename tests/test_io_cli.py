@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -196,7 +198,8 @@ def test_cli_weights_edges(tmp_path):
     edges = tmp_path / "edges.csv"
     edges.write_text("1,2\n2,3\n")
     out = tmp_path / "w.csv"
-    rc = main(["weights", "--edges", str(edges), "--output", str(out)])
+    rc = main(["weights", "--weights", str(edges), "--weights-kind", "edges",
+               "--output", str(out)])
     assert rc == 0
     W = load_weights(str(out))
     assert np.array_equal(W.weights, linear_chain(3).weights)
@@ -397,12 +400,19 @@ def test_cli_rejects_flags_the_command_does_not_read(
 @pytest.mark.parametrize(
     "argv,category",
     [
-        (["test", "{panel}", "--linear-chain", "4", "--reps", "50",
-          "--cutoff-sims", "0"], "InvalidParameterError"),
         (["test", "{panel}", "--linear-chain", "4", "--null", "asym", "--reps", "0",
           "--cutoff", "0.2"], "EmptyNullError"),
         (["test", "{panel}", "--linear-chain", "4", "--reps", "50", "--bootstrap", "0",
           "--cutoff", "0.2"], "InvalidParameterError"),
+        # without --cutoff the pair cutoff is simulated too, after every check
+        *[(["test", "{panel}", "--linear-chain", "4", "--null", null, "--reps", "0"],
+           "EmptyNullError") for null in ("mc", "asym")],
+        (["test", "{panel}", "--linear-chain", "4", "--reps", "50", "--bootstrap", "0"],
+         "InvalidParameterError"),
+        # K and the grid are checked before the bootstrap resamples
+        *[(["test", "{panel}", "--linear-chain", "4", "--null", "asym", *sizes,
+            "--bootstrap", "2000"], "UnsupportedDistributionError")
+          for sizes in (["--K", "0"], ["--grid", "50"], ["--K", "60", "--grid", "0"])],
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
         # unchecked, T = 1 ends in a ZeroDivisionError traceback and T = 2 in a
@@ -426,7 +436,10 @@ def test_cli_size_arguments_rejected_before_any_simulation(
         raise AssertionError("a simulation ran")
 
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
-    monkeypatch.setattr(inference, "nystrom_eigenvalues", no_simulation)
+    # the spectrum itself runs: its K and grid checks come before any work
+    monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
+    # the bootstrap and the pair cutoff
+    monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
     monkeypatch.setattr(depmodels, "sb_replicates", no_simulation)
     monkeypatch.setattr(nulldist, "sb_replicates", no_simulation)
     panel_path = str(tmp_path / "p.csv")
@@ -447,3 +460,96 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
     assert exc.value.code == 2
     assert "argument --thetas" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the pair cutoff is simulated last, so its count is checked by the parser
+        (["test", "{panel}", "--linear-chain", "3", "--cutoff-sims", "0"],
+         "argument --cutoff-sims: must be at least 1, got 0"),
+        *[([c, *args, "--linear-chain", "3", "--threads", n],
+           f"argument --threads: must be at least 1, got {n}")
+          for c, args in (("test", ["{panel}"]), ("null", ["--R", "3", "--T", "10"]))
+          for n in ("0", "-4")],
+        # W is one of two flags on every subcommand that reads one
+        *[([c, *args], "one of the arguments --weights --linear-chain is required")
+          for c, args in (("compute", ["{panel}"]), ("test", ["{panel}"]),
+                          ("null", ["--R", "3", "--T", "10"]),
+                          ("simulate", ["--model", "sma", "--theta", "0.5"]),
+                          ("sweep", ["--model", "sma"]), ("weights", []))],
+        (["compute", "{panel}", "--linear-chain", "3", "--weights", "{panel}"],
+         "argument --weights: not allowed with argument --linear-chain"),
+        *[(["weights", "--linear-chain", "3", flag, "{panel}"], "unrecognized arguments")
+          for flag in ("--coords", "--edges")],
+    ],
+)
+def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [a.format(panel=panel_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"] * (argv[0] in ("test", "null")) + ["-o", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,text", [("edges", "1,2\n2,3\n"),
+                                       ("coords", "a,0,0\nb,0,1\nc,2,0\n")],
+                         ids=["edges", "coords"])
+def test_cli_weights_reads_w_like_every_other_subcommand(kind, text, tmp_path):
+    src = tmp_path / f"{kind}.csv"
+    src.write_text(text)
+    out = tmp_path / "w.csv"
+    assert main(["weights", "--weights", str(src), "--weights-kind", kind,
+                 "-o", str(out)]) == 0
+    meta = json.loads(out.read_text().splitlines()[0][len("# meta: "):])
+    assert meta["config"]["weights_kind"] == kind
+    assert meta["config"]["standardize"] is False
+    assert np.array_equal(load_weights(str(out)).weights,
+                          load_weights(str(src), kind).weights)
+
+
+def test_cli_linear_chain_too_short_is_a_size_error(tmp_path, capsys):
+    # a chain of 0 regions used to read as "no weight matrix given"
+    out = tmp_path / "w.csv"
+    assert main(["weights", "--linear-chain", "0", "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error_category"] == "SizeError"
+    assert not out.exists()
+
+
+def test_cli_bad_threads_variable_fails_only_where_threads_are_read(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setenv("SBERGSMA_THREADS", "abc")
+    assert main(["weights", "--linear-chain", "3", "-o", str(tmp_path / "w.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["null", "--R", "3", "--T", "10", "--linear-chain", "3", "--seed", "1",
+              "-o", str(tmp_path / "n.csv")])
+    assert exc.value.code == 2
+    assert "argument --threads: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["fifo", "dir"])
+@pytest.mark.parametrize("command", ["compute", "null", "prewhiten-acf"])
+def test_cli_output_must_not_name_a_non_regular_file(command, target, panel_file, tmp_path,
+                                                     capsys):
+    path = tmp_path / target
+    if target == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    argv = {
+        "compute": ["compute", panel_file, "--linear-chain", "3", "-o", str(path)],
+        "null": ["null", "--R", "3", "--T", "10", "--linear-chain", "3", "--reps", "10",
+                 "--seed", "1", "-o", str(path)],
+        "prewhiten-acf": ["prewhiten", panel_file, "--ar", "1", "-o",
+                          str(tmp_path / "resid.csv"), "--acf-output", str(path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "exists and is not a regular file" in capsys.readouterr().err
+    mode = path.stat().st_mode
+    assert stat.S_ISFIFO(mode) if target == "fifo" else stat.S_ISDIR(mode)
+    assert not (tmp_path / "resid.csv").exists()

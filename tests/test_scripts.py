@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sbergsma import (
     ReferenceDistribution,
@@ -62,3 +63,14 @@ def test_run_theta_sweep(tmp_path, monkeypatch):
         for row in rows:
             mean, sd, _, _ = want.summaries[float(row["theta"])]
             assert float(row["mean"]) == mean and float(row["sd"]) == sd
+
+
+def test_run_theta_sweep_thetas_that_do_not_parse_are_usage_errors(
+    tmp_path, monkeypatch, capsys
+):
+    with pytest.raises(SystemExit) as exc:
+        _run_script("run_theta_sweep", ["--thetas", "0,abc", "--outdir", str(tmp_path)],
+                    monkeypatch)
+    assert exc.value.code == 2
+    assert "argument --thetas" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

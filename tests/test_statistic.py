@@ -16,6 +16,7 @@ from sbergsma.exceptions import (
     DegenerateRegionError,
     DimensionMismatchError,
     LengthError,
+    NonFiniteError,
     SizeError,
 )
 from sbergsma.rng import stream
@@ -156,3 +157,26 @@ def test_batch_degenerate_replicate_named():
     panels[1, :, 2] = 5.0
     with pytest.raises(DegenerateRegionError, match="#3"):
         sb_values_batch(panels, row_standardize(linear_chain(3)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-7, 1e150])
+def test_statistic_does_not_depend_on_scale(scale):
+    # sd 1e-7 used to read as degenerate in every region, and at 1e150 the
+    # product of two self-covariances overflowed, so every rho~ read 0
+    data = stream(26).standard_normal((20, 4))
+    W = row_standardize(linear_chain(4))
+    base = sb_statistic(SpatialPanel(data), W).value
+    assert sb_statistic(SpatialPanel(scale * data), W).value == pytest.approx(base, abs=1e-12)
+    assert sb_values_batch(scale * data[None], W)[0] == pytest.approx(base, abs=1e-12)
+
+
+def test_non_finite_self_covariance_raises():
+    W = row_standardize(linear_chain(3))
+    # finite entries whose differences overflow used to give a NaN statistic
+    data = np.array([[1.5e308, 0.0, 1.0], [-1.5e308, 1.0, 0.0], [0.0, 2.0, 2.0],
+                     [1.0, 0.5, 3.0]])
+    with pytest.raises(NonFiniteError, match="not finite"), np.errstate(all="ignore"):
+        sb_statistic(SpatialPanel(data), W)
+    # NaN panels used to give NaN values
+    with pytest.raises(NonFiniteError):
+        sb_values_batch(np.full((2, 5, 3), np.nan), W)
