@@ -11,11 +11,8 @@ import argparse
 import os
 
 from sbergsma import linear_chain, row_standardize, theta_sweep
+from sbergsma.cli import _float_list
 from sbergsma.io import save_sweep
-
-
-def _float_list(text):
-    return [float(t) for t in text.split(",")]
 
 
 def main():

@@ -45,8 +45,8 @@ from .weights import linear_chain, row_standardize
 
 
 def _dist_from_args(args) -> ReferenceDistribution:
-    kwargs = {k: getattr(args, k) for k in ("loc", "scale", "df") if hasattr(args, k)}
-    return ReferenceDistribution(args.dist, **kwargs)
+    affine = {k: getattr(args, k) for k in ("loc", "scale") if hasattr(args, k)}
+    return ReferenceDistribution(args.dist, df=args.df, **affine)
 
 
 def _hash_file(path: str) -> str:
@@ -92,7 +92,11 @@ def _panel_and_weights(args):
 
 
 def _meta(args, hashes: dict) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    config = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func",) and v is not None
+    }
     return {
         "version": __version__,
         "config": config,

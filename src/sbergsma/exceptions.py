@@ -122,6 +122,10 @@ class TooManyDegenerateResamplesError(SbergsmaError):
 
 # --- I/O errors -------------------------------------------------------------
 
+class OutputPathError(SbergsmaError):
+    """Output path exists and is not a regular file."""
+
+
 class ParseError(SbergsmaError):
     """Malformed input file; message names the offending location."""
 

@@ -67,6 +67,8 @@ def test_spatial_independence(
         raise InvalidParameterError(f"unknown null method {null_method!r}")
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
+    if n_jobs < 1:
+        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
     sb = sb_statistic(panel, W)
     # the spectrum checks K and m, and the bootstrap its own arguments, before
     # the null is simulated; each draw builds its own stream(seed, r)

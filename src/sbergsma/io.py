@@ -29,6 +29,7 @@ from .exceptions import (
     NonNumericError,
     NonzeroDiagonalError,
     NotSquareError,
+    OutputPathError,
     ParseError,
     RaggedRowError,
 )
@@ -40,6 +41,9 @@ _FMT = "%.17g"
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via temp-file + rename; never leaves partial files."""
+    # the rename would replace a FIFO or device node, and fail on a directory
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OutputPathError(f"{path!r} exists and is not a regular file")
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:

@@ -95,6 +95,24 @@ def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
     assert (a.p_value, a.null_meta) == (b.p_value, b.null_meta)
 
 
+@pytest.mark.parametrize("null_method", ["monte_carlo", "asymptotic_eigen"])
+@pytest.mark.parametrize("n_jobs", [0, -4])
+def test_thread_counts_below_one_rejected_before_any_work(monkeypatch, w5, null_method,
+                                                          n_jobs):
+    import sbergsma.inference as inference
+
+    def no_work(*args, **kw):
+        raise AssertionError("work ran")
+
+    for name in ("sb_statistic", "bootstrap_ci", "monte_carlo_null",
+                 "nystrom_eigenvalues", "asymptotic_null_sample"):
+        monkeypatch.setattr(inference, name, no_work)
+    panel = SpatialPanel(stream(8).standard_normal((30, 5)))
+    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+        test_spatial_independence(panel, w5, null_method=null_method, reps=100,
+                                  ci_resamples=200, n_jobs=n_jobs)
+
+
 def test_bootstrap_deterministic(w5):
     panel = SpatialPanel(stream(31).standard_normal((25, 5)))
     a = bootstrap_ci(panel, w5, B=300, seed=6)

@@ -16,6 +16,7 @@ from sbergsma.exceptions import (
     NonNumericError,
     NonzeroDiagonalError,
     NotSquareError,
+    OutputPathError,
     ParseError,
     RaggedRowError,
 )
@@ -436,7 +437,10 @@ def test_cli_size_arguments_rejected_before_any_simulation(
         raise AssertionError("a simulation ran")
 
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
-    # the spectrum itself runs: its K and grid checks come before any work
+    # nystrom_eigenvalues itself runs, so its K and grid checks can fail first,
+    # but its eigensolve may not (and no memoised spectrum may stand in for it)
+    nulldist.nystrom_eigenvalues.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_simulation)
     monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
     # the bootstrap and the pair cutoff
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
@@ -553,3 +557,17 @@ def test_cli_output_must_not_name_a_non_regular_file(command, target, panel_file
     mode = path.stat().st_mode
     assert stat.S_ISFIFO(mode) if target == "fifo" else stat.S_ISDIR(mode)
     assert not (tmp_path / "resid.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["fifo", "dir"])
+def test_writers_refuse_a_path_that_is_not_a_regular_file(target, tmp_path):
+    path = tmp_path / target
+    if target == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    with pytest.raises(OutputPathError, match="exists and is not a regular file"):
+        save_weights(str(path), linear_chain(3))
+    mode = path.stat().st_mode
+    assert stat.S_ISFIFO(mode) if target == "fifo" else stat.S_ISDIR(mode)
+    assert [p.name for p in tmp_path.iterdir()] == [target]
