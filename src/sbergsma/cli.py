@@ -45,8 +45,7 @@ from .weights import linear_chain, row_standardize
 
 
 def _dist_from_args(args) -> ReferenceDistribution:
-    affine = {k: getattr(args, k) for k in ("loc", "scale") if hasattr(args, k)}
-    return ReferenceDistribution(args.dist, df=args.df, **affine)
+    return ReferenceDistribution(args.dist, df=args.df)
 
 
 def _hash_file(path: str) -> str:
@@ -207,9 +206,10 @@ def _cmd_prewhiten(args):
     panel = load_panel(args.panel)
     hashes = {args.panel: _hash_file(args.panel)}
     resid = residual_panel(panel, args.ar)
+    # both results exist before either file is written
+    acfs = [acf(col, args.acf_lags) for col in resid.data.T] if args.acf_output else None
     save_panel(args.output, resid, meta=_meta(args, hashes))
     if args.acf_output:
-        acfs = [acf(col, args.acf_lags) for col in resid.data.T]
         table = dict(zip(resid.region_labels, (vals for vals, _ in acfs)))
         save_acf_table(args.acf_output, table, acfs[0][1], meta=_meta(args, hashes))
 
@@ -226,16 +226,9 @@ def _cmd_spectrum(args):
 
 # -- parser ------------------------------------------------------------------
 
-def _add_dist_args(p, *affine):
-    """Add --dist and --df, and those of --loc and --scale named in ``affine``.
-
-    rho~ is invariant to a positive affine map of each series, so only the
-    simulated panel and the spectrum's eigenvalues (for --scale) move with them.
-    """
+def _add_dist_args(p):
+    """Add --dist and --df: F is the standard member of a family (see ReferenceDistribution)."""
     p.add_argument("--dist", choices=FAMILIES, default="normal")
-    for flag, default in (("--loc", 0.0), ("--scale", 1.0)):
-        if flag in affine:
-            p.add_argument(flag, type=float, default=default)
     p.add_argument("--df", type=float, default=1.0, help="chi-square degrees of freedom")
 
 
@@ -339,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--T", type=int, default=50)
     _add_weight_args(p)
-    _add_dist_args(p, "--loc", "--scale")
+    _add_dist_args(p)
     _add_seed(p)
     _add_output(p)
     p.set_defaults(func=_cmd_simulate)
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("spectrum", help="Nystrom kernel eigenvalues for one F")
-    _add_dist_args(p, "--scale")
+    _add_dist_args(p)
     p.add_argument("--K", type=int, default=100)
     p.add_argument("--grid", type=int, default=2000)
     _add_output(p)
@@ -383,8 +376,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (SbergsmaError, FileNotFoundError) as err:
-        category = err.category if isinstance(err, SbergsmaError) else "FileNotFound"
+    except (SbergsmaError, OSError) as err:
+        category = "FileNotFound" if isinstance(err, FileNotFoundError) else type(err).__name__
         print(json.dumps({"error_category": category, "message": str(err)}), file=sys.stderr)
         return 1
     return 0

@@ -113,9 +113,10 @@ def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.nd
 
     def chunk(lo):
         hi = min(lo + _CHUNK, reps)
-        eps = np.stack(
-            [noise.sample((T, W.n_regions), stream(seed, r)) for r in range(lo, hi)]
-        )
+        # filled in place, so the chunk's noise is held once
+        eps = np.empty((hi - lo, T, W.n_regions))
+        for i in range(hi - lo):
+            eps[i] = noise.sample((T, W.n_regions), stream(seed, lo + i))
         return [sb_values_batch(_apply_dependence(spec, eps), W) for spec in specs]
 
     starts = range(0, reps, _CHUNK)

@@ -71,7 +71,7 @@ class DegenerateRegionError(DegenerateSeriesError):
 # --- null distribution errors -----------------------------------------------
 
 class UnsupportedDistributionError(SbergsmaError):
-    """Distribution family outside the supported reference set."""
+    """Distribution family outside the supported reference set, or a df it does not read."""
 
 
 class ConvergenceError(SbergsmaError):

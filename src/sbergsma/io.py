@@ -5,7 +5,8 @@ Interchange formats:
 * panel: CSV with a header row of region labels, one row per time point;
 * dense W: square numeric CSV, zero diagonal, no header;
 * edge list: one "i,j" pair per line, 1-based region indices;
-* coordinates: "label,x,y" lines (header optional).
+* coordinates: "label,x,y" lines; the first line is a header if neither its
+  x nor its y is a number.
 
 Lines starting with ``#`` are metadata comments and are skipped on load.
 All writes go through a temp file plus atomic rename, so a failed run never
@@ -74,12 +75,18 @@ def _write_csv(path: str, meta: dict | None, header, rows) -> None:
 
 def _data_lines(path: str):
     """(line_number, CSV fields) pairs with comments and blank lines skipped."""
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, next(csv.reader([line]))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"{path}: line {line} is not UTF-8 text") from None
+    for lineno, line in enumerate(_io.StringIO(text, newline=""), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield lineno, next(csv.reader([line]))
 
 
 def _parse_cell(raw: str, row: int, col: int) -> float:
@@ -171,17 +178,25 @@ def _load_edges(path: str, n_regions: int | None) -> ProximityMatrix:
     return adjacency_from_edges(edges, R)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_coords(path: str) -> ProximityMatrix:
     labels, points = [], []
-    for lineno, fields in _data_lines(path):
+    for k, (lineno, fields) in enumerate(_data_lines(path)):
         if len(fields) != 3:
             raise ParseError(f"row {lineno}: expected 'label,x,y'")
-        try:
-            xy = (float(fields[1]), float(fields[2]))
-        except ValueError:
-            if not points:  # tolerate a header row
-                continue
+        numeric = [_is_number(c) for c in fields[1:]]
+        if k == 0 and not any(numeric):
+            continue  # a header: only a first row whose x and y are both non-numeric
+        if not all(numeric):
             raise NonNumericError(f"row {lineno}: non-numeric coordinates")
+        xy = (float(fields[1]), float(fields[2]))
         labels.append(fields[0].strip())
         points.append(xy)
     if not points:

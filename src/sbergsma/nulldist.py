@@ -10,9 +10,10 @@ Two generation routes:
                      / sqrt( sum_k (lam_k^(i))^2 * sum_l (lam_l^(j))^2 ),
 
   with all Z i.i.d. standard normal, using eigenvalues of the population
-  kernel obtained by a Nystrom discretization on an equal-probability-mass
-  grid.  Each pair term is drawn by inverse CDF from its law's CDF, inverted
-  from the characteristic function with the small weights made one normal.
+  kernel from a deterministic Nystrom discretization on an equal-probability-
+  mass grid, checked against the kernel's trace and square sum.  Each pair term
+  is drawn by inverse CDF from its law's CDF, inverted from the characteristic
+  function with the small weights made one normal.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .weights import ProximityMatrix
 
 #: relative tolerance for the Nystrom trace / squared-trace consistency checks
 TRACE_TOL = 0.02
-#: seed of the 10^6-pair Monte Carlo estimate behind the squared-trace check
-_CHECK_SEED = 20_210_906
+#: midpoint grid size of the mean behind the squared-trace target
+_CHECK_GRID = 2**16
 
 #: weights of a pair term kept exactly; the rest become one normal
 _KEEP = 100
@@ -82,11 +83,11 @@ def nystrom_eigenvalues(
 
     The grid places equal probability mass 1/m at inverse-CDF midpoints, so
     the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
-    eigenvalues estimate the operator spectrum directly.  Two consistency
-    checks guard against a too-coarse grid: the eigenvalue sum must match the
-    analytic trace g(F)/2 and the squared sum must match a Monte Carlo
-    estimate of E[h_F(Z1, Z2)^2], both within 2%.  Results are memoised per
-    (dist, K, m); the shared spectrum is read-only.
+    eigenvalues estimate the operator spectrum directly.  Two checks guard
+    against a too-coarse grid or too small a K, each within 2%: the eigenvalue
+    sum must match the trace g(F)/2 and the square sum E h_F(Z1, Z2)^2.  A
+    failed or NaN comparison raises ConvergenceError.  No random numbers are
+    drawn.  Results are memoised per (dist, K, m); the spectrum is read-only.
     """
     if K < 1 or K > m:
         raise UnsupportedDistributionError(f"need 1 <= K <= m, got K={K}, m={m}")
@@ -96,22 +97,22 @@ def nystrom_eigenvalues(
     order = np.argsort(np.abs(eig))[::-1]
     lam = eig[order[:K]]
 
-    trace_target = dist.mean_abs_gap() / 2.0
-    if abs(lam.sum() - trace_target) > TRACE_TOL * abs(trace_target):
-        raise ConvergenceError(
-            f"eigenvalue sum {lam.sum():.6g} misses trace target {trace_target:.6g}; "
-            "grid too coarse or K too small"
-        )
-    rng = stream(_CHECK_SEED, 0)
-    z1 = dist.sample(1_000_000, rng)
-    z2 = dist.sample(1_000_000, rng)
-    sq_target = float(np.mean(dist.kernel(z1, z2) ** 2))
-    if abs(np.sum(lam**2) - sq_target) > TRACE_TOL * sq_target:
-        raise ConvergenceError(
-            f"eigenvalue square sum {np.sum(lam**2):.6g} misses Monte Carlo "
-            f"target {sq_target:.6g}"
-        )
+    checks = [("sum", lam.sum(), dist.mean_abs_gap() / 2),
+              ("square sum", np.sum(lam**2), _kernel_square_mean(dist))]
+    for name, got, want in checks:
+        if not abs(got - want) <= TRACE_TOL * abs(want):
+            raise ConvergenceError(
+                f"eigenvalue {name} {got:.6g} misses its target {want:.6g}; "
+                "grid too coarse or K too small"
+            )
     return EigenSpectrum(lam)
+
+
+def _kernel_square_mean(dist: ReferenceDistribution) -> float:
+    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean on a fixed grid."""
+    z = dist.ppf((np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID)
+    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
+    return dist.mean_abs_gap() ** 2 / 4 + spread / 2
 
 
 # -- asymptotic draws --------------------------------------------------------

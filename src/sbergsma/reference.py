@@ -23,7 +23,7 @@ the tests check g_F and g(F) against adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -47,58 +47,74 @@ _PPF = {
 
 @dataclass(frozen=True)
 class ReferenceDistribution:
-    """A location-scale member of one of the six reference families.
+    """The standard member of one of the six reference families.
 
-    ``uniform`` is parameterized as uniform(loc, loc + scale); ``exponential``
-    has mean ``scale``; ``chi-square`` takes ``df`` degrees of freedom.
+    ``uniform`` is uniform(0, 1), ``exponential`` has mean 1 and ``chi-square``
+    takes ``df`` degrees of freedom; no other family reads ``df``.  rho~ and
+    everything built on it do not change under a positive affine map of a
+    series, so a location or scale could not move any result.
     """
 
     family: str
-    loc: float = 0.0
-    scale: float = 1.0
-    df: float = field(default=1.0)
+    df: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedDistributionError(
                 f"unknown family {self.family!r}; supported: {', '.join(FAMILIES)}"
             )
-        if not (self.scale > 0):
-            raise UnsupportedDistributionError(f"scale must be positive, got {self.scale}")
-        if self.family == "chi-square" and not (self.df > 0):
-            raise UnsupportedDistributionError(f"df must be positive, got {self.df}")
+        if self.family == "chi-square" and not (0 < self.df < math.inf):
+            raise UnsupportedDistributionError(f"df must be positive and finite, got {self.df}")
+        if self.family != "chi-square" and self.df != 1.0:
+            raise UnsupportedDistributionError(f"df is for chi-square only, got {self.df}")
 
     def ppf(self, q):
         """Inverse CDF at probabilities ``q`` in [0, 1], elementwise."""
-        q = np.asarray(q, dtype=float)
-        return _PPF[self.family](q, self.df) * self.scale + self.loc
+        return _PPF[self.family](np.asarray(q, dtype=float), self.df)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Draw using numpy's native samplers (faster than scipy's rvs)."""
         if self.family == "normal":
-            z = rng.standard_normal(size)
-        elif self.family == "uniform":
-            z = rng.random(size)
-        elif self.family == "exponential":
-            z = rng.standard_exponential(size)
-        elif self.family == "laplace":
-            z = rng.laplace(0.0, 1.0, size)
-        elif self.family == "logistic":
-            z = rng.logistic(0.0, 1.0, size)
-        else:
-            z = rng.chisquare(self.df, size)
-        return self.loc + self.scale * np.asarray(z)
+            return rng.standard_normal(size)
+        if self.family == "uniform":
+            return rng.random(size)
+        if self.family == "exponential":
+            return rng.standard_exponential(size)
+        if self.family == "laplace":
+            return rng.laplace(0.0, 1.0, size)
+        if self.family == "logistic":
+            return rng.logistic(0.0, 1.0, size)
+        return rng.chisquare(self.df, size)
 
     # -- population quantities ----------------------------------------------
 
     def mean_abs_from(self, z):
         """g_F(z) = E|z - Z|, elementwise over ``z``."""
-        u = (np.asarray(z, dtype=float) - self.loc) / self.scale
-        return self.scale * _g_standard(self.family, self.df, u)
+        z = np.asarray(z, dtype=float)
+        if self.family == "normal":
+            return 2.0 * np.exp(-0.5 * z * z) / _SQRT2PI + z * (2.0 * special.ndtr(z) - 1.0)
+        if self.family == "uniform":
+            return np.where(z < 0.0, 0.5 - z, np.where(z > 1.0, z - 0.5, z * z - z + 0.5))
+        if self.family == "exponential":
+            zp = np.maximum(z, 0.0)
+            return np.where(z < 0.0, 1.0 - z, zp - 1.0 + 2.0 * np.exp(-zp))
+        if self.family == "laplace":
+            return np.abs(z) + np.exp(-np.abs(z))
+        if self.family == "logistic":
+            # z + 2*log(1 + e^{-z}), written for numerical symmetry
+            return np.abs(z) + 2.0 * np.log1p(np.exp(-np.abs(z)))
+        # chi-square: partial expectation E[Z; Z<=z] = df * F_{df+2}(z)
+        df, zp = self.df, np.maximum(z, 0.0)
+        val = zp * (2.0 * special.chdtr(df, zp) - 1.0) + df - 2.0 * df * special.chdtr(df + 2, zp)
+        return np.where(z < 0.0, df - z, val)
 
     def mean_abs_gap(self) -> float:
         """g(F) = E|Z1 - Z2| for two independent copies."""
-        return self.scale * _gap_standard(self.family, self.df)
+        if self.family != "chi-square":
+            return _GAP[self.family]
+        # Gini mean difference of the gamma law with shape df/2 and scale 2
+        log_ratio = math.lgamma((self.df + 1.0) / 2.0) - math.lgamma(self.df / 2.0)
+        return 4.0 * math.exp(log_ratio) / math.sqrt(math.pi)
 
     def kernel(self, z1, z2):
         """Population Bergsma kernel h_F(z1, z2), elementwise."""
@@ -112,42 +128,9 @@ class ReferenceDistribution:
         )
 
 
-#: default law of the null, the simulators' noise and the test's reference F
-STANDARD_NORMAL = ReferenceDistribution("normal")
-
-
-# -- standard-member formulas ------------------------------------------------
-
-def _g_standard(family: str, df: float, u):
-    """g at u for the standard member (loc=0, scale=1), vectorized."""
-    if family == "normal":
-        return 2.0 * np.exp(-0.5 * u * u) / _SQRT2PI + u * (2.0 * special.ndtr(u) - 1.0)
-    if family == "uniform":
-        return np.where(u < 0.0, 0.5 - u, np.where(u > 1.0, u - 0.5, u * u - u + 0.5))
-    if family == "exponential":
-        up = np.maximum(u, 0.0)
-        return np.where(u < 0.0, 1.0 - u, up - 1.0 + 2.0 * np.exp(-up))
-    if family == "laplace":
-        return np.abs(u) + np.exp(-np.abs(u))
-    if family == "logistic":
-        # u + 2*log(1 + e^{-u}), written for numerical symmetry
-        return np.abs(u) + 2.0 * np.log1p(np.exp(-np.abs(u)))
-    # chi-square: partial expectation E[Z; Z<=z] = df * F_{df+2}(z)
-    u = np.asarray(u, dtype=float)
-    up = np.maximum(u, 0.0)
-    val = up * (2.0 * special.chdtr(df, up) - 1.0) + df - 2.0 * df * special.chdtr(df + 2, up)
-    return np.where(u < 0.0, df - u, val)
-
-
-#: g(F) = E|Z1 - Z2| of the standard member of each family but chi-square
+#: g(F) = E|Z1 - Z2| of each family but chi-square
 _GAP = {"normal": 2.0 / math.sqrt(math.pi), "uniform": 1.0 / 3.0, "exponential": 1.0,
         "laplace": 1.5, "logistic": 2.0}
 
-
-def _gap_standard(family: str, df: float) -> float:
-    """g(F) for the standard member."""
-    if family == "chi-square":
-        # Gini mean difference of the gamma law with shape df/2 and scale 2
-        log_ratio = math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
-        return 4.0 * math.exp(log_ratio) / math.sqrt(math.pi)
-    return _GAP[family]
+#: default law of the null, the simulators' noise and the test's reference F
+STANDARD_NORMAL = ReferenceDistribution("normal")

@@ -116,6 +116,16 @@ def test_coords_with_header(tmp_path):
     assert W.region_labels == ("p1", "p2")
 
 
+@pytest.mark.parametrize("text,row", [("A,0,x\nB,1,0\nC,2,1\n", 1),
+                                      ("name,lon,lat\nA,0,0\nB,x,1\n", 3)])
+def test_coords_typo_is_not_a_header(text, row, tmp_path):
+    # only a first row whose x and y are both non-numeric is skipped as a header
+    path = tmp_path / "coords.csv"
+    path.write_text(text)
+    with pytest.raises(NonNumericError, match=f"row {row}"):
+        load_weights(str(path), kind="coords")
+
+
 def test_acf_table_label_with_comma_reads_back(tmp_path):
     path = tmp_path / "acf.csv"
     table = {"Pune, city": [1.0, 0.25], "Mumbai": [1.0, -0.5], "Thane": [1.0, 0.0]}
@@ -235,6 +245,32 @@ def test_cli_spectrum(tmp_path):
     assert lines[1] == "k,lambda"
     first = float(lines[2].split(",")[1])
     assert first == pytest.approx(1 / np.pi**2, rel=0.01)
+
+
+def test_cli_prewhiten_failure_writes_neither_file(tmp_path, capsys):
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(6).standard_normal((20, 3))))
+    out, acf_out = tmp_path / "r.csv", tmp_path / "a.csv"
+    rc = main(["prewhiten", panel_path, "--ar", "1", "--acf-lags", "50",
+               "--acf-output", str(acf_out), "-o", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error_category"] == "LagError"
+    assert not out.exists() and not acf_out.exists()
+
+
+@pytest.mark.parametrize("kind,category", [("directory", "IsADirectoryError"),
+                                           ("binary", "ParseError")])
+def test_cli_unreadable_panel_is_a_json_error(kind, category, tmp_path, capsys):
+    path = tmp_path / "panel"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"a,b,c\n1,2,3\n\xff\xfe,0,1\n")
+    assert main(["compute", str(path), "--linear-chain", "3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_category"] == category
+    if kind == "binary":
+        assert f"{path}: line 3 is not UTF-8" in err["message"]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -381,9 +417,9 @@ _VALID_ARGV = {
     [(c, "--threads")
      for c in ("compute", "simulate", "sweep", "prewhiten", "weights", "spectrum")]
     + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")]
-    # S~_B, its null and rho~ do not move under a positive affine map of F
-    + [(c, f) for c in ("test", "null", "sweep") for f in ("--loc", "--scale")]
-    + [("spectrum", "--loc")]
+    # F is a family's standard member: no command takes a location or scale
+    + [(c, f) for c in ("test", "null", "simulate", "sweep", "spectrum")
+       for f in ("--loc", "--scale")]
     # the test is upper-tailed only
     + [("test", "--alternative")],
 )
@@ -424,6 +460,9 @@ def test_cli_rejects_flags_the_command_does_not_read(
            "InvalidParameterError") for T in ("1", "2")],
         (["sweep", "--model", "sar", "--thetas", "0,0.5,0.5", "--linear-chain", "4"],
          "InvalidParameterError"),
+        # df is read by chi-square only; it used to be recorded and ignored
+        (["null", "--R", "4", "--T", "10", "--linear-chain", "4", "--dist", "normal",
+          "--df", "-7"], "UnsupportedDistributionError"),
     ],
 )
 def test_cli_size_arguments_rejected_before_any_simulation(

@@ -16,6 +16,7 @@ from sbergsma import (
     linear_chain,
 )
 from sbergsma.exceptions import (
+    ConvergenceError,
     DimensionMismatchError,
     EmptyNullError,
     InvalidParameterError,
@@ -25,6 +26,7 @@ from sbergsma.exceptions import (
 )
 from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution
+from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -89,6 +91,64 @@ def test_nystrom_grid_refinement():
     rel = np.abs(a - b) / np.abs(b)
     assert np.all(rel[:50] <= 0.005)
     assert np.all(rel <= 0.01)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [ReferenceDistribution(f) for f in FAMILIES]
+    + [ReferenceDistribution("chi-square", df=df) for df in (2.5, 4.0)],
+    ids=str,
+)
+def test_kernel_square_mean_matches_sampling(dist):
+    rng = stream(31)
+    h2 = dist.kernel(dist.sample(200_000, rng), dist.sample(200_000, rng)) ** 2
+    se = h2.std() / np.sqrt(h2.size)
+    assert abs(nulldist._kernel_square_mean(dist) - h2.mean()) < 4 * se
+
+
+def test_kernel_square_mean_uniform_is_exact():
+    # the uniform kernel's eigenvalues are 1/(pi k)^2, whose squares sum to 1/90
+    assert nulldist._kernel_square_mean(UNIFORM) == pytest.approx(1 / 90, rel=1e-6)
+
+
+def test_nystrom_trace_check_fires_when_k_is_too_small():
+    # the 20 leading eigenvalues hold 4.3% less than the trace g(F)/2
+    with pytest.raises(ConvergenceError, match="eigenvalue sum"):
+        nystrom_eigenvalues(NORMAL, K=20, m=2000)
+
+
+def _patch_eigvalsh(monkeypatch, change):
+    """Route the eigensolve of the next uncached spectrum through ``change``."""
+    nystrom_eigenvalues.cache_clear()
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: change(eigvalsh(a)))
+
+
+def test_nystrom_square_sum_check_fires(monkeypatch):
+    def spread(e):
+        # same sum, 5% more square sum
+        c = e.mean()
+        s = np.sqrt((1.05 * np.sum(e**2) - e.size * c**2) / np.sum((e - c) ** 2))
+        return c + s * (e - c)
+
+    _patch_eigvalsh(monkeypatch, spread)
+    with pytest.raises(ConvergenceError, match="eigenvalue square sum"):
+        nystrom_eigenvalues(NORMAL, K=400, m=400)
+
+
+def test_nystrom_nan_spectrum_fails_its_checks(monkeypatch):
+    _patch_eigvalsh(monkeypatch, lambda e: np.full_like(e, np.nan))
+    with pytest.raises(ConvergenceError):
+        nystrom_eigenvalues(NORMAL, K=50, m=400)
+
+
+def test_nystrom_draws_no_random_numbers(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a random stream was opened")
+
+    nystrom_eigenvalues.cache_clear()
+    monkeypatch.setattr(nulldist, "stream", no_stream)
+    assert nystrom_eigenvalues(UNIFORM, K=50, m=400).eigenvalues.size == 50
 
 
 def test_nystrom_rejects_bad_k():
