@@ -2,25 +2,25 @@
 
 For a series z_1..z_T the empirically centered kernel is
 
-    h~[m, n] = -1/2 [ |z_m - z_n|
-                      - T/(T-1) * ( A_m + A_n - B ) ],
+    h~[m, n] = -1/2 [ |z_m - z_n| - a_m - a_n ],   a = T/(T-1) (A - B/2),
 
 where A_m is the m-th row mean of the absolute-difference matrix and B its
-grand mean.  The covariance estimator is the strict-upper-triangle average
+grand mean.  The covariance estimator is the average over the C(T,2) pairs
 
     kappa~(x, y) = C(T,2)^{-1} * sum_{m<n} Hx[m,n] * Hy[m,n],
 
 and rho~ = kappa~(x,y) / sqrt(kappa~(x,x) kappa~(y,y)).
 
-Kernel matrices are symmetric, so the strict-upper-triangle sum is half of
-the full elementwise sum less the diagonal.  With F the stack of kernels
-flattened to rows of length T^2 and d their diagonals, all pairs at once are
+Only the pairs enter kappa~, so :func:`panel_kernel_stack` builds -2 h~ in a
+circulant T x T//2 layout: entry [m, k-1] is the pair {m, (m+k) mod T}.  For
+even T the offset T/2 lists each pair twice, and the second listing is zero.
+With F the stacks flattened to rows, all pairs at once are
 
-    kappa~ = (F F^T - d d^T) / (T (T - 1)),
+    kappa~ = F F^T / (2 T (T - 1)),
 
-an exact identity that needs no triangular gather.  Every caller (single
-series, panels, batches of simulated panels) goes through
-:func:`panel_kernel_stack`, :func:`pairwise_kappa` and :func:`rho_from_kappa`.
+exact, as zeros add nothing.  Every caller (single series, panels, batches of
+simulated panels) goes through :func:`panel_kernel_stack`,
+:func:`pairwise_kappa` and :func:`rho_from_kappa`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     DegenerateRegionError,
@@ -58,31 +59,46 @@ def _validated_series(z, min_length: int) -> np.ndarray:
     return z
 
 
-def panel_kernel_stack(data) -> np.ndarray:
-    """Centered kernel matrices for every column of (..., T, R) panels.
+def _centring(X: np.ndarray) -> np.ndarray:
+    """a = T/(T-1) (A - B/2) of each series in (..., T), from sorted prefix sums."""
+    T = X.shape[-1]
+    order = np.argsort(X, axis=-1)
+    # shifted by the minimum, so the prefix sums do not cancel at a large offset
+    s = np.take_along_axis(X, order, axis=-1)
+    s -= s[..., :1]
+    c = np.cumsum(s, axis=-1)
+    # row sum of |x_m - x_n| for the j-th smallest: sum_{i<j} (s_j - s_i) + sum_{i>j} (s_i - s_j)
+    sums = (2 * np.arange(T) + 2 - T) * s + (c[..., -1:] - 2 * c)
+    A = np.empty_like(X)
+    np.put_along_axis(A, order, sums / T, axis=-1)
+    return (T / (T - 1.0)) * (A - 0.5 * A.mean(axis=-1, keepdims=True))
 
-    Returns an (..., R, T, T) stack; each region's matrix is built exactly
-    once, and the centering is applied in place.
-    """
+
+def panel_kernel_stack(data) -> np.ndarray:
+    """The (..., R, T, T//2) circulant stack of -2 h~ for (..., T, R) panels."""
     X = np.ascontiguousarray(np.swapaxes(np.asarray(data, dtype=float), -1, -2))
     T = X.shape[-1]  # X is (..., R, T)
-    H = X[..., :, None] - X[..., None, :]
+    K = T // 2
+    a = _centring(X)
+
+    def ahead(v):  # [..., m, k-1] = v[..., (m+k) mod T]
+        wrapped = np.concatenate([v, v[..., :K]], axis=-1)
+        return sliding_window_view(wrapped, K + 1, axis=-1)[..., 1:]
+
+    H = ahead(X) - X[..., None]
     np.abs(H, out=H)
-    A = H.mean(axis=-1)  # row means, (..., R, T)
-    # A_m + A_n - B split as a_m + a_n with a = A - B/2
-    a = (T / (T - 1.0)) * (A - 0.5 * A.mean(axis=-1, keepdims=True))
-    H -= a[..., :, None]
-    H -= a[..., None, :]
-    H *= -0.5
+    H -= a[..., None]
+    H -= ahead(a)
+    if T % 2 == 0:
+        H[..., K:, -1] = 0.0
     return H
 
 
 def pairwise_kappa(H: np.ndarray) -> np.ndarray:
-    """All-pairs kappa~ (..., R, R) from an (..., R, T, T) kernel stack."""
-    T = H.shape[-1]
-    F = H.reshape(*H.shape[:-2], T * T)
-    d = np.diagonal(H, axis1=-2, axis2=-1)
-    return (F @ np.swapaxes(F, -1, -2) - d @ np.swapaxes(d, -1, -2)) / (T * (T - 1))
+    """All-pairs kappa~ (..., R, R) from (..., R, T, *) stacks of each pair's -2 h~ once."""
+    T = H.shape[-2]
+    F = H.reshape(*H.shape[:-2], -1)
+    return F @ np.swapaxes(F, -1, -2) / (2 * T * (T - 1))
 
 
 def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:
@@ -116,7 +132,8 @@ def empirical_kernel_matrix(z) -> CenteredKernelMatrix:
     are zero (the centering cancels the single absolute difference exactly).
     """
     z = _validated_series(z, min_length=2)
-    return CenteredKernelMatrix(panel_kernel_stack(z[:, None])[0])
+    a = _centring(z)
+    return CenteredKernelMatrix(-0.5 * (np.abs(z[:, None] - z) - a[:, None] - a))
 
 
 def kappa_tilde(Hx: CenteredKernelMatrix, Hy: CenteredKernelMatrix) -> float:
@@ -128,7 +145,7 @@ def kappa_tilde(Hx: CenteredKernelMatrix, Hy: CenteredKernelMatrix) -> float:
     ex, ey = Hx.entries, Hy.entries
     if ex.shape != ey.shape:
         raise DimensionMismatchError(f"kernel shapes differ: {ex.shape} vs {ey.shape}")
-    return float(pairwise_kappa(np.stack([ex, ey]))[0, 1])
+    return float(pairwise_kappa(-2.0 * np.triu(np.stack([ex, ey]), 1))[0, 1])
 
 
 def rho_tilde(x, y) -> float:

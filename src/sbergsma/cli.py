@@ -276,10 +276,13 @@ def _positive_int(text: str) -> int:
 
 
 def _output_path(path: str) -> str:
-    """argparse type: a path that is absent or names a regular file."""
+    """argparse type: a path in an existing directory, absent or a regular file."""
     # the atomic rename would replace a FIFO or device node, and fail on a directory
     if os.path.exists(path) and not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"{path!r} exists and is not a regular file")
+    # checked before any work, so a run cannot end in a write it can never make
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of {path!r} does not exist")
     return path
 
 

@@ -17,7 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import InvalidParameterError, SampleSizeError, SingularSystemError
+from .exceptions import (
+    DegenerateRegionError,
+    InvalidParameterError,
+    SampleSizeError,
+    SingularSystemError,
+)
 from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
 from .statistic import SpatialPanel, sb_values_batch
@@ -129,11 +134,15 @@ def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.nd
 
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
-    """Draw a T x R panel with rows i.i.d. under the chosen dependence model."""
+    """Draw a T x R panel with rows i.i.d. under the model; no column may be constant."""
     if T < 3:
         raise InvalidParameterError(f"need T >= 3, got {T}")
     eps = spec.noise.sample((T, spec.W.n_regions), stream(seed))
-    return SpatialPanel(_apply_dependence(spec, eps), spec.W.region_labels)
+    y = _apply_dependence(spec, eps)
+    flat = [name for name, col in zip(spec.W.region_labels, y.T) if np.ptp(col) == 0]
+    if flat:
+        raise DegenerateRegionError(f"simulated panel has constant columns: {', '.join(flat)}")
+    return SpatialPanel(y, spec.W.region_labels)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
     S~_B = sum_{i<j} (w_ij + w_ji) * rho~(X_i, X_j) / S0,   S0 = sum_ij w_ij.
 
-Each region's centered kernel matrix is built exactly once (R kernel builds,
-not R^2), then all pairwise covariances come from one Gram product of the
-flattened kernel stack (see :mod:`sbergsma.bergsma`).  Asymmetric W is
-handled through the (w_ij + w_ji) form; no implicit symmetrization.
+Each region's kernel is built exactly once (R kernel builds, not R^2), over
+its C(T,2) time pairs only, then all pairwise covariances come from one Gram
+product of the flattened kernel stack (see :mod:`sbergsma.bergsma`).
+Asymmetric W is handled through the (w_ij + w_ji) form; no implicit
+symmetrization.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .exceptions import (
 from .weights import ProximityMatrix
 
 #: Kernel-stack bytes sb_values_batch builds at once (at least one replicate).
-#: Measured sweep, median us per replicate, one thread, 2-vCPU Xeon with 2 MiB
-#: of L2 per core; budgets 1 / 2 / 4 / 8 MiB:
-#:   R=2,  T=50:  32.8 / 33.1 / 33.8 / 40.5
-#:   R=14, T=50:  312 / 250 / 269 / 275   (16 MiB: about 400)
-#: At R=50, T=200 one replicate's stack is 16 MB, so every budget builds one
-#: at a time (about 19 ms each).  2 MiB, one L2's worth, is the fastest.
+#: Measured sweep of the (R, T, T//2) pair stacks, median us per replicate of
+#: sb_values_batch over three runs, one thread, 2-vCPU Xeon with 2 MiB of L2
+#: per core; budgets 1 / 2 / 4 / 8 / 16 MiB:
+#:   R=2,  T=50:  26.8 / 25.7 / 27.0 / 27.6 / 30.9
+#:   R=14, T=50:  192 / 182 / 182 / 195 / 217
+#: At R=50, T=200 one replicate's stack is 8 MB, so every budget builds one
+#: at a time (about 8 ms each).  2 MiB, one L2's worth, is the fastest or tied.
 _KERNEL_BYTES = 1 << 21
 
 
@@ -124,7 +126,7 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     B, T, R = X.shape
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {R}")
-    step = max(1, _KERNEL_BYTES // (R * T * T * X.itemsize))
+    step = max(1, _KERNEL_BYTES // (R * T * (T // 2) * X.itemsize))
     out = np.empty(B)
     for lo in range(0, B, step):
         H = panel_kernel_stack(X[lo : lo + step])

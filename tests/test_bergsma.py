@@ -12,7 +12,7 @@ from sbergsma import (
     rho_tilde,
     sb_values_batch,
 )
-from sbergsma.bergsma import panel_kernel_stack, pairwise_kappa
+from sbergsma.bergsma import _centring, panel_kernel_stack, pairwise_kappa
 from sbergsma.exceptions import (
     DegenerateSeriesError,
     DimensionMismatchError,
@@ -147,14 +147,14 @@ def test_kappa_unbiased_under_independence():
     # mean of kappa~ over independent pairs is 0 within Monte Carlo error
     reps, T = 10_000, 50
     vals = np.empty(reps)
-    iu = np.triu_indices(T, k=1)
     for lo in range(0, reps, 500):
         rng = stream(300, lo)
         X = rng.standard_normal((500, T, 2))
         for r in range(500):
-            H = panel_kernel_stack(X[r])
-            U = H[:, iu[0], iu[1]]
-            vals[lo + r] = (U[0] @ U[1]) / (T * (T - 1) // 2)
+            # the stack holds -2 h~ once per pair (and zeros), so the pair sum
+            # of products is U[0] @ U[1] / 4
+            U = panel_kernel_stack(X[r]).reshape(2, -1)
+            vals[lo + r] = (U[0] @ U[1]) / (4 * (T * (T - 1) // 2))
     se = vals.std() / np.sqrt(reps)
     assert abs(vals.mean()) < 3 * se
 
@@ -232,17 +232,67 @@ def test_pairwise_kappa_matches_elementwise():
             assert K[i, j] == pytest.approx(kappa_tilde(Hi, Hj), rel=1e-12)
 
 
+def naive_pairs(z):
+    """Circulant layout by loops: [m, k-1] = h~[m, (m+k) % T] for the first
+    listing of each pair, 0 for the second (offset T/2, even T)."""
+    T = len(z)
+    H = naive_kernel(z)
+    P = np.zeros((T, T // 2))
+    seen = set()
+    for m in range(T):
+        for k in range(1, T // 2 + 1):
+            pair = frozenset((m, (m + k) % T))
+            if pair not in seen:
+                seen.add(pair)
+                P[m, k - 1] = H[m, (m + k) % T]
+    assert len(seen) == T * (T - 1) // 2
+    return P
+
+
 def test_batched_stack_and_kappa_match_naive_oracle():
-    # (B, T, R) panels -> (B, R, T, T) kernels -> (B, R, R) kappa~, checked
-    # against the strict-upper-triangle definition
+    # (B, T, R) panels -> (B, R, T, T//2) pair kernels -> (B, R, R) kappa~,
+    # checked against the strict-upper-triangle definition
     data = stream(6).standard_normal((3, 9, 4))
     H = panel_kernel_stack(data)
-    assert H.shape == (3, 4, 9, 9)
+    assert H.shape == (3, 4, 9, 4)
     K = pairwise_kappa(H)
     assert K.shape == (3, 4, 4)
     for b in range(3):
         for i in range(4):
-            assert np.allclose(H[b, i], naive_kernel(data[b, :, i]), rtol=0, atol=1e-14)
+            # the stack holds -2 h~
+            assert np.allclose(-0.5 * H[b, i], naive_pairs(data[b, :, i]), rtol=0, atol=1e-14)
             for j in range(4):
                 want = naive_kappa(naive_kernel(data[b, :, i]), naive_kernel(data[b, :, j]))
                 assert K[b, i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5, 50, 51])
+def test_pair_stack_matches_naive_at_every_parity(T):
+    data = stream(7, T).standard_normal((T, 3))
+    H = panel_kernel_stack(data)
+    assert H.shape == (3, T, T // 2)
+    K = pairwise_kappa(H)
+    kernels = [naive_kernel(data[:, i]) for i in range(3)]
+    for i in range(3):
+        assert np.allclose(-0.5 * H[i], naive_pairs(data[:, i]), rtol=0, atol=1e-13)
+        for j in range(3):
+            want = naive_kappa(kernels[i], kernels[j])
+            assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("T", [2, 4, 50])
+def test_half_offset_second_listing_is_exactly_zero(T):
+    H = panel_kernel_stack(stream(8, T).standard_normal((2, T, 3)))
+    assert np.all(H[..., T // 2 :, -1] == 0.0)
+    if T > 2:
+        assert np.all(H[..., : T // 2, -1] != 0.0)
+
+
+def test_centring_row_sums_exact_at_large_offset():
+    # the sorted prefix sums are taken after a shift by the minimum; without
+    # it they cancel at offset 1e8 and lose about eight digits
+    T = 51
+    x = 1e8 + stream(9).standard_normal(T)
+    A = np.abs(x[:, None] - x).sum(axis=1) / T
+    want = (T / (T - 1)) * (A - 0.5 * A.mean())
+    assert np.max(np.abs(_centring(x) / want - 1)) < 1e-13

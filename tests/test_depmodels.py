@@ -15,7 +15,11 @@ from sbergsma import (
     theta_sweep,
 )
 from sbergsma.depmodels import _apply_dependence, sb_replicates
-from sbergsma.exceptions import InvalidParameterError, SampleSizeError
+from sbergsma.exceptions import (
+    DegenerateRegionError,
+    InvalidParameterError,
+    SampleSizeError,
+)
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -170,3 +174,12 @@ def test_sweep_matches_per_replicate_transform(model, theta, w_chain6):
         panel = _apply_dependence(spec, NORMAL.sample((T, 6), stream(seed, r)))
         want = sb_statistic(SpatialPanel(panel), w_chain6).value
         assert abs(sweep.samples[theta][r] - want) <= 1e-12
+
+
+def test_simulated_constant_columns_named():
+    # chi-square draws at df 1e-300 all standardize to 0; the panel used to
+    # come back all zero
+    spec = DependenceSpec("SMA", 0.3, row_standardize(linear_chain(3)),
+                          ReferenceDistribution("chi-square", df=1e-300))
+    with pytest.raises(DegenerateRegionError, match="R1, R2, R3"):
+        simulate_panel(spec, 10, seed=1)

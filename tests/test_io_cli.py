@@ -598,6 +598,27 @@ def test_cli_output_must_not_name_a_non_regular_file(command, target, panel_file
     assert not (tmp_path / "resid.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["null", "test", "prewhiten-acf"])
+def test_cli_output_in_a_missing_directory_is_a_usage_error(command, panel_file, tmp_path,
+                                                            capsys):
+    # null used to simulate first and then fail with FileNotFound, and
+    # prewhiten wrote its residual panel before the ACF table failed
+    missing = str(tmp_path / "missing_dir" / "out.csv")
+    argv = {
+        "null": ["null", "--R", "3", "--T", "10", "--linear-chain", "3", "--reps", "10",
+                 "--seed", "1", "-o", missing],
+        "test": ["test", panel_file, "--linear-chain", "3", "--reps", "10", "--cutoff",
+                 "0.2", "--seed", "1", "-o", missing],
+        "prewhiten-acf": ["prewhiten", panel_file, "--ar", "1", "-o",
+                          str(tmp_path / "resid.csv"), "--acf-output", missing],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+
 @pytest.mark.parametrize("target", ["fifo", "dir"])
 def test_writers_refuse_a_path_that_is_not_a_regular_file(target, tmp_path):
     path = tmp_path / target

@@ -147,7 +147,7 @@ def test_batch_bitwise_independent_of_split(monkeypatch):
         parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 10, size)]
         assert np.array_equal(np.concatenate(parts), whole)
     # the kernel byte budget only sets how many replicates share one stack
-    for budget in (1, 4 * 9 * 9 * 8 * 3, 1 << 30):
+    for budget in (1, 4 * 9 * (9 // 2) * 8 * 3, 1 << 30):
         monkeypatch.setattr(statistic, "_KERNEL_BYTES", budget)
         assert np.array_equal(sb_values_batch(panels, W), whole)
 
