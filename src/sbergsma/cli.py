@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from itertools import zip_longest
@@ -113,7 +114,7 @@ def _seed(args) -> int:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output:
         atomic_write_text(output, text)
     else:
@@ -267,6 +268,14 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",")]
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
     n = int(text)
@@ -310,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--bootstrap", type=int, default=None,
                    help="bootstrap resamples for a CI (omit to skip)")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--level", type=_finite_float, default=0.95)
+    p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pairwise rho~ cutoff (default: simulated 95th percentile)")
     p.add_argument("--cutoff-sims", type=_positive_int, default=10_000)
     _add_seed(p)

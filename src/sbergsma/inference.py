@@ -169,6 +169,8 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0) -> flo
 def pairwise_screen(rho: np.ndarray, cutoff: float) -> np.ndarray:
     """Flag pairs of an R x R rho~ matrix (such as :attr:`SBResult.pair_rho`) above
     ``cutoff``, never the diagonal; :func:`independence_rho_quantile` simulates one."""
+    if not np.isfinite(cutoff):
+        raise InvalidParameterError(f"cutoff must be finite, got {cutoff}")
     flags = rho > cutoff
     np.fill_diagonal(flags, False)
     return flags

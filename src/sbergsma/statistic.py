@@ -2,9 +2,9 @@
 
     S~_B = sum_{i<j} (w_ij + w_ji) * rho~(X_i, X_j) / S0,   S0 = sum_ij w_ij.
 
-Each region's kernel is built exactly once (R kernel builds, not R^2), over
-its C(T,2) time pairs only, then all pairwise covariances come from one Gram
-product of the flattened kernel stack (see :mod:`sbergsma.bergsma`).
+Each region's pair distances are built exactly once (R builds, not R^2), over
+its C(T,2) time pairs only, and all pairwise covariances come from one Gram
+product of them, accumulated over tiles (see :mod:`sbergsma.bergsma`).
 Asymmetric W is handled through the (w_ij + w_ji) form; no implicit
 symmetrization.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import pairwise_kappa, panel_kernel_stack, rho_from_kappa
+from .bergsma import _KERNEL_BYTES, pairwise_kappa, rho_from_kappa
 from .exceptions import (
     DimensionMismatchError,
     LengthError,
@@ -23,16 +23,6 @@ from .exceptions import (
     SizeError,
 )
 from .weights import ProximityMatrix
-
-#: Kernel-stack bytes sb_values_batch builds at once (at least one replicate).
-#: Measured sweep of the (R, T, T//2) pair stacks, median us per replicate of
-#: sb_values_batch over three runs, one thread, 2-vCPU Xeon with 2 MiB of L2
-#: per core; budgets 1 / 2 / 4 / 8 / 16 MiB:
-#:   R=2,  T=50:  26.8 / 25.7 / 27.0 / 27.6 / 30.9
-#:   R=14, T=50:  192 / 182 / 182 / 195 / 217
-#: At R=50, T=200 one replicate's stack is 8 MB, so every budget builds one
-#: at a time (about 8 ms each).  2 MiB, one L2's worth, is the fastest or tied.
-_KERNEL_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,7 @@ def sb_statistic(panel: SpatialPanel, W: ProximityMatrix) -> SBResult:
         raise DimensionMismatchError(
             f"W has {W.n_regions} regions, panel has {panel.n_regions}"
         )
-    H = panel_kernel_stack(panel.data)
-    rho = rho_from_kappa(pairwise_kappa(H), panel.region_labels)
+    rho = rho_from_kappa(pairwise_kappa(panel.data), panel.region_labels)
     value = float(_weighted_average(rho, W))
     T = panel.n_time
     return SBResult(
@@ -117,18 +106,23 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     """S~_B for a (B, T, R) stack of panels.
 
     The simulation workhorse of the Monte Carlo null, the bootstrap and the
-    theta sweep.  Kernel stacks are built a few replicates at a time, within
-    :data:`_KERNEL_BYTES`, so memory stays bounded for any B, R and T; each
-    value is bitwise the same however the batch is split.  Raises if any
-    replicate has a degenerate or non-finite column.
+    theta sweep.  Replicates share one kernel call as long as their whole pair
+    stacks fit :data:`_KERNEL_BYTES`, and a longer replicate is built in
+    tiles within it, so memory stays bounded for any B, R and T; each value
+    is bitwise the same however the batch is split.  Raises if the stack is
+    not 3-d, T < 3, or any replicate has a degenerate or non-finite column.
     """
     X = np.asarray(panels, dtype=float)
+    if X.ndim != 3:
+        raise DimensionMismatchError(f"panels must be a 3-d (B, T, R) stack, got {X.shape}")
     B, T, R = X.shape
+    if T < 3:
+        raise LengthError(f"need T >= 3 time points, got {T}")
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {R}")
     step = max(1, _KERNEL_BYTES // (R * T * (T // 2) * X.itemsize))
     out = np.empty(B)
     for lo in range(0, B, step):
-        H = panel_kernel_stack(X[lo : lo + step])
-        out[lo : lo + step] = _weighted_average(rho_from_kappa(pairwise_kappa(H)), W)
+        kappa = pairwise_kappa(X[lo : lo + step])
+        out[lo : lo + step] = _weighted_average(rho_from_kappa(kappa), W)
     return out

@@ -148,13 +148,8 @@ def test_kappa_unbiased_under_independence():
     reps, T = 10_000, 50
     vals = np.empty(reps)
     for lo in range(0, reps, 500):
-        rng = stream(300, lo)
-        X = rng.standard_normal((500, T, 2))
-        for r in range(500):
-            # the stack holds -2 h~ once per pair (and zeros), so the pair sum
-            # of products is U[0] @ U[1] / 4
-            U = panel_kernel_stack(X[r]).reshape(2, -1)
-            vals[lo + r] = (U[0] @ U[1]) / (4 * (T * (T - 1) // 2))
+        X = stream(300, lo).standard_normal((500, T, 2))
+        vals[lo : lo + 500] = pairwise_kappa(X)[:, 0, 1]
     se = vals.std() / np.sqrt(reps)
     assert abs(vals.mean()) < 3 * se
 
@@ -221,10 +216,8 @@ def test_nonlinear_dependence_detected_where_pearson_fails():
 
 
 def test_pairwise_kappa_matches_elementwise():
-    rng = stream(5)
-    data = rng.standard_normal((12, 4))
-    H = panel_kernel_stack(data)
-    K = pairwise_kappa(H)
+    data = stream(5).standard_normal((12, 4))
+    K = pairwise_kappa(data)
     for i in range(4):
         for j in range(4):
             Hi = empirical_kernel_matrix(data[:, i])
@@ -232,49 +225,67 @@ def test_pairwise_kappa_matches_elementwise():
             assert K[i, j] == pytest.approx(kappa_tilde(Hi, Hj), rel=1e-12)
 
 
-def naive_pairs(z):
-    """Circulant layout by loops: [m, k-1] = h~[m, (m+k) % T] for the first
-    listing of each pair, 0 for the second (offset T/2, even T)."""
+def naive_offsets(z):
+    """Offset layout by loops: [k-1, m] = |z[(m+k) % T] - z[m]| - c for the
+    first listing of each pair, 0 for the second (offset T/2, even T), where
+    c is the mean pair distance."""
     T = len(z)
-    H = naive_kernel(z)
-    P = np.zeros((T, T // 2))
+    c = sum(abs(z[m] - z[n]) for m in range(T) for n in range(T)) / (T * (T - 1))
+    P = np.zeros((T // 2, T))
     seen = set()
-    for m in range(T):
-        for k in range(1, T // 2 + 1):
+    for k in range(1, T // 2 + 1):
+        for m in range(T):
             pair = frozenset((m, (m + k) % T))
             if pair not in seen:
                 seen.add(pair)
-                P[m, k - 1] = H[m, (m + k) % T]
+                P[k - 1, m] = abs(z[(m + k) % T] - z[m]) - c
     assert len(seen) == T * (T - 1) // 2
     return P
 
 
-def test_batched_stack_and_kappa_match_naive_oracle():
-    # (B, T, R) panels -> (B, R, T, T//2) pair kernels -> (B, R, R) kappa~,
-    # checked against the strict-upper-triangle definition
+def offset_tiles(data, n):
+    """(..., T, R) panels -> (..., R, T//2, T): every panel_kernel_stack tile
+    of n offsets, each written into a NaN-filled buffer, concatenated."""
+    X = np.swapaxes(data, -1, -2)
+    T = X.shape[-1]
+    K = T // 2
+    wrapped = np.concatenate([X, X[..., :K]], axis=-1)
+    c = np.abs(X[..., :, None] - X[..., None, :]).sum(axis=(-2, -1)) / (T * (T - 1))
+    tiles = []
+    for k in range(1, K + 1, n):
+        out = np.full((*X.shape[:-1], min(n, K + 1 - k), T), np.nan)
+        assert panel_kernel_stack(wrapped, c, k, out) is out
+        tiles.append(out)
+    return np.concatenate(tiles, axis=-2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_batched_tiles_and_kappa_match_naive_oracle(n):
+    # (B, T, R) panels -> (B, R, T//2, T) shifted pair distances, in tiles of
+    # n offsets -> (B, R, R) kappa~, checked against the strict-upper-triangle
+    # definition
     data = stream(6).standard_normal((3, 9, 4))
-    H = panel_kernel_stack(data)
-    assert H.shape == (3, 4, 9, 4)
-    K = pairwise_kappa(H)
+    D = offset_tiles(data, n)
+    assert D.shape == (3, 4, 4, 9)
+    K = pairwise_kappa(data)
     assert K.shape == (3, 4, 4)
     for b in range(3):
         for i in range(4):
-            # the stack holds -2 h~
-            assert np.allclose(-0.5 * H[b, i], naive_pairs(data[b, :, i]), rtol=0, atol=1e-14)
+            assert np.allclose(D[b, i], naive_offsets(data[b, :, i]), rtol=0, atol=1e-14)
             for j in range(4):
                 want = naive_kappa(naive_kernel(data[b, :, i]), naive_kernel(data[b, :, j]))
                 assert K[b, i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 5, 50, 51])
-def test_pair_stack_matches_naive_at_every_parity(T):
+def test_offset_tiles_match_naive_at_every_parity(T):
     data = stream(7, T).standard_normal((T, 3))
-    H = panel_kernel_stack(data)
-    assert H.shape == (3, T, T // 2)
-    K = pairwise_kappa(H)
+    D = offset_tiles(data, max(1, T // 3))
+    assert D.shape == (3, T // 2, T)
+    K = pairwise_kappa(data)
     kernels = [naive_kernel(data[:, i]) for i in range(3)]
     for i in range(3):
-        assert np.allclose(-0.5 * H[i], naive_pairs(data[:, i]), rtol=0, atol=1e-13)
+        assert np.allclose(D[i], naive_offsets(data[:, i]), rtol=0, atol=1e-13)
         for j in range(3):
             want = naive_kappa(kernels[i], kernels[j])
             assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -282,10 +293,34 @@ def test_pair_stack_matches_naive_at_every_parity(T):
 
 @pytest.mark.parametrize("T", [2, 4, 50])
 def test_half_offset_second_listing_is_exactly_zero(T):
-    H = panel_kernel_stack(stream(8, T).standard_normal((2, T, 3)))
-    assert np.all(H[..., T // 2 :, -1] == 0.0)
+    # zeroed after the shift by c, so the second listing adds nothing
+    D = offset_tiles(stream(8, T).standard_normal((2, T, 3)), 3)
+    assert np.all(D[..., -1, T // 2 :] == 0.0)
     if T > 2:
-        assert np.all(H[..., : T // 2, -1] != 0.0)
+        assert np.all(D[..., -1, : T // 2] != 0.0)
+
+
+def test_kappa_spans_several_tiles(monkeypatch):
+    # one panel cut into tiles of 7, 10 and all 30 offsets gives kappa~ that
+    # differs from the one-tile value by rounding only
+    import sbergsma.bergsma as bergsma
+
+    data = stream(10).standard_normal((60, 3))
+    whole = pairwise_kappa(data)
+    for offsets in (7, 10):
+        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", 3 * 60 * 8 * offsets)
+        assert np.allclose(pairwise_kappa(data), whole, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_long_series_rho_matches_kernel_matrix_route(offset):
+    # the shift by the mean pair distance keeps the row-sum expansion from
+    # cancelling: unshifted, offset 0 misses by about 1e-14
+    T = 1000
+    x, y = offset + stream(11).standard_normal((2, T))
+    Hx, Hy = empirical_kernel_matrix(x), empirical_kernel_matrix(y)
+    want = kappa_tilde(Hx, Hy) / np.sqrt(kappa_tilde(Hx, Hx) * kappa_tilde(Hy, Hy))
+    assert abs(rho_tilde(x, y) - want) < 2e-15
 
 
 def test_centring_row_sums_exact_at_large_offset():

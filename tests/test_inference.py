@@ -178,6 +178,12 @@ def test_pairwise_screen_explicit_cutoff():
     assert not pairwise_screen(rho, 1.1).any()
 
 
+@pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf])
+def test_pairwise_screen_rejects_non_finite_cutoff(cutoff):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        pairwise_screen(np.eye(3), cutoff)
+
+
 def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
     # column 0 has eight equal values out of ten, so about a tenth of the
     # resamples are constant there and get redrawn from the same stream

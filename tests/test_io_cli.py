@@ -511,6 +511,11 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
         # the pair cutoff is simulated last, so its count is checked by the parser
         (["test", "{panel}", "--linear-chain", "3", "--cutoff-sims", "0"],
          "argument --cutoff-sims: must be at least 1, got 0"),
+        # a NaN cutoff flagged no pair and wrote "cutoff": NaN, which is not JSON;
+        # an unread NaN level was written the same way
+        *[(["test", "{panel}", "--linear-chain", "3", flag, c],
+           f"argument {flag}: must be finite, got {c}")
+          for flag in ("--cutoff", "--level") for c in ("nan", "inf")],
         *[([c, *args, "--linear-chain", "3", "--threads", n],
            f"argument --threads: must be at least 1, got {n}")
           for c, args in (("test", ["{panel}"]), ("null", ["--R", "3", "--T", "10"]))

@@ -150,6 +150,42 @@ def test_batch_bitwise_independent_of_split(monkeypatch):
     for budget in (1, 4 * 9 * (9 // 2) * 8 * 3, 1 << 30):
         monkeypatch.setattr(statistic, "_KERNEL_BYTES", budget)
         assert np.array_equal(sb_values_batch(panels, W), whole)
+    # R = 4, T = 400: one replicate's 2.56 MB pair stack spans two offset
+    # tiles (163 and 37 offsets), whichever replicates share the tile buffer
+    monkeypatch.undo()
+    panels = stream(25).standard_normal((3, 400, 4))
+    whole = sb_values_batch(panels, W)
+    for size in (1, 2):
+        parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 3, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    monkeypatch.setattr(statistic, "_KERNEL_BYTES", 1 << 30)
+    assert np.array_equal(sb_values_batch(panels, W), whole)
+
+
+@pytest.mark.parametrize(
+    "shape,error",
+    [((2, 1, 3), LengthError), ((2, 2, 3), LengthError),
+     ((5, 3), DimensionMismatchError), ((1, 2, 5, 3), DimensionMismatchError)],
+)
+def test_batch_rejects_bad_shapes(shape, error):
+    with pytest.raises(error):
+        sb_values_batch(np.ones(shape), row_standardize(linear_chain(3)))
+
+
+def test_long_series_memory_bounded_in_T():
+    # one replicate's R x T x T//2 pair stack is 504 MB here; the offset
+    # tiles keep the whole call within a few MiB
+    import tracemalloc
+
+    panel = SpatialPanel(stream(27).standard_normal((3000, 14)))
+    W = row_standardize(linear_chain(14))
+    tracemalloc.start()
+    try:
+        sb_statistic(panel, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_batch_degenerate_replicate_named():
