@@ -21,6 +21,7 @@ from sbergsma import (
     nystrom_eigenvalues,
     row_standardize,
 )
+from sbergsma.cli import _non_negative_int, _positive_int
 from sbergsma.io import save_samples
 
 
@@ -32,8 +33,8 @@ def main():
     ap.add_argument("--families", default="normal,uniform,exponential,laplace,logistic,chi-square")
     ap.add_argument("--K", type=int, default=100)
     ap.add_argument("--grid", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=4)
+    ap.add_argument("--seed", type=_non_negative_int, default=1)
+    ap.add_argument("--threads", type=_positive_int, default=4)
     ap.add_argument("--outdir", default="null_study")
     args = ap.parse_args()
 

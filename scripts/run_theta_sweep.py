@@ -11,7 +11,7 @@ import argparse
 import os
 
 from sbergsma import linear_chain, row_standardize, theta_sweep
-from sbergsma.cli import _float_list
+from sbergsma.cli import _float_list, _non_negative_int
 from sbergsma.io import save_sweep
 
 
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--T", type=int, default=50)
     ap.add_argument("--reps", type=int, default=2000)
     ap.add_argument("--thetas", type=_float_list, default="0,0.1,0.25,0.5,0.75,0.9")
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seed", type=_non_negative_int, default=42)
     ap.add_argument("--outdir", default="theta_sweep")
     args = ap.parse_args()
 

@@ -158,7 +158,8 @@ def _cmd_test(args):
     # drawn last: the test checks its own size arguments before it simulates
     cutoff = args.cutoff
     if cutoff is None:
-        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=args.cutoff_sims)
+        cutoff = independence_rho_quantile(panel.n_time, seed=seed, n_sim=args.cutoff_sims,
+                                           n_jobs=args.threads)
     flags = pairwise_screen(report.sb.pair_rho, cutoff)
     payload = {
         "meta": _meta(args, hashes),
@@ -242,7 +243,7 @@ def _add_weight_args(p, standardize=True):
     p.add_argument(
         "--weights-kind", choices=("dense", "edges", "coords"), default="dense"
     )
-    p.add_argument("--regions", type=int, help="region count for edge-list input")
+    p.add_argument("--regions", type=_positive_int, help="region count for edge-list input")
     std = p.add_mutually_exclusive_group()
     std.add_argument("--standardize", dest="standardize", action="store_true")
     std.add_argument("--no-standardize", dest="standardize", action="store_false")
@@ -250,7 +251,7 @@ def _add_weight_args(p, standardize=True):
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
 
 
 def _add_threads(p):
@@ -274,6 +275,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return x
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0, such as a seed."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
 
 
 def _positive_int(text: str) -> int:

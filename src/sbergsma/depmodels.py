@@ -11,7 +11,6 @@ case of no spatial association.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,15 +24,12 @@ from .exceptions import (
 )
 from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
-from .statistic import SpatialPanel, sb_values_batch
+from .statistic import SpatialPanel, replicate_values, sb_values_batch
 from .timeseries import moments
 from .weights import ProximityMatrix
 
 _COND_LIMIT = 1e12
 _COND_WARN = 1e3
-
-#: noise replicates drawn at once by sb_replicates; results do not depend on it
-_CHUNK = 200
 
 
 def _spectral_radius(W: ProximityMatrix) -> float:
@@ -103,34 +99,26 @@ def _apply_dependence(spec: DependenceSpec, eps: np.ndarray) -> np.ndarray:
 def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.ndarray:
     """S~_B of replicates 0..reps-1 under each spec, shape (len(specs), reps).
 
-    The specs share W and noise.  Replicate r's noise is one
-    ``noise.sample((T, R))`` draw from stream (seed, r); each chunk of noise is
-    drawn once and mapped by every spec (common random numbers), so a
-    theta = 0 spec gives the Monte Carlo null.  Chunks run on ``n_jobs``
-    threads and are joined in index order, so no value depends on the thread
-    count.
+    The specs must share W and noise.  Replicate r's noise is one
+    ``noise.sample((T, R))`` draw from stream (seed, r); each range of
+    :func:`sbergsma.statistic.replicate_values` draws its noise once and maps
+    it by every spec (common random numbers), so a theta = 0 spec gives the
+    Monte Carlo null.  No value depends on ``n_jobs``.
     """
-    if n_jobs < 1:
-        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
     W, noise = specs[0].W, specs[0].noise
+    if any(not np.array_equal(s.W.weights, W.weights) or s.noise != noise for s in specs):
+        raise InvalidParameterError("specs must share W and noise")
     for spec in specs:
         spec.matrix  # builds each map, and checks SAR conditioning, before any draw
 
-    def chunk(lo):
-        hi = min(lo + _CHUNK, reps)
-        # filled in place, so the chunk's noise is held once
+    def values(lo, hi):
+        # filled in place, so the range's noise is held once
         eps = np.empty((hi - lo, T, W.n_regions))
         for i in range(hi - lo):
             eps[i] = noise.sample((T, W.n_regions), stream(seed, lo + i))
-        return [sb_values_batch(_apply_dependence(spec, eps), W) for spec in specs]
+        return np.stack([sb_values_batch(_apply_dependence(spec, eps), W) for spec in specs])
 
-    starts = range(0, reps, _CHUNK)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(pool.map(chunk, starts))
-    else:
-        chunks = [chunk(lo) for lo in starts]
-    return np.concatenate(chunks, axis=1)
+    return replicate_values(values, reps, n_jobs)
 
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:

@@ -19,10 +19,10 @@ from .nulldist import (
 )
 from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
-from .statistic import SBResult, SpatialPanel, sb_statistic, sb_values_batch
+from .statistic import SBResult, SpatialPanel, replicate_values, sb_statistic, sb_values_batch
 from .weights import ProximityMatrix, linear_chain
 
-#: independent normal pairs drawn per stream for the pair-screen cutoff
+#: independent normal pairs drawn from one stream for the pair-screen cutoff
 _CUTOFF_BLOCK = 2000
 
 
@@ -61,7 +61,7 @@ def test_spatial_independence(
     ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference
     distribution defaults to standard normal: the null law is insensitive to
     F, and residual inputs are continuous.  ``n_jobs`` threads the Monte Carlo
-    null; results are identical for any value.
+    null and the bootstrap; results are identical for any value.
     """
     if null_method not in ("monte_carlo", "asymptotic_eigen"):
         raise InvalidParameterError(f"unknown null method {null_method!r}")
@@ -79,7 +79,8 @@ def test_spatial_independence(
     ci = None
     notes = []
     if ci_resamples is not None:
-        lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed)
+        lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed,
+                              n_jobs=n_jobs)
         ci = (lo, hi, ci_level, "bootstrap_percentile")
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
@@ -109,13 +110,15 @@ def bootstrap_ci(
     B: int = 1000,
     level: float = 0.95,
     seed: int = 0,
+    n_jobs: int = 1,
 ) -> tuple[float, float]:
     """Percentile bootstrap CI for S~_B, resampling time rows jointly.
 
     Rows are resampled with replacement across all regions at once, which
-    preserves the cross-sectional dependence being measured.  A resample
-    that leaves some region constant is redrawn, up to 10*B total attempts.
-    All resamples are then evaluated in one batch.  No clamping at 0 is
+    preserves the cross-sectional dependence being measured.  A resample that
+    leaves some region constant is redrawn, up to 10 attempts per resample of
+    its range of :func:`sbergsma.statistic.replicate_values`, so memory does
+    not grow with B and nothing depends on ``n_jobs``.  No clamping at 0 is
     applied; raw percentiles are reported.
     """
     if B < 200:
@@ -124,32 +127,36 @@ def bootstrap_ci(
         raise InvalidParameterError(f"level must be in (0,1), got {level}")
     T = panel.n_time
     data = panel.data
-    resamples = np.empty((B, T, panel.n_regions))
-    attempts = 0
-    for b in range(B):
-        rng = stream(seed, b)
-        while True:
-            attempts += 1
-            if attempts > 10 * B:
-                raise TooManyDegenerateResamplesError(
-                    f"more than {10*B} resample attempts were degenerate"
-                )
-            sub = data[rng.integers(0, T, size=T)]
-            # constant column <=> degenerate kernel; cheap max-min check
-            if np.all(sub.max(axis=0) - sub.min(axis=0) > 0):
-                break
-        resamples[b] = sub
-    values = sb_values_batch(resamples, W)
+
+    def values(lo, hi):
+        n = hi - lo
+        resamples = np.empty((n, T, panel.n_regions))
+        attempts = 0
+        for i in range(n):
+            rng = stream(seed, lo + i)
+            while True:
+                attempts += 1
+                if attempts > 10 * n:
+                    raise TooManyDegenerateResamplesError(
+                        f"more than {10 * n} attempts at resamples {lo}..{hi - 1} were degenerate")
+                sub = data[rng.integers(0, T, size=T)]
+                # constant column <=> degenerate kernel; cheap max-min check
+                if np.all(sub.max(axis=0) - sub.min(axis=0) > 0):
+                    break
+            resamples[i] = sub
+        return sb_values_batch(resamples, W)
+
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(replicate_values(values, B, n_jobs), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 
-def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0) -> float:
+def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,
+                              n_jobs: int = 1) -> float:
     """Monte Carlo 95th percentile of rho~ for independent standard normal pairs.
 
     This is the empirical cutoff used to flag individually significant
-    region pairs (about 0.17 at T = 19).
+    region pairs (about 0.17 at T = 19); it does not depend on ``n_jobs``.
     """
     if T < 3:
         raise InvalidParameterError(f"need T >= 3, got {T}")
@@ -157,13 +164,11 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0) -> flo
         raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
     # for R = 2 with the symmetric 0/1 pair matrix, S~_B reduces to rho~ itself
     W2 = linear_chain(2)
-    vals = np.empty(n_sim)
-    for lo in range(0, n_sim, _CUTOFF_BLOCK):
-        hi = min(lo + _CUTOFF_BLOCK, n_sim)
-        rng = stream(seed, lo)
-        X = rng.standard_normal((hi - lo, T, 2))
-        vals[lo:hi] = sb_values_batch(X, W2)
-    return float(np.quantile(vals, 0.95))
+
+    def values(lo, hi):
+        return sb_values_batch(stream(seed, lo).standard_normal((hi - lo, T, 2)), W2)
+
+    return float(np.quantile(replicate_values(values, n_sim, n_jobs, _CUTOFF_BLOCK), 0.95))
 
 
 def pairwise_screen(rho: np.ndarray, cutoff: float) -> np.ndarray:

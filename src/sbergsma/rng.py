@@ -7,8 +7,8 @@ scheduled across threads or processes.  The underlying bit generator is
 Philox (counter based), which makes stream construction cheap.
 
 Stream layout.  Every simulated number comes from a fixed stream, so any
-replicate can be regenerated on its own and results do not depend on
-chunking or thread count:
+replicate can be regenerated on its own and results do not depend on the
+thread count of the one replicate loop, :func:`sbergsma.statistic.replicate_values`:
 
 * Monte Carlo null replicate r and theta-sweep replicate r: one
   ``dist.sample((T, R))`` draw from ``stream(seed, r)``.  The sweep reuses
@@ -16,8 +16,9 @@ chunking or thread count:
   samples equal the Monte Carlo null at the same seed.
 * Bootstrap resample b: ``integers(0, T, size=T)`` row indices from
   ``stream(seed, b)``; a resample with a constant column is redrawn from the
-  same stream, with at most 10 * B draws over all B resamples.
-* Pair-screen cutoff: standard normal pairs in blocks of 2000; the block
+  same stream, with at most 10 * n draws over the n (at most 200) resamples
+  of each range of the loop.
+* Pair-screen cutoff: standard normal pairs in ranges of 2000; the range
   starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
   ``stream(seed, lo)``.
 * Asymptotic null pair p (i < j, row-major) of nonzero weight: ``n_draws``
@@ -25,9 +26,9 @@ chunking or thread count:
 * ``simulate_panel``: ``stream(seed)``.
 
 These draws are not independent of one another within one seed: the Monte
-Carlo replicate, the bootstrap resample, the cutoff block and the asymptotic
+Carlo replicate, the bootstrap resample, the cutoff range and the asymptotic
 pair numbered r all read ``stream(seed, r)``.  With a standard normal null,
-replicate 0's noise is exactly the first T * R normals of cutoff block 0.
+replicate 0's noise is exactly the first T * R normals of cutoff range 0.
 """
 
 from __future__ import annotations

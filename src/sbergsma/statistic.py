@@ -11,6 +11,7 @@ symmetrization.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,15 @@ import numpy as np
 from .bergsma import _KERNEL_BYTES, pairwise_kappa, rho_from_kappa
 from .exceptions import (
     DimensionMismatchError,
+    InvalidParameterError,
     LengthError,
     NonFiniteError,
     SizeError,
 )
 from .weights import ProximityMatrix
+
+#: replicates of one range of :func:`replicate_values`; no value depends on it
+_RANGE = 200
 
 
 @dataclass(frozen=True)
@@ -126,3 +131,28 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
         kappa = pairwise_kappa(X[lo : lo + step])
         out[lo : lo + step] = _weighted_average(rho_from_kappa(kappa), W)
     return out
+
+
+def replicate_values(values, n: int, n_jobs: int = 1, size: int = _RANGE) -> np.ndarray:
+    """Join ``values(lo, hi)``, the S~_B of replicates lo..hi-1 along its last
+    axis, over the ranges of ``size`` replicates that cover 0..n-1.
+
+    The one replicate loop of the Monte Carlo null, the theta sweep, the
+    bootstrap and the pair cutoff.  Ranges run on ``n_jobs`` threads (one: the
+    calling thread) and join in index order, so no value depends on ``n_jobs``;
+    the first error cancels the ranges not yet started.
+    """
+    if n_jobs < 1:
+        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
+
+    starts = range(0, n, size)
+    ends = [min(lo + size, n) for lo in starts]
+    if n_jobs == 1:
+        parts = list(map(values, starts, ends))
+    else:
+        pool = ThreadPoolExecutor(max_workers=n_jobs)
+        try:
+            parts = list(pool.map(values, starts, ends))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return np.concatenate(parts, axis=-1)

@@ -71,6 +71,8 @@ class ProximityMatrix:
 
 def adjacency_from_edges(edges, R: int) -> ProximityMatrix:
     """Symmetric 0/1 adjacency matrix from unordered region pairs (1-based)."""
+    if R < 2:
+        raise SizeError(f"need R >= 2 regions, got {R}")
     w = np.zeros((R, R))
     for i, j in edges:
         if not (1 <= i <= R and 1 <= j <= R):
@@ -100,8 +102,6 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
 
 def linear_chain(R: int) -> ProximityMatrix:
     """Lag-1 adjacency of regions arranged on a line: w_ij = 1 iff |i-j| = 1."""
-    if R < 2:
-        raise SizeError(f"linear chain needs R >= 2, got {R}")
     return adjacency_from_edges([(i, i + 1) for i in range(1, R)], R)
 
 

@@ -19,6 +19,7 @@ from sbergsma.exceptions import (
     DegenerateRegionError,
     InvalidParameterError,
     SampleSizeError,
+    SingularSystemError,
 )
 from sbergsma.rng import stream
 
@@ -112,6 +113,29 @@ def test_thread_counts_below_one_rejected_before_any_draw(monkeypatch, w_chain6,
     spec = DependenceSpec("SMA", 0.0, w_chain6)
     with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
         sb_replicates([spec], T=10, reps=10, seed=0, n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("other", ["W", "noise"])
+def test_replicates_reject_specs_on_another_w_or_noise(monkeypatch, w_chain6, other):
+    # every spec used to be weighted by the first spec's W and drawn from its noise
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(depmodels, "stream", no_draw)
+    W = row_standardize(linear_chain(6)) if other == "noise" else linear_chain(6)
+    noise = ReferenceDistribution("uniform") if other == "noise" else NORMAL
+    specs = [DependenceSpec("SMA", 0.0, w_chain6), DependenceSpec("SMA", 0.5, W, noise)]
+    with pytest.raises(InvalidParameterError, match="share W and noise"):
+        sb_replicates(specs, T=10, reps=10, seed=0)
+
+
+def test_sar_numerically_singular_system_raises(w_chain6):
+    # theta just inside 1 / spectral radius: I - theta W has condition ~ 1e13
+    spec = DependenceSpec("SAR", 0.9999999999999, row_standardize(linear_chain(4)))
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        simulate_panel(spec, T=10, seed=0)
 
 
 @pytest.mark.parametrize("theta", [0.6, -0.4])

@@ -146,12 +146,43 @@ def test_bootstrap_b_too_small(w5):
         bootstrap_ci(panel, w5, B=300, level=1.5)
 
 
-def test_bootstrap_degenerate_column_exhausts_redraws():
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_bootstrap_degenerate_column_exhausts_redraws(n_jobs):
     # identity panel: column i is constant unless row i is drawn, so a
-    # non-degenerate resample needs all 14 rows present (prob ~ 1e-5)
+    # non-degenerate resample needs all 14 rows present (prob ~ 1e-5); the
+    # bound is 10 attempts per resample of a range, whatever the thread count
     panel = SpatialPanel(np.eye(14))
-    with pytest.raises(TooManyDegenerateResamplesError):
-        bootstrap_ci(panel, row_standardize(linear_chain(14)), B=200, seed=0)
+    with pytest.raises(TooManyDegenerateResamplesError, match="2000 attempts"):
+        bootstrap_ci(panel, row_standardize(linear_chain(14)), B=600, seed=0,
+                     n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_bootstrap_and_cutoff_bitwise_identical_for_any_thread_count(w5, n_jobs):
+    # B = 650 is four ranges of the replicate loop, n_sim = 5000 three blocks
+    panel = SpatialPanel(stream(33).standard_normal((15, 5)))
+    assert (bootstrap_ci(panel, w5, B=650, seed=2, n_jobs=n_jobs)
+            == bootstrap_ci(panel, w5, B=650, seed=2))
+    assert (independence_rho_quantile(12, n_sim=5000, seed=3, n_jobs=n_jobs)
+            == independence_rho_quantile(12, n_sim=5000, seed=3))
+
+
+def test_bootstrap_memory_does_not_grow_with_B():
+    # the resamples are held a range at a time; one array of all B of them
+    # grows by T * R * 8 bytes per resample, 8 MiB from B = 500 to 2000
+    import tracemalloc
+
+    panel = SpatialPanel(stream(34).standard_normal((50, 14)))
+    W = row_standardize(linear_chain(14))
+    peaks = []
+    for B in (500, 2000):
+        tracemalloc.start()
+        try:
+            bootstrap_ci(panel, W, B=B, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_independence_rho_quantile_near_published_cutoff():

@@ -314,24 +314,32 @@ def test_cli_test_empty_edge_list_fails(tmp_path, capsys):
     assert err["error_category"] == "IsolatedRegionError"
 
 
-def test_cli_test_threads_reach_the_monte_carlo_null(monkeypatch, tmp_path):
+def test_cli_test_threads_reach_every_simulation(monkeypatch, tmp_path):
+    import sbergsma.cli as cli
     import sbergsma.inference as inference
 
-    seen = []
-    real = inference.monte_carlo_null
+    seen = {}
 
-    def recording(*args, **kw):
-        seen.append(kw["n_jobs"])
-        return real(*args, **kw)
+    def recording(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(inference, "monte_carlo_null", recording)
+        def wrapper(*args, **kw):
+            seen[name] = kw["n_jobs"]
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(inference, "monte_carlo_null")
+    recording(inference, "bootstrap_ci")
+    recording(cli, "independence_rho_quantile")
     panel_path = str(tmp_path / "p.csv")
     save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
     assert main([
-        "test", panel_path, "--linear-chain", "4", "--reps", "50", "--cutoff", "0.2",
-        "--seed", "1", "--threads", "2", "-o", str(tmp_path / "report.json"),
+        "test", panel_path, "--linear-chain", "4", "--reps", "50", "--bootstrap", "200",
+        "--cutoff-sims", "50", "--seed", "1", "--threads", "2",
+        "-o", str(tmp_path / "report.json"),
     ]) == 0
-    assert seen == [2]
+    assert seen == {"monte_carlo_null": 2, "bootstrap_ci": 2, "independence_rho_quantile": 2}
 
 
 _COORDS = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (2.0, 0.0)}
@@ -530,6 +538,15 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
          "argument --weights: not allowed with argument --linear-chain"),
         *[(["weights", "--linear-chain", "3", flag, "{panel}"], "unrecognized arguments")
           for flag in ("--coords", "--edges")],
+        # a negative seed ended in a bare numpy ValueError, on test only after
+        # the statistic and the bootstrap had run
+        *[([c, *args, "--linear-chain", "3", "--seed", "-1"],
+           "argument --seed: must be at least 0, got -1")
+          for c, args in (("simulate", ["--model", "sma", "--theta", "0.5"]),
+                          ("sweep", ["--model", "sma"]))],
+        # a negative region count ended in numpy's "negative dimensions" error
+        (["weights", "--weights", "{panel}", "--weights-kind", "edges", "--regions", "-3"],
+         "argument --regions: must be at least 1, got -3"),
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -556,6 +573,24 @@ def test_cli_weights_reads_w_like_every_other_subcommand(kind, text, tmp_path):
     assert meta["config"]["standardize"] is False
     assert np.array_equal(load_weights(str(out)).weights,
                           load_weights(str(src), kind).weights)
+
+
+@pytest.mark.parametrize(
+    "argv,category",
+    [
+        (["weights", "--weights", "{w}", "-o", "{out}"], "NegativeWeightError"),
+        # I - theta W has condition 2.2e13 on the standardized chain
+        (["simulate", "--model", "sar", "--theta", "0.9999999999999", "--linear-chain", "4",
+          "--seed", "1", "-o", "{out}"], "SingularSystemError"),
+    ],
+)
+def test_cli_weight_and_model_errors_are_json_errors(argv, category, tmp_path, capsys):
+    w = tmp_path / "w.csv"
+    w.write_text("0,1,1\n1,0,-1\n1,1,0\n")
+    out = tmp_path / "out.csv"
+    assert main([a.format(w=w, out=out) for a in argv]) == 1
+    assert json.loads(capsys.readouterr().err)["error_category"] == category
+    assert not out.exists()
 
 
 def test_cli_linear_chain_too_short_is_a_size_error(tmp_path, capsys):

@@ -74,3 +74,17 @@ def test_run_theta_sweep_thetas_that_do_not_parse_are_usage_errors(
     assert exc.value.code == 2
     assert "argument --thetas" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name,flag,value,message", [
+    ("run_null_study", "--seed", "-1", "must be at least 0, got -1"),
+    ("run_theta_sweep", "--seed", "-1", "must be at least 0, got -1"),
+    # a thread count below 1 used to end in an InvalidParameterError traceback
+    ("run_null_study", "--threads", "0", "must be at least 1, got 0"),
+])
+def test_scripts_reject_out_of_range_counts(name, flag, value, message, tmp_path,
+                                            monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run_script(name, [flag, value, "--outdir", str(tmp_path / "out")], monkeypatch)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err

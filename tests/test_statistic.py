@@ -15,11 +15,13 @@ from sbergsma import (
 from sbergsma.exceptions import (
     DegenerateRegionError,
     DimensionMismatchError,
+    InvalidParameterError,
     LengthError,
     NonFiniteError,
     SizeError,
 )
 from sbergsma.rng import stream
+from sbergsma.statistic import replicate_values
 
 from conftest import naive_sb
 
@@ -216,3 +218,34 @@ def test_non_finite_self_covariance_raises():
     # NaN panels used to give NaN values
     with pytest.raises(NonFiniteError):
         sb_values_batch(np.full((2, 5, 3), np.nan), W)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 7, 200])
+def test_replicate_ranges_join_in_index_order(n_jobs, size):
+    got = replicate_values(lambda lo, hi: np.arange(lo, hi) * [[1.0], [-1.0]], 50,
+                           n_jobs=n_jobs, size=size)
+    assert np.array_equal(got, np.arange(50) * [[1.0], [-1.0]])
+
+
+def test_replicate_ranges_stop_at_the_first_error():
+    import threading
+    import time
+
+    started = []
+    lock = threading.Lock()
+
+    def values(lo, hi):
+        with lock:
+            started.append(lo)
+        if lo == 0:
+            raise LengthError("range 0 failed")
+        time.sleep(0.01)
+        return np.zeros(hi - lo)
+
+    with pytest.raises(LengthError, match="range 0 failed"):
+        replicate_values(values, 100, n_jobs=2, size=1)
+    # the ranges not yet started are cancelled, not run to the end
+    assert len(started) < 100
+    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+        replicate_values(values, 100, n_jobs=0)

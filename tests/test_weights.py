@@ -13,6 +13,7 @@ from sbergsma import (
 from sbergsma.exceptions import (
     DuplicatePointError,
     IsolatedRegionError,
+    NegativeWeightError,
     RegionIndexError,
     SelfLoopError,
     SizeError,
@@ -33,6 +34,13 @@ def test_adjacency_errors():
         adjacency_from_edges([(1, 1)], 3)
     with pytest.raises(RegionIndexError):
         adjacency_from_edges([(1, 4)], 3)
+
+
+@pytest.mark.parametrize("R", [1, 0, -3])
+def test_adjacency_needs_two_regions(R):
+    # R = -3 used to end in numpy's "negative dimensions are not allowed"
+    with pytest.raises(SizeError, match="R >= 2"):
+        adjacency_from_edges([], R)
 
 
 def test_inverse_distance_examples():
@@ -111,6 +119,11 @@ def test_diagonal_must_be_zero():
     w[1, 1] = 0.1
     with pytest.raises(SelfLoopError):
         ProximityMatrix(w)
+
+
+def test_negative_weight_rejected():
+    with pytest.raises(NegativeWeightError):
+        ProximityMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_all_zero_weights_rejected():
