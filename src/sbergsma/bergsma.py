@@ -40,12 +40,14 @@ from .exceptions import (
     NonFiniteError,
 )
 
-#: Bytes of pair distances built at once.  A tile holds as many time offsets
-#: of one panel as fit, n = _KERNEL_BYTES // (R T 8), at least one, so a
-#: panel whose R x T x T//2 stack fits is one tile and memory stays bounded
-#: in T; n depends on R and T alone, so a panel's kappa~ is bitwise the same
-#: in any batch.  :func:`sbergsma.statistic.sb_values_batch` batches as many
-#: whole stacks as fit.  2 MiB is one L2 cache of the 2-vCPU Xeon it was tuned on.
+#: Bytes of pair distances built at once, the one memory budget of every
+#: kernel caller; only :func:`pairwise_kappa` reads it.  A tile holds as many
+#: time offsets of one panel as fit, n = _KERNEL_BYTES // (R T 8), at least
+#: one, so a panel whose R x T x T//2 stack fits is one tile and memory stays
+#: bounded in T.  Panels run in groups of as many n-offset stacks as fit, at
+#: least one, so memory stays bounded in the batch too.  n and the group size
+#: depend on R and T alone, so a panel's kappa~ is bitwise the same in any
+#: batch.  2 MiB is one L2 cache of the 2-vCPU Xeon it was tuned on.
 _KERNEL_BYTES = 1 << 21
 
 
@@ -103,22 +105,28 @@ def panel_kernel_stack(wrapped, c, k: int, out: np.ndarray) -> np.ndarray:
 
 
 def pairwise_kappa(data) -> np.ndarray:
-    """All-pairs kappa~ (..., R, R) of (..., T, R) panels, tile by tile."""
-    X = np.swapaxes(np.asarray(data, dtype=float), -1, -2)  # (..., R, T)
-    *lead, T = X.shape
-    K = T // 2
-    a = _centring(X)
-    c = 2.0 * a.mean(axis=-1)  # the mean pair distance
-    a -= 0.5 * c[..., None]
-    G = -T * (a @ np.swapaxes(a, -1, -2))
-    wrapped = np.concatenate([X, X[..., :K]], axis=-1)
-    n = min(K, max(1, _KERNEL_BYTES // (lead[-1] * T * X.itemsize)))
-    buf = np.empty(X.size * n)  # one tile buffer, reused
-    for k in range(1, K + 1, n):
-        tile = buf[: X.size * min(n, K + 1 - k)].reshape(*lead, -1, T)
-        F = panel_kernel_stack(wrapped, c, k, tile).reshape(*lead, -1)
-        G += F @ np.swapaxes(F, -1, -2)
-    return G / (2 * T * (T - 1))
+    """All-pairs kappa~ (..., R, R) of (..., T, R) panels, group by group, tile by tile."""
+    data = np.asarray(data, dtype=float)
+    *lead, T, R = data.shape
+    X = np.swapaxes(data.reshape(-1, T, R), -1, -2)  # (P, R, T)
+    P, K = len(X), T // 2
+    n = min(K, max(1, _KERNEL_BYTES // (R * T * X.itemsize)))  # offsets per tile
+    g = max(1, _KERNEL_BYTES // (R * T * n * X.itemsize))  # panels per group
+    G = np.empty((P, R, R))
+    buf = np.empty(min(g, P) * R * n * T)  # one tile buffer, reused
+    for lo in range(0, P, g):
+        x, out = X[lo : lo + g], G[lo : lo + g]
+        a = _centring(x)
+        c = 2.0 * a.mean(axis=-1)  # the mean pair distance
+        a -= 0.5 * c[..., None]
+        out[...] = -T * (a @ np.swapaxes(a, -1, -2))
+        wrapped = np.concatenate([x, x[..., :K]], axis=-1)
+        for k in range(1, K + 1, n):
+            tile = buf[: x.size * min(n, K + 1 - k)].reshape(len(x), R, -1, T)
+            F = panel_kernel_stack(wrapped, c, k, tile).reshape(len(x), R, -1)
+            out += F @ np.swapaxes(F, -1, -2)
+    G /= 2 * T * (T - 1)
+    return G.reshape(*lead, R, R)
 
 
 def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:

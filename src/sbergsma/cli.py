@@ -394,7 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # the one flag that is read only at one value of another flag
+    if getattr(args, "regions", None) and not (args.weights and args.weights_kind == "edges"):
+        parser.error("argument --regions: only read with --weights-kind edges")
     try:
         args.func(args)
     except (SbergsmaError, OSError) as err:

@@ -96,18 +96,17 @@ def _apply_dependence(spec: DependenceSpec, eps: np.ndarray) -> np.ndarray:
     return eps @ spec.matrix.T
 
 
-def sb_replicates(specs, T: int, reps: int, seed: int, n_jobs: int = 1) -> np.ndarray:
-    """S~_B of replicates 0..reps-1 under each spec, shape (len(specs), reps).
+def sb_replicates(model: str, thetas, W: ProximityMatrix, noise: ReferenceDistribution,
+                  T: int, reps: int, seed: int, n_jobs: int = 1) -> np.ndarray:
+    """S~_B of replicates 0..reps-1 under each theta, shape (len(thetas), reps).
 
-    The specs must share W and noise.  Replicate r's noise is one
-    ``noise.sample((T, R))`` draw from stream (seed, r); each range of
-    :func:`sbergsma.statistic.replicate_values` draws its noise once and maps
-    it by every spec (common random numbers), so a theta = 0 spec gives the
-    Monte Carlo null.  No value depends on ``n_jobs``.
+    Replicate r's noise is one ``noise.sample((T, R))`` draw from stream
+    (seed, r); each range of :func:`sbergsma.statistic.replicate_values` draws
+    its noise once and maps it by the ``model`` of every theta (common random
+    numbers), so theta = 0 gives the Monte Carlo null.  No value depends on
+    ``n_jobs``.
     """
-    W, noise = specs[0].W, specs[0].noise
-    if any(not np.array_equal(s.W.weights, W.weights) or s.noise != noise for s in specs):
-        raise InvalidParameterError("specs must share W and noise")
+    specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
     for spec in specs:
         spec.matrix  # builds each map, and checks SAR conditioning, before any draw
 
@@ -168,7 +167,6 @@ def theta_sweep(
         raise InvalidParameterError("need at least one theta")
     if len(set(thetas)) != len(thetas):
         raise InvalidParameterError(f"thetas must be distinct, got {thetas}")
-    specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
-    samples = dict(zip(thetas, sb_replicates(specs, T, reps, seed)))
+    samples = dict(zip(thetas, sb_replicates(model, thetas, W, noise, T, reps, seed)))
     summaries = {theta: moments(vals) for theta, vals in samples.items()}
     return SweepResult(model, thetas, samples, summaries)

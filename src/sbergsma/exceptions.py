@@ -1,16 +1,11 @@
 """Exception hierarchy for the sbergsma package.
 
-Every error raised by the library derives from :class:`SbergsmaError`, so the
-CLI can map failures to a machine-readable category (the class name).
+Every error raised by the library derives from :class:`SbergsmaError`.
 """
 
 
 class SbergsmaError(Exception):
     """Base class for all library errors."""
-
-    @property
-    def category(self) -> str:
-        return type(self).__name__
 
 
 # --- series / kernel errors -------------------------------------------------

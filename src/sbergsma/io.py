@@ -20,7 +20,7 @@ import csv
 import io as _io
 import json
 import os
-import tempfile
+import shutil
 
 import numpy as np
 
@@ -41,15 +41,23 @@ _FMT = "%.17g"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via temp-file + rename; never leaves partial files."""
+    """Write text to path via temp-file + rename; never leaves partial files.
+
+    A new file gets the mode ``open(path, "w")`` would give it, 0o666 less
+    the umask; a replaced file keeps its mode.
+    """
     # the rename would replace a FIFO or device node, and fail on a directory
     if os.path.exists(path) and not os.path.isfile(path):
         raise OutputPathError(f"{path!r} exists and is not a regular file")
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}.part")
+    # exclusive, like tempfile.mkstemp, but created 0o666 so the umask applies
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if os.path.isfile(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .depmodels import DependenceSpec, sb_replicates
+from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
@@ -228,8 +228,7 @@ def monte_carlo_null(
         raise InvalidParameterError(f"need T >= 3, got {T}")
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {R}")
-    null_spec = DependenceSpec("SMA", 0.0, W, dist)
-    samples = T * sb_replicates([null_spec], T, reps, seed, n_jobs)[0]
+    samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
     return NullDistribution(
         samples,
         "monte_carlo",

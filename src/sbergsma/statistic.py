@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import _KERNEL_BYTES, pairwise_kappa, rho_from_kappa
+from .bergsma import pairwise_kappa, rho_from_kappa
 from .exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -111,26 +111,21 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     """S~_B for a (B, T, R) stack of panels.
 
     The simulation workhorse of the Monte Carlo null, the bootstrap and the
-    theta sweep.  Replicates share one kernel call as long as their whole pair
-    stacks fit :data:`_KERNEL_BYTES`, and a longer replicate is built in
-    tiles within it, so memory stays bounded for any B, R and T; each value
-    is bitwise the same however the batch is split.  Raises if the stack is
-    not 3-d, T < 3, or any replicate has a degenerate or non-finite column.
+    theta sweep.  :func:`sbergsma.bergsma.pairwise_kappa`, the one owner of
+    the kernel byte budget, groups and tiles the batch, so memory stays
+    bounded for any B, R and T and each value is bitwise the same however the
+    batch is split.  Raises if the stack is not 3-d, T < 3, or any replicate
+    has a degenerate or non-finite column.
     """
     X = np.asarray(panels, dtype=float)
     if X.ndim != 3:
         raise DimensionMismatchError(f"panels must be a 3-d (B, T, R) stack, got {X.shape}")
-    B, T, R = X.shape
+    _, T, R = X.shape
     if T < 3:
         raise LengthError(f"need T >= 3 time points, got {T}")
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {R}")
-    step = max(1, _KERNEL_BYTES // (R * T * (T // 2) * X.itemsize))
-    out = np.empty(B)
-    for lo in range(0, B, step):
-        kappa = pairwise_kappa(X[lo : lo + step])
-        out[lo : lo + step] = _weighted_average(rho_from_kappa(kappa), W)
-    return out
+    return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)
 
 
 def replicate_values(values, n: int, n_jobs: int = 1, size: int = _RANGE) -> np.ndarray:

@@ -237,7 +237,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 
 def test_criterion_11_workflow_targets_documented():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
     needed = ["0.85", "0.78", "0.09", "0.14"]
     ok = all(v in readme for v in needed) and "workflow" in readme.lower()
     _line(11, ok, "external-data workflow targets documented in README")

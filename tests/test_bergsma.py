@@ -312,6 +312,22 @@ def test_kappa_spans_several_tiles(monkeypatch):
         assert np.allclose(pairwise_kappa(data), whole, rtol=1e-13, atol=0)
 
 
+def test_kappa_memory_bounded_for_any_batch():
+    # 1000 panels of R=14, T=50 hold 140 MB of pair distances; the panels run
+    # in groups within the kernel budget, so the peak is about the tile
+    # buffer plus the 1.6 MB of kappa~
+    import tracemalloc
+
+    data = stream(12).standard_normal((1000, 50, 14))
+    tracemalloc.start()
+    try:
+        pairwise_kappa(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_long_series_rho_matches_kernel_matrix_route(offset):
     # the shift by the mean pair distance keeps the row-sum expansion from

@@ -110,25 +110,8 @@ def test_thread_counts_below_one_rejected_before_any_draw(monkeypatch, w_chain6,
         raise AssertionError("noise was drawn")
 
     monkeypatch.setattr(depmodels, "stream", no_draw)
-    spec = DependenceSpec("SMA", 0.0, w_chain6)
     with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
-        sb_replicates([spec], T=10, reps=10, seed=0, n_jobs=n_jobs)
-
-
-@pytest.mark.parametrize("other", ["W", "noise"])
-def test_replicates_reject_specs_on_another_w_or_noise(monkeypatch, w_chain6, other):
-    # every spec used to be weighted by the first spec's W and drawn from its noise
-    import sbergsma.depmodels as depmodels
-
-    def no_draw(*args):
-        raise AssertionError("noise was drawn")
-
-    monkeypatch.setattr(depmodels, "stream", no_draw)
-    W = row_standardize(linear_chain(6)) if other == "noise" else linear_chain(6)
-    noise = ReferenceDistribution("uniform") if other == "noise" else NORMAL
-    specs = [DependenceSpec("SMA", 0.0, w_chain6), DependenceSpec("SMA", 0.5, W, noise)]
-    with pytest.raises(InvalidParameterError, match="share W and noise"):
-        sb_replicates(specs, T=10, reps=10, seed=0)
+        sb_replicates("SMA", [0.0], w_chain6, NORMAL, T=10, reps=10, seed=0, n_jobs=n_jobs)
 
 
 def test_sar_numerically_singular_system_raises(w_chain6):

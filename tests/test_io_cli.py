@@ -547,6 +547,13 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
         # a negative region count ended in numpy's "negative dimensions" error
         (["weights", "--weights", "{panel}", "--weights-kind", "edges", "--regions", "-3"],
          "argument --regions: must be at least 1, got -3"),
+        # --regions sizes an edge list only; elsewhere it was ignored but
+        # still recorded in the output's config
+        *[(["weights", *args, "--regions", "99"],
+           "argument --regions: only read with --weights-kind edges")
+          for args in (["--weights", "{panel}"], ["--linear-chain", "3"],
+                       ["--weights", "{panel}", "--weights-kind", "coords"],
+                       ["--linear-chain", "3", "--weights-kind", "edges"])],
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -671,3 +678,26 @@ def test_writers_refuse_a_path_that_is_not_a_regular_file(target, tmp_path):
     mode = path.stat().st_mode
     assert stat.S_ISFIFO(mode) if target == "fifo" else stat.S_ISDIR(mode)
     assert [p.name for p in tmp_path.iterdir()] == [target]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_output_gets_the_mode_open_would_give(umask, tmp_path):
+    # outputs were renamed tempfile.mkstemp files, owner-only whatever the umask
+    out = tmp_path / "w.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["weights", "--linear-chain", "3", "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o604], ids=oct)
+def test_replaced_output_keeps_its_mode(mode, tmp_path):
+    out = tmp_path / "w.csv"
+    out.write_text("old\n")
+    out.chmod(mode)
+    save_weights(str(out), linear_chain(3))
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_text() != "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]

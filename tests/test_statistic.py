@@ -140,7 +140,7 @@ def test_batch_matches_single():
 
 
 def test_batch_bitwise_independent_of_split(monkeypatch):
-    import sbergsma.statistic as statistic
+    import sbergsma.bergsma as bergsma
 
     panels = stream(23).standard_normal((10, 9, 4))
     W = row_standardize(linear_chain(4))
@@ -148,20 +148,20 @@ def test_batch_bitwise_independent_of_split(monkeypatch):
     for size in (1, 3, 7):
         parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 10, size)]
         assert np.array_equal(np.concatenate(parts), whole)
-    # the kernel byte budget only sets how many replicates share one stack
-    for budget in (1, 4 * 9 * (9 // 2) * 8 * 3, 1 << 30):
-        monkeypatch.setattr(statistic, "_KERNEL_BYTES", budget)
+    # from one replicate's 4 x 9 x 4 pair stack up, the kernel byte budget
+    # only sets how many replicates share a group; test_kappa_spans_several_tiles
+    # covers smaller budgets, which cut one replicate into tiles
+    for budget in (4 * 9 * 4 * 8, 4 * 9 * 4 * 8 * 3, 1 << 30):
+        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", budget)
         assert np.array_equal(sb_values_batch(panels, W), whole)
     # R = 4, T = 400: one replicate's 2.56 MB pair stack spans two offset
-    # tiles (163 and 37 offsets), whichever replicates share the tile buffer
+    # tiles (163 and 37 offsets), so each replicate is a group of its own
     monkeypatch.undo()
     panels = stream(25).standard_normal((3, 400, 4))
     whole = sb_values_batch(panels, W)
     for size in (1, 2):
         parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 3, size)]
         assert np.array_equal(np.concatenate(parts), whole)
-    monkeypatch.setattr(statistic, "_KERNEL_BYTES", 1 << 30)
-    assert np.array_equal(sb_values_batch(panels, W), whole)
 
 
 @pytest.mark.parametrize(
