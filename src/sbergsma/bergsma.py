@@ -108,6 +108,8 @@ def pairwise_kappa(data) -> np.ndarray:
     """All-pairs kappa~ (..., R, R) of (..., T, R) panels, group by group, tile by tile."""
     data = np.asarray(data, dtype=float)
     *lead, T, R = data.shape
+    if T < 2:
+        raise LengthError(f"series length {T} < required 2")
     X = np.swapaxes(data.reshape(-1, T, R), -1, -2)  # (P, R, T)
     P, K = len(X), T // 2
     n = min(K, max(1, _KERNEL_BYTES // (R * T * X.itemsize)))  # offsets per tile

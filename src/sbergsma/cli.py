@@ -240,9 +240,8 @@ def _add_weight_args(p, standardize=True):
     source.add_argument("--weights", help="path to a weight matrix file")
     source.add_argument("--linear-chain", type=int, metavar="R",
                         help="builtin linear chain of R regions")
-    p.add_argument(
-        "--weights-kind", choices=("dense", "edges", "coords"), default="dense"
-    )
+    p.add_argument("--weights-kind", choices=("dense", "edges", "coords"),
+                   help="format of the --weights file (default: dense)")
     p.add_argument("--regions", type=_positive_int, help="region count for edge-list input")
     std = p.add_mutually_exclusive_group()
     std.add_argument("--standardize", dest="standardize", action="store_true")
@@ -396,9 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the one flag that is read only at one value of another flag
+    # the flags that are read only with another flag
     if getattr(args, "regions", None) and not (args.weights and args.weights_kind == "edges"):
         parser.error("argument --regions: only read with --weights-kind edges")
+    if getattr(args, "weights", None):
+        args.weights_kind = args.weights_kind or "dense"
+    elif getattr(args, "weights_kind", None):
+        parser.error("argument --weights-kind: only read with --weights")
     try:
         args.func(args)
     except (SbergsmaError, OSError) as err:

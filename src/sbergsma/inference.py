@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # np.quantile reads np.ma, which numpy 2 loads lazily; load it with the package
 
 from .exceptions import (
     EmptyNullError,

@@ -17,7 +17,9 @@ g_F is evaluated from the identity
 which needs only the CDF and the partial expectation; both are in closed form
 for all six families, as is g(F).  The inverse CDFs and the normal and
 chi-square CDFs are the ``scipy.special`` forms that ``scipy.stats`` uses;
-the tests check g_F and g(F) against adaptive quadrature.
+the tests check g_F and g(F) against adaptive quadrature.  ``scipy.special``
+is imported only where it is called, so sampling (every Monte Carlo path)
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -26,22 +28,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import UnsupportedDistributionError
 
 FAMILIES = ("normal", "uniform", "exponential", "laplace", "logistic", "chi-square")
+#: the families whose law is symmetric about its median, F(c - z) = 1 - F(c + z)
+SYMMETRIC = ("normal", "uniform", "laplace", "logistic")
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-#: inverse CDF of each family's standard member, in the forms scipy.stats uses
+#: inverse CDF of each family's standard member, in the forms scipy.stats uses;
+#: each takes the ``scipy.special`` module, the probabilities and df
 _PPF = {
-    "normal": lambda q, df: special.ndtri(q),
-    "uniform": lambda q, df: q,
-    "exponential": lambda q, df: -special.log1p(-q),
-    "laplace": lambda q, df: np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)),
-    "logistic": lambda q, df: special.logit(q),
-    "chi-square": lambda q, df: 2 * special.gammaincinv(df / 2, q),
+    "normal": lambda sp, q, df: sp.ndtri(q),
+    "uniform": lambda sp, q, df: q,
+    "exponential": lambda sp, q, df: -sp.log1p(-q),
+    "laplace": lambda sp, q, df: np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)),
+    "logistic": lambda sp, q, df: sp.logit(q),
+    "chi-square": lambda sp, q, df: 2 * sp.gammaincinv(df / 2, q),
 }
 
 
@@ -70,7 +74,9 @@ class ReferenceDistribution:
 
     def ppf(self, q):
         """Inverse CDF at probabilities ``q`` in [0, 1], elementwise."""
-        return _PPF[self.family](np.asarray(q, dtype=float), self.df)
+        from scipy import special
+
+        return _PPF[self.family](special, np.asarray(q, dtype=float), self.df)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Draw using numpy's native samplers (faster than scipy's rvs)."""
@@ -92,7 +98,9 @@ class ReferenceDistribution:
         """g_F(z) = E|z - Z|, elementwise over ``z``."""
         z = np.asarray(z, dtype=float)
         if self.family == "normal":
-            return 2.0 * np.exp(-0.5 * z * z) / _SQRT2PI + z * (2.0 * special.ndtr(z) - 1.0)
+            from scipy.special import ndtr
+
+            return 2.0 * np.exp(-0.5 * z * z) / _SQRT2PI + z * (2.0 * ndtr(z) - 1.0)
         if self.family == "uniform":
             return np.where(z < 0.0, 0.5 - z, np.where(z > 1.0, z - 0.5, z * z - z + 0.5))
         if self.family == "exponential":
@@ -104,8 +112,10 @@ class ReferenceDistribution:
             # z + 2*log(1 + e^{-z}), written for numerical symmetry
             return np.abs(z) + 2.0 * np.log1p(np.exp(-np.abs(z)))
         # chi-square: partial expectation E[Z; Z<=z] = df * F_{df+2}(z)
+        from scipy.special import chdtr
+
         df, zp = self.df, np.maximum(z, 0.0)
-        val = zp * (2.0 * special.chdtr(df, zp) - 1.0) + df - 2.0 * df * special.chdtr(df + 2, zp)
+        val = zp * (2.0 * chdtr(df, zp) - 1.0) + df - 2.0 * df * chdtr(df + 2, zp)
         return np.where(z < 0.0, df - z, val)
 
     def mean_abs_gap(self) -> float:

@@ -34,6 +34,7 @@ replicate 0's noise is exactly the first T * R normals of cutoff range 0.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it with the package, not in the first stream()
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:

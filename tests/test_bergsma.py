@@ -225,6 +225,13 @@ def test_pairwise_kappa_matches_elementwise():
             assert K[i, j] == pytest.approx(kappa_tilde(Hi, Hj), rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [0, 1])
+def test_pairwise_kappa_needs_two_time_points(T):
+    # T = 1 has no time pairs; it ended in a bare ZeroDivisionError
+    with pytest.raises(LengthError):
+        pairwise_kappa(np.ones((T, 3)))
+
+
 def naive_offsets(z):
     """Offset layout by loops: [k-1, m] = |z[(m+k) % T] - z[m]| - c for the
     first listing of each pair, 0 for the second (offset T/2, even T), where

@@ -554,6 +554,10 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
           for args in (["--weights", "{panel}"], ["--linear-chain", "3"],
                        ["--weights", "{panel}", "--weights-kind", "coords"],
                        ["--linear-chain", "3", "--weights-kind", "edges"])],
+        # --weights-kind without a file was ignored but still recorded as read
+        *[(["weights", "--linear-chain", "3", "--weights-kind", kind],
+           "argument --weights-kind: only read with --weights")
+          for kind in ("dense", "coords")],
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -580,6 +584,18 @@ def test_cli_weights_reads_w_like_every_other_subcommand(kind, text, tmp_path):
     assert meta["config"]["standardize"] is False
     assert np.array_equal(load_weights(str(out)).weights,
                           load_weights(str(src), kind).weights)
+
+
+def test_cli_weights_kind_is_recorded_only_with_a_weights_file(tmp_path):
+    dense, out = tmp_path / "dense.csv", tmp_path / "w.csv"
+    dense.write_text("0,1,0\n1,0,1\n0,1,0\n")
+
+    def config(argv):
+        assert main(["weights", *argv, "-o", str(out)]) == 0
+        return json.loads(out.read_text().splitlines()[0][len("# meta: "):])["config"]
+
+    assert "weights_kind" not in config(["--linear-chain", "3"])
+    assert config(["--weights", str(dense)])["weights_kind"] == "dense"
 
 
 @pytest.mark.parametrize(

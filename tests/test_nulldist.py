@@ -26,7 +26,7 @@ from sbergsma.exceptions import (
 )
 from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution
-from sbergsma.reference import FAMILIES
+from sbergsma.reference import FAMILIES, SYMMETRIC
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -122,6 +122,32 @@ def _patch_eigvalsh(monkeypatch, change):
     nystrom_eigenvalues.cache_clear()
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: change(eigvalsh(a)))
+
+
+@pytest.mark.parametrize("m", [400, 401])
+@pytest.mark.parametrize("family", SYMMETRIC)
+def test_nystrom_reflection_fold_matches_full_solve(family, m):
+    dist = ReferenceDistribution(family)
+    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    full = np.linalg.eigvalsh(dist.kernel(grid[:, None], grid[None, :]) / m)
+    want = full[np.argsort(np.abs(full))[::-1][:100]]
+    got = nystrom_eigenvalues(dist, K=100, m=m).eigenvalues
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "dist,m,sizes",
+    [(ReferenceDistribution("exponential"), 400, [400]),
+     (ReferenceDistribution("chi-square", df=3.0), 401, [401]),
+     (ReferenceDistribution("normal"), 400, [200, 200]),
+     (ReferenceDistribution("logistic"), 401, [201, 200])],
+    ids=["exponential", "chi-square", "normal-even", "logistic-odd"],
+)
+def test_nystrom_folds_only_symmetric_laws(monkeypatch, dist, m, sizes):
+    solved = []
+    _patch_eigvalsh(monkeypatch, lambda e: solved.append(e.size) or e)
+    nystrom_eigenvalues(dist, K=100, m=m)
+    assert solved == sizes
 
 
 def test_nystrom_square_sum_check_fires(monkeypatch):

@@ -79,15 +79,28 @@ def test_chi_square_gap_matches_quadrature(df):
     assert dist.mean_abs_gap() == pytest.approx(want, rel=1e-10)
 
 
-def test_cli_import_leaves_out_scipy_stats_and_integrate():
+def _python(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on this checkout's package."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    # scipy.linalg is left out: whether scipy.special loads it depends on its version
-    code = ("import sys, sbergsma.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_cli_import_loads_no_scipy_and_loads_numpy_random():
+    # numpy.random loads with the package, so the first stream() pays no import
+    code = f"import sys, sbergsma.cli; print({_SCIPY_LOADED}, 'numpy.random' in sys.modules)"
+    assert _python(code) == "[] True"
+
+
+def test_monte_carlo_null_run_loads_no_scipy(tmp_path):
+    argv = ["null", "--linear-chain", "3", "--R", "3", "--T", "10", "--reps", "5", "--seed", "1",
+            "-o", str(tmp_path / "null.csv")]
+    code = f"import sys; from sbergsma.cli import main; print(main({argv!r}), {_SCIPY_LOADED})"
+    assert _python(code) == "0 []"
 
 
 def test_normal_g_at_zero():
