@@ -323,14 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p)
     p.add_argument("--null", choices=("mc", "asym"), default="mc")
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--K", type=int, default=100)
-    p.add_argument("--grid", type=int, default=2000)
+    # the defaults of the flags that one mode reads are in _TEST_MODE_FLAGS
+    p.add_argument("--K", type=int, help="eigenvalues of --null asym (default: 100)")
+    p.add_argument("--grid", type=int, help="Nystrom grid of --null asym (default: 2000)")
     p.add_argument("--bootstrap", type=int, default=None,
                    help="bootstrap resamples for a CI (omit to skip)")
-    p.add_argument("--level", type=_finite_float, default=0.95)
+    p.add_argument("--level", type=_finite_float,
+                   help="level of the --bootstrap CI (default: 0.95)")
     p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pairwise rho~ cutoff (default: simulated 95th percentile)")
-    p.add_argument("--cutoff-sims", type=_positive_int, default=10_000)
+    p.add_argument("--cutoff-sims", type=_positive_int,
+                   help="simulations behind the default cutoff (default: 10000)")
     _add_seed(p)
     _add_threads(p)
     _add_output(p, required=False)
@@ -392,6 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: test's flags that one mode reads: (flag, whether args read it, when, default)
+_TEST_MODE_FLAGS = (
+    ("--K", lambda a: a.null == "asym", "with --null asym", 100),
+    ("--grid", lambda a: a.null == "asym", "with --null asym", 2000),
+    ("--level", lambda a: a.bootstrap is not None, "with --bootstrap", 0.95),
+    ("--cutoff-sims", lambda a: a.cutoff is None, "without --cutoff", 10_000),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -402,6 +414,13 @@ def main(argv=None) -> int:
         args.weights_kind = args.weights_kind or "dense"
     elif getattr(args, "weights_kind", None):
         parser.error("argument --weights-kind: only read with --weights")
+    if args.command == "test":
+        for flag, reads, when, default in _TEST_MODE_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            if not reads(args) and getattr(args, dest) is not None:
+                parser.error(f"argument {flag}: only read {when}")
+            if reads(args) and getattr(args, dest) is None:
+                setattr(args, dest, default)
     try:
         args.func(args)
     except (SbergsmaError, OSError) as err:

@@ -49,6 +49,8 @@ _TAIL_MASS = 1e-12
 #: grid sizes a CDF table may take, and its target truncation error
 _GRIDS = 2 ** np.arange(14, 21)
 _TRUNC_TOL = 1e-7
+#: (t, c) entries of log phi computed at once
+_PHI_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -83,35 +85,17 @@ def nystrom_eigenvalues(
 
     The grid places equal probability mass 1/m at inverse-CDF midpoints, so
     the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
-    eigenvalues estimate the operator spectrum directly.  Two checks guard
-    against a too-coarse grid or too small a K, each within 2%: the eigenvalue
-    sum must match the trace g(F)/2 and the square sum E h_F(Z1, Z2)^2.  A
-    failed or NaN comparison raises ConvergenceError.  No random numbers are
-    drawn.  Results are memoised per (dist, K, m); the spectrum is read-only.
-
-    For a symmetric law the grid is its own reflection, x_{m-1-a} = 2c - x_a,
-    so the matrix commutes with the grid's reversal and splits into an even and
-    an odd half.  With h = m // 2, A = H[:h, :h] and B[a, b] = H[a, m-1-b] for
-    a, b < h, the odd half is A - B and the even half is A + B, bordered for
-    odd m by the middle row and column times sqrt(2) and the middle diagonal
-    entry.  Two solves of about m/2 replace one of size m, at a quarter of the
-    cost; the other laws keep the one full solve.
+    eigenvalues estimate the operator spectrum directly.  For the symmetric
+    laws only its first ceil(m/2) rows are built (see :func:`_grid_eigenvalues`).
+    Two checks guard against a too-coarse grid or too small a K, each within
+    2%: the eigenvalue sum must match the trace g(F)/2 and the square sum
+    E h_F(Z1, Z2)^2.  A failed or NaN comparison raises ConvergenceError.  No
+    random numbers are drawn.  Results are memoised per (dist, K, m); the
+    spectrum is read-only.
     """
     if K < 1 or K > m:
         raise UnsupportedDistributionError(f"need 1 <= K <= m, got K={K}, m={m}")
-    grid = dist.ppf((np.arange(m) + 0.5) / m)
-    H = dist.kernel(grid[:, None], grid[None, :])
-    H /= m
-    blocks = [H]
-    if dist.family in SYMMETRIC:
-        h = m // 2
-        B = H[:h, ::-1][:, :h]
-        even = H[:m - h, :m - h].copy()
-        even[:h, :h] += B
-        even[:h, h:] *= np.sqrt(2.0)
-        even[h:, :h] *= np.sqrt(2.0)
-        blocks = [even, H[:h, :h] - B]
-    eig = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+    eig = _grid_eigenvalues(dist, m)
     order = np.argsort(np.abs(eig))[::-1]
     lam = eig[order[:K]]
 
@@ -124,6 +108,34 @@ def nystrom_eigenvalues(
                 "grid too coarse or K too small"
             )
     return EigenSpectrum(lam)
+
+
+def _grid_eigenvalues(dist: ReferenceDistribution, m: int) -> np.ndarray:
+    """All m eigenvalues of H = h_F(x_a, x_b) / m on the midpoint grid, unordered.
+
+    For a symmetric law the grid is its own reflection, x_{m-1-a} = 2c - x_a,
+    so H commutes with the grid's reversal and splits into an even and an odd
+    half.  With h = m // 2, A = H[:h, :h] and B[a, b] = H[a, m-1-b] for
+    a, b < h, the odd half is A - B and the even half is A + B, bordered for
+    odd m by the middle row and column times sqrt(2) and the middle diagonal
+    entry.  Both read only the first m - h rows of H, so only those are built,
+    and the even half is formed in place over their first m - h columns: at
+    m = 2000 that is 16 MB of H and 8 MB of odd half, not 32 MB of H.  Two
+    solves of about m/2 replace one of size m, at a quarter of the cost; the
+    other laws build all of H and keep the one full solve.
+    """
+    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    h = m // 2 if dist.family in SYMMETRIC else 0
+    H = dist.kernel(grid[:m - h, None], grid[None, :])
+    H /= m
+    if not h:
+        return np.linalg.eigvalsh(H)
+    B = H[:h, ::-1][:, :h]
+    odd = H[:h, :h] - B
+    H[:h, :h] += B
+    H[:h, h:m - h] *= np.sqrt(2.0)
+    H[h:, :h] *= np.sqrt(2.0)
+    return np.concatenate([np.linalg.eigvalsh(H[:, :m - h]), np.linalg.eigvalsh(odd)])
 
 
 def _kernel_square_mean(dist: ReferenceDistribution) -> float:
@@ -153,7 +165,10 @@ def _pair_law(lam_i, lam_j, keep=_KEEP):
     Im(exp(-ity) phi(t)) / (pi t) dt (Gil-Pelaez; Imhof 1961) is summed by the
     midpoint rule with one FFT on a grid between Chernoff bounds that leave mass
     _TAIL_MASS beyond each end, of the fewest _GRIDS points with truncation
-    error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
+    error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.  log phi is summed over
+    blocks of weights of at most _PHI_BLOCK (t, c) entries, or of one weight
+    on a larger grid: at R = 14, K = 100 a null of all pairs then peaks at about
+    10 MiB in tracemalloc, where blocks of 2^21 entries took 63 MiB.
     """
     norm = np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
     c, d = np.unique(np.multiply.outer(lam_i, lam_j) / norm, return_counts=True)
@@ -170,9 +185,9 @@ def _pair_law(lam_i, lam_j, keep=_KEEP):
                - 0.5 * var_rest * t_max**2 - np.log(np.pi * t_max))
     n = int(_GRIDS[min(np.sum(log_err > np.log(_TRUNC_TOL)), _GRIDS.size - 1)])
     t = (np.arange(n) + 0.5) * (2 * np.pi / span)
-    # log phi(t) - i t lo, summed over blocks of at most 2^21 (t, c) entries
+    # log phi(t) - i t lo, summed over blocks of weights
     log_phi = -1j * t * (mu + lo) - 0.5 * var_rest * t * t
-    step = max(1, 2**21 // n)
+    step = max(1, _PHI_BLOCK // n)
     for j in range(0, c.size, step):
         x = np.multiply.outer(2.0 * t, c[j:j + step])
         log_phi += (0.5j * np.arctan(x) - 0.25 * np.log1p(x * x)) @ d[j:j + step]

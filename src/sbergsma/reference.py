@@ -15,11 +15,15 @@ g_F is evaluated from the identity
     E|z - Z| = z (2 F(z) - 1) + E[Z] - 2 * P(z),   P(z) = E[Z ; Z <= z],
 
 which needs only the CDF and the partial expectation; both are in closed form
-for all six families, as is g(F).  The inverse CDFs and the normal and
-chi-square CDFs are the ``scipy.special`` forms that ``scipy.stats`` uses;
-the tests check g_F and g(F) against adaptive quadrature.  ``scipy.special``
-is imported only where it is called, so sampling (every Monte Carlo path)
-never loads scipy.
+for all six families, as is g(F).  The tests check g_F and g(F) against
+adaptive quadrature.
+
+Only chi-square needs scipy: its inverse CDF and CDF are the
+``scipy.special`` forms that ``scipy.stats`` uses, imported where they are
+called.  The normal inverse CDF is Wichura's AS241 rational approximation
+(the coefficients of CPython's ``statistics.NormalDist.inv_cdf``), good to
+about 1e-16 relative, and the normal g_F reads Phi through ``math.erf``; the
+other inverse CDFs are closed forms in numpy.
 """
 
 from __future__ import annotations
@@ -29,23 +33,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import UnsupportedDistributionError
+from .exceptions import InvalidParameterError, UnsupportedDistributionError
 
 FAMILIES = ("normal", "uniform", "exponential", "laplace", "logistic", "chi-square")
 #: the families whose law is symmetric about its median, F(c - z) = 1 - F(c + z)
 SYMMETRIC = ("normal", "uniform", "laplace", "logistic")
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
-#: inverse CDF of each family's standard member, in the forms scipy.stats uses;
-#: each takes the ``scipy.special`` module, the probabilities and df
+#: Wichura's AS241 (PPND16) normal quantile, as (numerator, denominator)
+#: coefficients from the highest power down: the centre is z = d P(r) / Q(r) in
+#: r = 0.180625 - d^2, d = q - 1/2, for |d| <= 0.425; the tails are +-P(s) / Q(s)
+#: in s = sqrt(-log min(q, 1 - q)) - 1.6 for s <= 5, else in s - 5
+_AS241_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632045840e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(coef, x):
+    """The polynomial with coefficients ``coef``, highest power first, at x."""
+    y = np.full_like(x, coef[0])
+    for a in coef[1:]:
+        y *= x
+        y += a
+    return y
+
+
+def _ndtri(q):
+    """Standard normal quantile (AS241), with -inf and inf at q = 0 and 1."""
+    (p_c, q_c), (p_n, q_n), (p_f, q_f) = _AS241_CENTRE, _AS241_NEAR, _AS241_FAR
+    d = np.atleast_1d(q - 0.5)
+    r = 0.180625 - d * d
+    x = _horner(p_c, r) * d / _horner(q_c, r)
+    tail = np.abs(d) > 0.425
+    s = np.sqrt(-np.log(np.minimum(q, 1.0 - q).reshape(d.shape)[tail]))
+    s = np.where(s <= 5.0, _horner(p_n, s - 1.6) / _horner(q_n, s - 1.6),
+                 _horner(p_f, s - 5.0) / _horner(q_f, s - 5.0))
+    # at q = 0 and 1, s is infinite and P(s) / Q(s) is inf / inf
+    x[tail] = np.copysign(np.where(np.isnan(s), np.inf, s), d[tail])
+    return x.reshape(np.shape(q))
+
+
+def _chi2_ppf(q, df):
+    from scipy.special import gammaincinv
+
+    return 2 * gammaincinv(df / 2, q)
+
+
+#: inverse CDF of each family's standard member on probabilities in [0, 1]
 _PPF = {
-    "normal": lambda sp, q, df: sp.ndtri(q),
-    "uniform": lambda sp, q, df: q,
-    "exponential": lambda sp, q, df: -sp.log1p(-q),
-    "laplace": lambda sp, q, df: np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)),
-    "logistic": lambda sp, q, df: sp.logit(q),
-    "chi-square": lambda sp, q, df: 2 * sp.gammaincinv(df / 2, q),
+    "normal": lambda q, df: _ndtri(q),
+    "uniform": lambda q, df: q.copy(),
+    "exponential": lambda q, df: -np.log1p(-q),
+    "laplace": lambda q, df: np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)),
+    "logistic": lambda q, df: np.log(q) - np.log1p(-q),
+    "chi-square": _chi2_ppf,
 }
 
 
@@ -73,10 +137,17 @@ class ReferenceDistribution:
             raise UnsupportedDistributionError(f"df is for chi-square only, got {self.df}")
 
     def ppf(self, q):
-        """Inverse CDF at probabilities ``q`` in [0, 1], elementwise."""
-        from scipy import special
+        """Inverse CDF at probabilities ``q`` in [0, 1], elementwise.
 
-        return _PPF[self.family](special, np.asarray(q, dtype=float), self.df)
+        q = 0 and q = 1 give the ends of the support, which may be infinite; a
+        ``q`` outside [0, 1] or NaN raises InvalidParameterError.
+        """
+        q = np.asarray(q, dtype=float)
+        if not np.all((q >= 0.0) & (q <= 1.0)):
+            raise InvalidParameterError("probabilities must lie in [0, 1]")
+        # log(0) at the ends is the infinite end of a support, not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _PPF[self.family](q, self.df)[()]  # a scalar for a scalar q
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Draw using numpy's native samplers (faster than scipy's rvs)."""
@@ -98,9 +169,9 @@ class ReferenceDistribution:
         """g_F(z) = E|z - Z|, elementwise over ``z``."""
         z = np.asarray(z, dtype=float)
         if self.family == "normal":
-            from scipy.special import ndtr
-
-            return 2.0 * np.exp(-0.5 * z * z) / _SQRT2PI + z * (2.0 * ndtr(z) - 1.0)
+            # 2 Phi(z) - 1 = erf(z / sqrt 2)
+            erf = np.asarray(_ERF(z / math.sqrt(2.0)), dtype=float)
+            return 2.0 * np.exp(-0.5 * z * z) / _SQRT2PI + z * erf
         if self.family == "uniform":
             return np.where(z < 0.0, 0.5 - z, np.where(z > 1.0, z - 0.5, z * z - z + 0.5))
         if self.family == "exponential":
@@ -130,12 +201,14 @@ class ReferenceDistribution:
         """Population Bergsma kernel h_F(z1, z2), elementwise."""
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
-        return -0.5 * (
-            np.abs(z1 - z2)
-            - self.mean_abs_from(z1)
-            - self.mean_abs_from(z2)
-            + self.mean_abs_gap()
-        )
+        # one array of the broadcast shape, updated in place (0-d for scalars)
+        h = np.asarray(z1 - z2)
+        np.abs(h, out=h)
+        h -= self.mean_abs_from(z1)
+        h -= self.mean_abs_from(z2)
+        h += self.mean_abs_gap()
+        h *= -0.5
+        return h[()]
 
 
 #: g(F) = E|Z1 - Z2| of each family but chi-square

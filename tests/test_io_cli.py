@@ -558,6 +558,15 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
         *[(["weights", "--linear-chain", "3", "--weights-kind", kind],
            "argument --weights-kind: only read with --weights")
           for kind in ("dense", "coords")],
+        # so were test's flags that another mode reads
+        *[(["test", "{panel}", "--linear-chain", "3", *args], message) for args, message in (
+            (["--K", "3"], "argument --K: only read with --null asym"),
+            (["--null", "mc", "--grid", "7"], "argument --grid: only read with --null asym"),
+            (["--null", "asym", "--cutoff", "0.2", "--cutoff-sims", "5"],
+             "argument --cutoff-sims: only read without --cutoff"),
+            (["--level", "0.5"], "argument --level: only read with --bootstrap"),
+            (["--null", "mc", "--K", "3", "--grid", "7", "--cutoff", "0.2",
+              "--cutoff-sims", "5", "--level", "0.5"], "only read with --null asym"))],
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -596,6 +605,21 @@ def test_cli_weights_kind_is_recorded_only_with_a_weights_file(tmp_path):
 
     assert "weights_kind" not in config(["--linear-chain", "3"])
     assert config(["--weights", str(dense)])["weights_kind"] == "dense"
+
+
+def test_cli_test_records_only_the_flags_it_reads(panel_file, tmp_path):
+    out = tmp_path / "report.json"
+
+    def config(*args):
+        assert main(["test", panel_file, "--linear-chain", "3", "--reps", "20", "--seed", "1",
+                     *args, "-o", str(out)]) == 0
+        return json.loads(out.read_text())["meta"]["config"]
+
+    mode_flags = ("K", "grid", "level", "cutoff_sims")
+    got = config("--cutoff", "0.2")
+    assert not any(k in got for k in mode_flags)
+    got = config("--null", "asym", "--bootstrap", "200", "--cutoff-sims", "50")
+    assert [got[k] for k in mode_flags] == [100, 2000, 0.95, 50]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Null distribution tests: Nystrom spectra, asymptotic draws, p-values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
@@ -148,6 +150,42 @@ def test_nystrom_folds_only_symmetric_laws(monkeypatch, dist, m, sizes):
     _patch_eigvalsh(monkeypatch, lambda e: solved.append(e.size) or e)
     nystrom_eigenvalues(dist, K=100, m=m)
     assert solved == sizes
+
+
+@pytest.mark.parametrize("family,m,rows", [("normal", 400, 200), ("logistic", 401, 201),
+                                           ("exponential", 400, 400)])
+def test_nystrom_builds_only_the_rows_the_fold_reads(monkeypatch, family, m, rows):
+    shapes = []
+    kernel = ReferenceDistribution.kernel
+    monkeypatch.setattr(ReferenceDistribution, "kernel",
+                        lambda self, a, b: shapes.append(np.broadcast_shapes(
+                            np.shape(a), np.shape(b))) or kernel(self, a, b))
+    nystrom_eigenvalues.cache_clear()
+    nystrom_eigenvalues(ReferenceDistribution(family), K=100, m=m)
+    assert shapes == [(rows, m)]
+
+
+def _peak_mib(f, *args, **kw):
+    """Peak memory that tracemalloc sees while ``f`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        f(*args, **kw)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_nystrom_paper_spectrum_memory_is_bounded():
+    # 16 MB of half-grid rows and an 8 MB odd half, not the 32 MB full matrix
+    nystrom_eigenvalues.cache_clear()
+    assert _peak_mib(nystrom_eigenvalues, NORMAL, K=100, m=2000) < 24
+
+
+def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
+    # R = 14, K = 100 and 50 draws, the benchmark's paper_asym size
+    spectrum = nystrom_eigenvalues(NORMAL, K=100, m=2000)
+    assert _peak_mib(asymptotic_null_sample, [spectrum] * 14, w_adjacency,
+                     n_draws=50, seed=1) < 16
 
 
 def test_nystrom_square_sum_check_fires(monkeypatch):

@@ -4,14 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from sbergsma import ReferenceDistribution
-from sbergsma.exceptions import UnsupportedDistributionError
+from sbergsma import ReferenceDistribution, reference
+from sbergsma.exceptions import InvalidParameterError, UnsupportedDistributionError
 from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
@@ -68,6 +69,50 @@ def test_ppf_matches_scipy_stats(dist):
     )
 
 
+@pytest.mark.parametrize("q", [(np.arange(2000) + 0.5) / 2000,
+                               (np.arange(2**16) + 0.5) / 2**16,
+                               np.array([1e-300, 1e-20, 1 - 1e-16])],
+                         ids=["grid-2000", "grid-2^16", "tails"])
+def test_normal_ppf_matches_ndtri(q):
+    # the numpy AS241 port against the Cephes ndtri that scipy.stats.norm uses
+    np.testing.assert_allclose(ReferenceDistribution("normal").ppf(q), special.ndtri(q),
+                               rtol=1e-14, atol=0)
+
+
+_SUPPORT = {"normal": (-np.inf, np.inf), "uniform": (0.0, 1.0), "exponential": (0.0, np.inf),
+            "laplace": (-np.inf, np.inf), "logistic": (-np.inf, np.inf),
+            "chi-square": (0.0, np.inf)}
+
+
+@pytest.mark.parametrize("dist", _PPF_CASES, ids=str)
+def test_ppf_gives_the_ends_of_the_support_without_warnings(dist):
+    # the laplace branches were both evaluated, so q = 0 and 1 warned of a
+    # division by zero; a plain AS241 port returns NaN there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = dist.ppf([0.0, 1.0])
+        assert (dist.ppf(0.0), dist.ppf(1.0)) == _SUPPORT[dist.family]
+    assert tuple(ends) == _SUPPORT[dist.family]
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.1, np.nan, -np.inf, [0.5, 1.0 + 1e-12], [[0.2], [np.nan]]],
+                         ids=str)
+@pytest.mark.parametrize("dist", _PPF_CASES, ids=str)
+def test_ppf_rejects_probabilities_outside_the_unit_interval(dist, q, monkeypatch):
+    # uniform returned -0.1 and 1.1, exponential -0.095, the others NaN
+    monkeypatch.setitem(reference._PPF, dist.family, None)  # no inverse CDF runs
+    with pytest.raises(InvalidParameterError, match=r"in \[0, 1\]"):
+        dist.ppf(q)
+
+
+def test_ppf_keeps_the_shape_of_q_and_does_not_alias_it():
+    q = np.array([[0.1, 0.5], [0.9, 1.0]])
+    for family in FAMILIES:
+        x = ReferenceDistribution(family).ppf(q)
+        assert x.shape == q.shape and not np.shares_memory(x, q)
+        assert np.ndim(ReferenceDistribution(family).ppf(0.25)) == 0
+
+
 @pytest.mark.parametrize("df", [1.0, 2.5, 4.0])
 def test_chi_square_gap_matches_quadrature(df):
     dist = ReferenceDistribution("chi-square", df=df)
@@ -101,6 +146,26 @@ def test_monte_carlo_null_run_loads_no_scipy(tmp_path):
             "-o", str(tmp_path / "null.csv")]
     code = f"import sys; from sbergsma.cli import main; print(main({argv!r}), {_SCIPY_LOADED})"
     assert _python(code) == "0 []"
+
+
+def test_asymptotic_test_loads_no_scipy(tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("a,b,c\n" + "".join(f"{i % 5},{i * 7 % 11},{i * 3 % 13}\n"
+                                          for i in range(20)))
+    argv = ["test", str(panel), "--linear-chain", "3", "--null", "asym", "--K", "50",
+            "--grid", "400", "--reps", "20", "--cutoff", "0.2", "--seed", "1",
+            "-o", str(tmp_path / "out.json")]
+    code = f"import sys; from sbergsma.cli import main; print(main({argv!r}), {_SCIPY_LOADED})"
+    assert _python(code) == "0 []"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spectrum_loads_scipy_for_chi_square_only(family, tmp_path):
+    argv = ["spectrum", "--dist", family, "--K", "100", "--grid", "400",
+            "-o", str(tmp_path / "s.csv")] + ["--df", "3"] * (family == "chi-square")
+    code = (f"import sys; from sbergsma.cli import main; "
+            f"print(main({argv!r}), 'scipy.special' in sys.modules, {_SCIPY_LOADED} == [])")
+    assert _python(code) == ("0 True False" if family == "chi-square" else "0 False True")
 
 
 def test_normal_g_at_zero():
