@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p)
     p.add_argument("--null", choices=("mc", "asym"), default="mc")
     p.add_argument("--reps", type=int, default=10_000)
-    # the defaults of the flags that one mode reads are in _TEST_MODE_FLAGS
+    # the defaults of the flags that one mode reads are in _DEPENDENT_FLAGS
     p.add_argument("--K", type=int, help="eigenvalues of --null asym (default: 100)")
     p.add_argument("--grid", type=int, help="Nystrom grid of --null asym (default: 2000)")
     p.add_argument("--bootstrap", type=int, default=None,
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ar", type=int, default=3)
     p.add_argument("--acf-output", type=_output_path,
                    help="also write an ACF table CSV here")
-    p.add_argument("--acf-lags", type=int, default=10)
+    p.add_argument("--acf-lags", type=int, help="lags of --acf-output (default: 10)")
     _add_output(p)
     p.set_defaults(func=_cmd_prewhiten)
 
@@ -387,40 +387,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Nystrom kernel eigenvalues for one F")
     _add_dist_args(p)
-    p.add_argument("--K", type=int, default=100)
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--K", type=int, help="eigenvalues (default: 100)")
+    p.add_argument("--grid", type=int, help="Nystrom grid (default: 2000)")
     _add_output(p)
     p.set_defaults(func=_cmd_spectrum)
 
     return ap
 
 
-#: test's flags that one mode reads: (flag, whether args read it, when, default)
-_TEST_MODE_FLAGS = (
-    ("--K", lambda a: a.null == "asym", "with --null asym", 100),
-    ("--grid", lambda a: a.null == "asym", "with --null asym", 2000),
+#: the flags read only with another flag, checked in this order on every
+#: subcommand that has them: (flag, whether args read it, when, default)
+_DEPENDENT_FLAGS = (
+    # spectrum has no --null and always reads --K and --grid
+    ("--K", lambda a: getattr(a, "null", "asym") == "asym", "with --null asym", 100),
+    ("--grid", lambda a: getattr(a, "null", "asym") == "asym", "with --null asym", 2000),
     ("--level", lambda a: a.bootstrap is not None, "with --bootstrap", 0.95),
     ("--cutoff-sims", lambda a: a.cutoff is None, "without --cutoff", 10_000),
+    ("--regions", lambda a: a.weights is not None and a.weights_kind == "edges",
+     "with --weights-kind edges", None),
+    ("--weights-kind", lambda a: a.weights is not None, "with --weights", "dense"),
+    ("--acf-lags", lambda a: a.acf_output is not None, "with --acf-output", 10),
 )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the flags that are read only with another flag
-    if getattr(args, "regions", None) and not (args.weights and args.weights_kind == "edges"):
-        parser.error("argument --regions: only read with --weights-kind edges")
-    if getattr(args, "weights", None):
-        args.weights_kind = args.weights_kind or "dense"
-    elif getattr(args, "weights_kind", None):
-        parser.error("argument --weights-kind: only read with --weights")
-    if args.command == "test":
-        for flag, reads, when, default in _TEST_MODE_FLAGS:
-            dest = flag[2:].replace("-", "_")
-            if not reads(args) and getattr(args, dest) is not None:
-                parser.error(f"argument {flag}: only read {when}")
-            if reads(args) and getattr(args, dest) is None:
-                setattr(args, dest, default)
+    for flag, reads, when, default in _DEPENDENT_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if not hasattr(args, dest):
+            continue
+        if not reads(args) and getattr(args, dest) is not None:
+            parser.error(f"argument {flag}: only read {when}")
+        if reads(args) and getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         args.func(args)
     except (SbergsmaError, OSError) as err:

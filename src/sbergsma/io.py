@@ -16,6 +16,7 @@ digits, making save/load round trips lossless.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io as _io
 import json
@@ -84,7 +85,8 @@ def _write_csv(path: str, meta: dict | None, header, rows) -> None:
 def _data_lines(path: str):
     """(line_number, CSV fields) pairs with comments and blank lines skipped."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is not text
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

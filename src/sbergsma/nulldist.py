@@ -31,7 +31,6 @@ from .exceptions import (
     InvalidParameterError,
     NonFiniteError,
     SpectraMismatchError,
-    UnsupportedDistributionError,
 )
 from .reference import SYMMETRIC, ReferenceDistribution
 from .rng import stream
@@ -94,7 +93,7 @@ def nystrom_eigenvalues(
     spectrum is read-only.
     """
     if K < 1 or K > m:
-        raise UnsupportedDistributionError(f"need 1 <= K <= m, got K={K}, m={m}")
+        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
     eig = _grid_eigenvalues(dist, m)
     order = np.argsort(np.abs(eig))[::-1]
     lam = eig[order[:K]]
@@ -139,9 +138,15 @@ def _grid_eigenvalues(dist: ReferenceDistribution, m: int) -> np.ndarray:
 
 
 def _kernel_square_mean(dist: ReferenceDistribution) -> float:
-    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean on a fixed grid."""
-    z = dist.ppf((np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID)
-    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
+    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean on a fixed grid.
+
+    A symmetric law's grid is its own reflection about the median c = EZ, and
+    both terms are even about c, so the lower half of the grid gives the mean.
+    """
+    n = _CHECK_GRID // 2 if dist.family in SYMMETRIC else _CHECK_GRID
+    z = dist.ppf((np.arange(n) + 0.5) / _CHECK_GRID)
+    centre = dist.ppf(0.5) if n < _CHECK_GRID else z.mean()
+    spread = np.mean((z - centre) ** 2 - dist.mean_abs_from(z) ** 2)
     return dist.mean_abs_gap() ** 2 / 4 + spread / 2
 
 

@@ -20,10 +20,10 @@ adaptive quadrature.
 
 Only chi-square needs scipy: its inverse CDF and CDF are the
 ``scipy.special`` forms that ``scipy.stats`` uses, imported where they are
-called.  The normal inverse CDF is Wichura's AS241 rational approximation
-(the coefficients of CPython's ``statistics.NormalDist.inv_cdf``), good to
-about 1e-16 relative, and the normal g_F reads Phi through ``math.erf``; the
-other inverse CDFs are closed forms in numpy.
+called.  The normal inverse CDF is the stdlib's ``statistics.NormalDist.inv_cdf``
+(Wichura's AS241, good to about 1e-16 relative), also imported on first use,
+and the normal g_F reads Phi through ``math.erf``; the other inverse CDFs are
+closed forms in numpy.
 """
 
 from __future__ import annotations
@@ -42,58 +42,15 @@ SYMMETRIC = ("normal", "uniform", "laplace", "logistic")
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
-#: Wichura's AS241 (PPND16) normal quantile, as (numerator, denominator)
-#: coefficients from the highest power down: the centre is z = d P(r) / Q(r) in
-#: r = 0.180625 - d^2, d = q - 1/2, for |d| <= 0.425; the tails are +-P(s) / Q(s)
-#: in s = sqrt(-log min(q, 1 - q)) - 1.6 for s <= 5, else in s - 5
-_AS241_CENTRE = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e+0, 3.6478483247632045840e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _horner(coef, x):
-    """The polynomial with coefficients ``coef``, highest power first, at x."""
-    y = np.full_like(x, coef[0])
-    for a in coef[1:]:
-        y *= x
-        y += a
-    return y
-
 
 def _ndtri(q):
-    """Standard normal quantile (AS241), with -inf and inf at q = 0 and 1."""
-    (p_c, q_c), (p_n, q_n), (p_f, q_f) = _AS241_CENTRE, _AS241_NEAR, _AS241_FAR
-    d = np.atleast_1d(q - 0.5)
-    r = 0.180625 - d * d
-    x = _horner(p_c, r) * d / _horner(q_c, r)
-    tail = np.abs(d) > 0.425
-    s = np.sqrt(-np.log(np.minimum(q, 1.0 - q).reshape(d.shape)[tail]))
-    s = np.where(s <= 5.0, _horner(p_n, s - 1.6) / _horner(q_n, s - 1.6),
-                 _horner(p_f, s - 5.0) / _horner(q_f, s - 5.0))
-    # at q = 0 and 1, s is infinite and P(s) / Q(s) is inf / inf
-    x[tail] = np.copysign(np.where(np.isnan(s), np.inf, s), d[tail])
-    return x.reshape(np.shape(q))
+    """Standard normal quantile, the stdlib's, with -inf and inf at q = 0 and 1."""
+    from statistics import NormalDist
+
+    x = np.where(q < 0.5, -np.inf, np.inf)
+    inner = (q > 0.0) & (q < 1.0)
+    x[inner] = np.frompyfunc(NormalDist().inv_cdf, 1, 1)(q[inner])
+    return x
 
 
 def _chi2_ppf(q, df):

@@ -1,5 +1,6 @@
 """CSV round trips, parse errors and the command-line interface."""
 
+import codecs
 import csv
 import json
 import os
@@ -136,6 +137,25 @@ def test_acf_table_label_with_comma_reads_back(tmp_path):
     assert rows[1:] == [["0", "1", "1", "1"], ["1", "0.25", "-0.5", "0"]]
 
 
+@pytest.mark.parametrize("kind,text", [("panel", "a,b\n1,2\n3,5\n4,0\n"), ("dense", "0,1\n1,0\n"),
+                                       ("edges", "1,2\n"), ("coords", "a,0,0\nb,0,1\n")],
+                         ids=["panel", "dense", "edges", "coords"])
+def test_loaders_skip_a_utf8_byte_order_mark(kind, text, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one: the panel's first label
+    # read '\ufeffa', and a W file failed on the cell '\ufeff0' or the label
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    if kind == "panel":
+        got, want = load_panel(str(marked)), load_panel(str(plain))
+        assert got.region_labels == want.region_labels == ("a", "b")
+        assert np.array_equal(got.data, want.data)
+    else:
+        got, want = load_weights(str(marked), kind), load_weights(str(plain), kind)
+        assert got.region_labels == want.region_labels
+        assert np.array_equal(got.weights, want.weights)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 @pytest.fixture
@@ -259,17 +279,20 @@ def test_cli_prewhiten_failure_writes_neither_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind,category", [("directory", "IsADirectoryError"),
-                                           ("binary", "ParseError")])
+                                           ("binary", "ParseError"),
+                                           ("binary-after-bom", "ParseError")])
 def test_cli_unreadable_panel_is_a_json_error(kind, category, tmp_path, capsys):
     path = tmp_path / "panel"
     if kind == "directory":
         path.mkdir()
     else:
-        path.write_bytes(b"a,b,c\n1,2,3\n\xff\xfe,0,1\n")
+        # the byte-order mark must not shift the line of the bad byte
+        bom = codecs.BOM_UTF8 if kind == "binary-after-bom" else b""
+        path.write_bytes(bom + b"a,b,c\n1,2,3\n\xff\xfe,0,1\n")
     assert main(["compute", str(path), "--linear-chain", "3"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error_category"] == category
-    if kind == "binary":
+    if kind != "directory":
         assert f"{path}: line 3 is not UTF-8" in err["message"]
 
 
@@ -456,7 +479,7 @@ def test_cli_rejects_flags_the_command_does_not_read(
          "InvalidParameterError"),
         # K and the grid are checked before the bootstrap resamples
         *[(["test", "{panel}", "--linear-chain", "4", "--null", "asym", *sizes,
-            "--bootstrap", "2000"], "UnsupportedDistributionError")
+            "--bootstrap", "2000"], "InvalidParameterError")
           for sizes in (["--K", "0"], ["--grid", "50"], ["--K", "60", "--grid", "0"])],
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
@@ -567,6 +590,9 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
             (["--level", "0.5"], "argument --level: only read with --bootstrap"),
             (["--null", "mc", "--K", "3", "--grid", "7", "--cutoff", "0.2",
               "--cutoff-sims", "5", "--level", "0.5"], "only read with --null asym"))],
+        # --acf-lags sizes the ACF table only; without it it was ignored but recorded
+        (["prewhiten", "{panel}", "--ar", "1", "--acf-lags", "5"],
+         "argument --acf-lags: only read with --acf-output"),
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -620,6 +646,21 @@ def test_cli_test_records_only_the_flags_it_reads(panel_file, tmp_path):
     assert not any(k in got for k in mode_flags)
     got = config("--null", "asym", "--bootstrap", "200", "--cutoff-sims", "50")
     assert [got[k] for k in mode_flags] == [100, 2000, 0.95, 50]
+
+
+def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(tmp_path):
+    panel_file, out, acf_out = (str(tmp_path / name) for name in ("p.csv", "out.csv", "acf.csv"))
+    save_panel(panel_file, SpatialPanel(stream(6).standard_normal((40, 3))))
+
+    def config(*argv):
+        assert main([*argv, "-o", out]) == 0
+        with open(out) as fh:
+            return json.loads(fh.readline()[len("# meta: "):])["config"]
+
+    assert "acf_lags" not in config("prewhiten", panel_file, "--ar", "1")
+    assert config("prewhiten", panel_file, "--ar", "1", "--acf-output", acf_out)["acf_lags"] == 10
+    got = config("spectrum", "--dist", "uniform")
+    assert (got["K"], got["grid"]) == (100, 2000)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from sbergsma.exceptions import (
     InvalidParameterError,
     NonFiniteError,
     SpectraMismatchError,
-    UnsupportedDistributionError,
 )
 from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution
@@ -216,10 +215,21 @@ def test_nystrom_draws_no_random_numbers(monkeypatch):
 
 
 def test_nystrom_rejects_bad_k():
-    with pytest.raises(UnsupportedDistributionError):
+    # a size argument, like n_draws and reps, not an unsupported law
+    with pytest.raises(InvalidParameterError):
         nystrom_eigenvalues(NORMAL, K=0, m=100)
-    with pytest.raises(UnsupportedDistributionError):
+    with pytest.raises(InvalidParameterError):
         nystrom_eigenvalues(NORMAL, K=200, m=100)
+
+
+@pytest.mark.parametrize("family", SYMMETRIC)
+def test_kernel_square_mean_of_a_symmetric_law_matches_the_full_grid(family):
+    # the check target reads only the lower half of its grid for these laws
+    dist = ReferenceDistribution(family)
+    z = dist.ppf((np.arange(nulldist._CHECK_GRID) + 0.5) / nulldist._CHECK_GRID)
+    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
+    full = dist.mean_abs_gap() ** 2 / 4 + spread / 2
+    assert nulldist._kernel_square_mean(dist) == pytest.approx(full, rel=1e-14, abs=0)
 
 
 def test_asymptotic_single_eigenvalue_is_centered_chi_square():

@@ -74,7 +74,8 @@ def test_ppf_matches_scipy_stats(dist):
                                np.array([1e-300, 1e-20, 1 - 1e-16])],
                          ids=["grid-2000", "grid-2^16", "tails"])
 def test_normal_ppf_matches_ndtri(q):
-    # the numpy AS241 port against the Cephes ndtri that scipy.stats.norm uses
+    # the stdlib's NormalDist.inv_cdf (AS241) against the Cephes ndtri that
+    # scipy.stats.norm uses
     np.testing.assert_allclose(ReferenceDistribution("normal").ppf(q), special.ndtri(q),
                                rtol=1e-14, atol=0)
 
@@ -108,9 +109,13 @@ def test_ppf_rejects_probabilities_outside_the_unit_interval(dist, q, monkeypatc
 def test_ppf_keeps_the_shape_of_q_and_does_not_alias_it():
     q = np.array([[0.1, 0.5], [0.9, 1.0]])
     for family in FAMILIES:
-        x = ReferenceDistribution(family).ppf(q)
+        dist = ReferenceDistribution(family)
+        x = dist.ppf(q)
         assert x.shape == q.shape and not np.shares_memory(x, q)
-        assert np.ndim(ReferenceDistribution(family).ppf(0.25)) == 0
+        # a scalar for a 0-d q, and an empty array for an empty one
+        for q0 in (0.25, np.array(0.25)):
+            assert np.ndim(dist.ppf(q0)) == 0 and not isinstance(dist.ppf(q0), np.ndarray)
+        assert dist.ppf([]).shape == (0,) and dist.ppf(np.empty((0, 3))).shape == (0, 3)
 
 
 @pytest.mark.parametrize("df", [1.0, 2.5, 4.0])
@@ -139,6 +144,13 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     # numpy.random loads with the package, so the first stream() pays no import
     code = f"import sys, sbergsma.cli; print({_SCIPY_LOADED}, 'numpy.random' in sys.modules)"
     assert _python(code) == "[] True"
+
+
+def test_cli_import_loads_neither_statistics_nor_scipy():
+    # the normal quantile imports statistics on first use, so a run that never
+    # calls it does not pay for the import
+    code = f"import sys, sbergsma.cli; print('statistics' in sys.modules, {_SCIPY_LOADED})"
+    assert _python(code) == "False []"
 
 
 def test_monte_carlo_null_run_loads_no_scipy(tmp_path):
