@@ -19,10 +19,12 @@ collapses to
     2 T (T - 1) kappa~(x, y) = sum_{m<n} d'x[m,n] d'y[m,n] - T sum_m a'x_m a'y_m.
 
 The shift keeps this difference from cancelling.  :func:`pairwise_kappa`
-accumulates the first term as F F^T over tiles of time offsets k = 1..T//2
+accumulates the first term as F^T F over tiles of time offsets k = 1..T//2
 (pair {m, (m+k) mod T}; for even T the second listing of offset T/2 is
-zero) that :func:`panel_kernel_stack` builds.  Every caller (single series,
-panels, batches of simulated panels) goes through :func:`pairwise_kappa` and
+zero) that :func:`panel_kernel_stack` builds in the panel's own (time,
+region) order, (..., n, T, R): each offset is one contiguous T x R block, and
+F is the tile read as (n T, R).  Every caller (single series, panels, batches
+of simulated panels) goes through :func:`pairwise_kappa` and
 :func:`rho_from_kappa`.
 """
 
@@ -42,8 +44,8 @@ from .exceptions import (
 
 #: Bytes of pair distances built at once, the one memory budget of every
 #: kernel caller; only :func:`pairwise_kappa` reads it.  A tile holds as many
-#: time offsets of one panel as fit, n = _KERNEL_BYTES // (R T 8), at least
-#: one, so a panel whose R x T x T//2 stack fits is one tile and memory stays
+#: time offsets of one panel as fit, n = _KERNEL_BYTES // (T R 8), at least
+#: one, so a panel whose T//2 x T x R stack fits is one tile and memory stays
 #: bounded in T.  Panels run in groups of as many n-offset stacks as fit, at
 #: least one, so memory stays bounded in the batch too.  n and the group size
 #: depend on R and T alone, so a panel's kappa~ is bitwise the same in any
@@ -76,31 +78,36 @@ def _centring(X: np.ndarray) -> np.ndarray:
     """a = T/(T-1) (A - B/2) of each series in (..., T), from sorted prefix sums."""
     T = X.shape[-1]
     order = np.argsort(X, axis=-1)
+    order += np.arange(0, X.size, T).reshape(*X.shape[:-1], 1)  # flat indices
     # shifted by the minimum, so the prefix sums do not cancel at a large offset
-    s = np.take_along_axis(X, order, axis=-1)
+    s = X.take(order)
     s -= s[..., :1]
     c = np.cumsum(s, axis=-1)
     # row sum of |x_m - x_n| for the j-th smallest: sum_{i<j} (s_j - s_i) + sum_{i>j} (s_i - s_j)
     sums = (2 * np.arange(T) + 2 - T) * s + (c[..., -1:] - 2 * c)
-    A = np.empty_like(X)
-    np.put_along_axis(A, order, sums / T, axis=-1)
+    A = np.empty(X.shape)
+    A.reshape(-1)[order] = sums / T
     return (T / (T - 1.0)) * (A - 0.5 * A.mean(axis=-1, keepdims=True))
 
 
 def panel_kernel_stack(wrapped, c, k: int, out: np.ndarray) -> np.ndarray:
-    """Fill one (..., R, n, T) tile: out[..., j, m] = |x_{(m+k+j) mod T} - x_m| - c.
+    """Fill one (..., n, T, R) tile: out[..., j, m, r] = |x[m+k+j, r] - x[m, r]| - c[m, r].
 
-    ``wrapped`` holds the (..., R) series, each followed by its first T//2
-    values, and ``c`` their mean pair distances.  For even T the second
-    listing of offset T/2 is zero.
+    Time indices are taken mod T: ``wrapped`` holds the (..., T, R) panels,
+    each followed by its first T//2 rows, and ``c`` each series' mean pair
+    distance repeated at every time point, (..., T, R).  Each offset is one
+    contiguous T x R block, so every pass runs over whole blocks.  For even T
+    the second listing of offset T/2 is zero.
     """
-    *_, n, T = out.shape
-    ahead = sliding_window_view(wrapped, T, axis=-1)[..., k : k + n, :]
-    np.subtract(ahead, wrapped[..., None, :T], out=out)
+    n, T = out.shape[-3:-1]
+    # copied, then updated in place: an out-of-place subtract into the cold
+    # tile costs more than the copy and an in-place subtract together
+    out[...] = np.swapaxes(sliding_window_view(wrapped, T, axis=-2)[..., k : k + n, :, :], -1, -2)
+    out -= wrapped[..., None, :T, :]
     np.abs(out, out=out)
-    out -= c[..., None, None]
+    out -= c[..., None, :, :]
     if T % 2 == 0 and k + n > T // 2:
-        out[..., -1, T // 2 :] = 0.0
+        out[..., -1, T // 2 :, :] = 0.0
     return out
 
 
@@ -110,23 +117,24 @@ def pairwise_kappa(data) -> np.ndarray:
     *lead, T, R = data.shape
     if T < 2:
         raise LengthError(f"series length {T} < required 2")
-    X = np.swapaxes(data.reshape(-1, T, R), -1, -2)  # (P, R, T)
+    X = data.reshape(-1, T, R)
     P, K = len(X), T // 2
     n = min(K, max(1, _KERNEL_BYTES // (R * T * X.itemsize)))  # offsets per tile
     g = max(1, _KERNEL_BYTES // (R * T * n * X.itemsize))  # panels per group
     G = np.empty((P, R, R))
-    buf = np.empty(min(g, P) * R * n * T)  # one tile buffer, reused
+    buf = np.empty(min(g, P) * n * T * R)  # one tile buffer, reused
     for lo in range(0, P, g):
         x, out = X[lo : lo + g], G[lo : lo + g]
-        a = _centring(x)
+        a = _centring(np.swapaxes(x, -1, -2))  # (g, R, T)
         c = 2.0 * a.mean(axis=-1)  # the mean pair distance
         a -= 0.5 * c[..., None]
         out[...] = -T * (a @ np.swapaxes(a, -1, -2))
-        wrapped = np.concatenate([x, x[..., :K]], axis=-1)
+        wrapped = np.concatenate([x, x[:, :K]], axis=-2)
+        c = np.tile(c, T).reshape(x.shape)  # c at every time point
         for k in range(1, K + 1, n):
-            tile = buf[: x.size * min(n, K + 1 - k)].reshape(len(x), R, -1, T)
-            F = panel_kernel_stack(wrapped, c, k, tile).reshape(len(x), R, -1)
-            out += F @ np.swapaxes(F, -1, -2)
+            tile = buf[: x.size * min(n, K + 1 - k)].reshape(len(x), -1, T, R)
+            F = panel_kernel_stack(wrapped, c, k, tile).reshape(len(x), -1, R)
+            out += np.swapaxes(F, -1, -2) @ F
     G /= 2 * T * (T - 1)
     return G.reshape(*lead, R, R)
 

@@ -199,7 +199,7 @@ def _cmd_sweep(args):
     W, hashes = _resolve_weights(args)
     sweep = theta_sweep(
         args.model.upper(), W, args.thetas, args.T,
-        reps=args.reps, seed=seed, noise=_dist_from_args(args),
+        reps=args.reps, seed=seed, noise=_dist_from_args(args), n_jobs=args.threads,
     )
     save_sweep(args.output, sweep, meta=_meta(args, hashes))
 
@@ -368,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p)
     _add_dist_args(p)
     _add_seed(p)
+    _add_threads(p)
     _add_output(p)
     p.set_defaults(func=_cmd_sweep)
 

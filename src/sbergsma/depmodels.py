@@ -150,13 +150,15 @@ def theta_sweep(
     reps: int = 2000,
     seed: int = 0,
     noise: ReferenceDistribution = STANDARD_NORMAL,
+    n_jobs: int = 1,
 ) -> SweepResult:
     """reps independent panels per theta, each reduced to its S~_B value.
 
     Replicate r draws its noise from stream (seed, r) once and reuses it for
     every theta (common random numbers), so per-theta means are compared on
     shared noise and the theta = 0 samples coincide bitwise with a Monte
-    Carlo null run at the same seed, up to the T scaling.
+    Carlo null run at the same seed, up to the T scaling.  Replicates run on
+    ``n_jobs`` threads; no value depends on it.
     """
     if reps < 4:
         raise SampleSizeError(f"need reps >= 4 for moment summaries, got {reps}")
@@ -167,6 +169,6 @@ def theta_sweep(
         raise InvalidParameterError("need at least one theta")
     if len(set(thetas)) != len(thetas):
         raise InvalidParameterError(f"thetas must be distinct, got {thetas}")
-    samples = dict(zip(thetas, sb_replicates(model, thetas, W, noise, T, reps, seed)))
+    samples = dict(zip(thetas, sb_replicates(model, thetas, W, noise, T, reps, seed, n_jobs)))
     summaries = {theta: moments(vals) for theta, vals in samples.items()}
     return SweepResult(model, thetas, samples, summaries)

@@ -38,7 +38,7 @@ class SpatialPanel:
     region_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
+        d = np.array(self.data, dtype=float)  # a copy, so no caller can write it
         if d.ndim != 2:
             raise DimensionMismatchError(f"panel must be 2-d, got shape {d.shape}")
         if d.shape[0] < 3:

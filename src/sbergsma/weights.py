@@ -33,7 +33,7 @@ class ProximityMatrix:
     standardized: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)  # a copy, so no caller can write it
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionMismatchError(f"W must be square, got shape {w.shape}")
         if w.shape[0] < 2:

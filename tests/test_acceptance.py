@@ -3,7 +3,7 @@
 Heavy inputs (10k-replicate Monte Carlo nulls, theta sweeps, the eigenvalue
 limit draws) are computed once in module-scoped fixtures and shared across
 criteria.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
-per-criterion lines; the full module takes about 47 s on a 2-vCPU Xeon.
+per-criterion lines; the full module takes about 34 s on a 2-vCPU Xeon.
 """
 
 import os
@@ -45,6 +45,7 @@ SIX_DISTS = [
 ]
 THETAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
 T50, R14, REPS = 50, 14, 10_000
+JOBS = min(4, os.cpu_count() or 1)  # no value depends on the thread count
 
 
 def _line(n: int, ok: bool, detail: str) -> None:
@@ -56,7 +57,7 @@ def _line(n: int, ok: bool, detail: str) -> None:
 def null_by_dist(w_adjacency):
     """10k-replicate Monte Carlo nulls for the six reference distributions."""
     return {
-        d.family: monte_carlo_null(d, R14, T50, w_adjacency, reps=REPS, seed=1, n_jobs=4)
+        d.family: monte_carlo_null(d, R14, T50, w_adjacency, reps=REPS, seed=1, n_jobs=JOBS)
         for d in SIX_DISTS
     }
 
@@ -66,8 +67,9 @@ def null_by_w(null_by_dist, w_invdist, w_chain):
     """Standard normal Monte Carlo nulls for all three proximity matrices."""
     return {
         "adjacency": null_by_dist["normal"],
-        "inverse_distance": monte_carlo_null(NORMAL, R14, T50, w_invdist, reps=REPS, seed=1, n_jobs=4),
-        "chain": monte_carlo_null(NORMAL, R14, T50, w_chain, reps=REPS, seed=1, n_jobs=4),
+        "inverse_distance": monte_carlo_null(NORMAL, R14, T50, w_invdist, reps=REPS, seed=1,
+                                             n_jobs=JOBS),
+        "chain": monte_carlo_null(NORMAL, R14, T50, w_chain, reps=REPS, seed=1, n_jobs=JOBS),
     }
 
 
@@ -77,7 +79,7 @@ def sweeps(three_ws):
     out = {}
     for model in ("SAR", "SMA"):
         for name, W in three_ws.items():
-            out[model, name] = theta_sweep(model, W, THETAS, T=T50, reps=2000, seed=42)
+            out[model, name] = theta_sweep(model, W, THETAS, T=T50, reps=2000, seed=42, n_jobs=JOBS)
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbergsma import (
+    ProximityMatrix,
     empirical_kernel_matrix,
     kappa_tilde,
     linear_chain,
@@ -251,34 +252,34 @@ def naive_offsets(z):
 
 
 def offset_tiles(data, n):
-    """(..., T, R) panels -> (..., R, T//2, T): every panel_kernel_stack tile
+    """(..., T, R) panels -> (..., T//2, T, R): every panel_kernel_stack tile
     of n offsets, each written into a NaN-filled buffer, concatenated."""
-    X = np.swapaxes(data, -1, -2)
-    T = X.shape[-1]
+    T, R = data.shape[-2:]
     K = T // 2
-    wrapped = np.concatenate([X, X[..., :K]], axis=-1)
-    c = np.abs(X[..., :, None] - X[..., None, :]).sum(axis=(-2, -1)) / (T * (T - 1))
+    wrapped = np.concatenate([data, data[..., :K, :]], axis=-2)
+    c = np.abs(data[..., :, None, :] - data[..., None, :, :]).sum(axis=(-3, -2)) / (T * (T - 1))
+    c = np.broadcast_to(c[..., None, :], data.shape)
     tiles = []
     for k in range(1, K + 1, n):
-        out = np.full((*X.shape[:-1], min(n, K + 1 - k), T), np.nan)
+        out = np.full((*data.shape[:-2], min(n, K + 1 - k), T, R), np.nan)
         assert panel_kernel_stack(wrapped, c, k, out) is out
         tiles.append(out)
-    return np.concatenate(tiles, axis=-2)
+    return np.concatenate(tiles, axis=-3)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_batched_tiles_and_kappa_match_naive_oracle(n):
-    # (B, T, R) panels -> (B, R, T//2, T) shifted pair distances, in tiles of
+    # (B, T, R) panels -> (B, T//2, T, R) shifted pair distances, in tiles of
     # n offsets -> (B, R, R) kappa~, checked against the strict-upper-triangle
     # definition
     data = stream(6).standard_normal((3, 9, 4))
     D = offset_tiles(data, n)
-    assert D.shape == (3, 4, 4, 9)
+    assert D.shape == (3, 4, 9, 4)
     K = pairwise_kappa(data)
     assert K.shape == (3, 4, 4)
     for b in range(3):
         for i in range(4):
-            assert np.allclose(D[b, i], naive_offsets(data[b, :, i]), rtol=0, atol=1e-14)
+            assert np.allclose(D[b, ..., i], naive_offsets(data[b, :, i]), rtol=0, atol=1e-14)
             for j in range(4):
                 want = naive_kappa(naive_kernel(data[b, :, i]), naive_kernel(data[b, :, j]))
                 assert K[b, i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -288,11 +289,11 @@ def test_batched_tiles_and_kappa_match_naive_oracle(n):
 def test_offset_tiles_match_naive_at_every_parity(T):
     data = stream(7, T).standard_normal((T, 3))
     D = offset_tiles(data, max(1, T // 3))
-    assert D.shape == (3, T // 2, T)
+    assert D.shape == (T // 2, T, 3)
     K = pairwise_kappa(data)
     kernels = [naive_kernel(data[:, i]) for i in range(3)]
     for i in range(3):
-        assert np.allclose(D[i], naive_offsets(data[:, i]), rtol=0, atol=1e-13)
+        assert np.allclose(D[..., i], naive_offsets(data[:, i]), rtol=0, atol=1e-13)
         for j in range(3):
             want = naive_kappa(kernels[i], kernels[j])
             assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -302,9 +303,9 @@ def test_offset_tiles_match_naive_at_every_parity(T):
 def test_half_offset_second_listing_is_exactly_zero(T):
     # zeroed after the shift by c, so the second listing adds nothing
     D = offset_tiles(stream(8, T).standard_normal((2, T, 3)), 3)
-    assert np.all(D[..., -1, T // 2 :] == 0.0)
+    assert np.all(D[..., -1, T // 2 :, :] == 0.0)
     if T > 2:
-        assert np.all(D[..., -1, : T // 2] != 0.0)
+        assert np.all(D[..., -1, : T // 2, :] != 0.0)
 
 
 def test_kappa_spans_several_tiles(monkeypatch):
@@ -317,6 +318,36 @@ def test_kappa_spans_several_tiles(monkeypatch):
     for offsets in (7, 10):
         monkeypatch.setattr(bergsma, "_KERNEL_BYTES", 3 * 60 * 8 * offsets)
         assert np.allclose(pairwise_kappa(data), whole, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "B,T,R,scale,offset",
+    [(4, 50, 14, 1e3, 1e3), (3, 50, 14, 1e-3, -1e3), (3, 80, 6, 1.0, 0.0),
+     (5, 23, 4, 1e-3, 1e3), (2, 64, 9, 1e3, -5.0)],
+)
+def test_batch_sb_matches_naive_oracle_across_groups_and_tiles(B, T, R, scale, offset,
+                                                              monkeypatch):
+    # kappa~ -> rho~ -> S~_B of shifted, scaled panels, against the naive
+    # kernels, with the batch in one group and tile, in one-panel groups cut
+    # into tiles of 7 offsets, and in groups of two whole stacks
+    import sbergsma.bergsma as bergsma
+
+    rng = stream(30, T)
+    data = offset + scale * rng.standard_normal((B, T, R))
+    w = rng.random((R, R))
+    np.fill_diagonal(w, 0.0)
+    want, term_scale = np.empty(B), np.empty(B)
+    for b in range(B):
+        H = [naive_kernel(data[b, :, i]) for i in range(R)]
+        kappa = np.array([[naive_kappa(Hi, Hj) for Hj in H] for Hi in H])
+        terms = w * kappa / np.sqrt(np.outer(np.diag(kappa), np.diag(kappa)))
+        want[b] = terms.sum() / w.sum()
+        term_scale[b] = np.abs(terms).sum() / w.sum()
+    W = ProximityMatrix(w)
+    stack = R * T * 8 * (T // 2)
+    for budget in (1 << 30, R * T * 8 * 7, 2 * stack):
+        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", budget)
+        assert np.all(np.abs(sb_values_batch(data, W) - want) <= 1e-12 * term_scale)
 
 
 def test_kappa_memory_bounded_for_any_batch():

@@ -156,6 +156,14 @@ def test_sweep_theta_zero_matches_monte_carlo_null(w_chain6):
     assert np.array_equal(T * sweep.samples[0.0], null.samples)
 
 
+def test_sweep_bitwise_same_on_any_thread_count(w_chain6):
+    one = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=450, seed=4)
+    two = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=450, seed=4, n_jobs=2)
+    for theta in one.thetas:
+        assert np.array_equal(one.samples[theta], two.samples[theta])
+    assert one.summaries == two.summaries
+
+
 def test_sweep_mean_increases_with_theta(w_chain6):
     sweep = theta_sweep("SMA", w_chain6, [0.0, 0.3, 0.6], T=40, reps=400, seed=5)
     means = [sweep.summaries[t][0] for t in sweep.thetas]

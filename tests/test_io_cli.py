@@ -365,6 +365,22 @@ def test_cli_test_threads_reach_every_simulation(monkeypatch, tmp_path):
     assert seen == {"monte_carlo_null": 2, "bootstrap_ci": 2, "independence_rho_quantile": 2}
 
 
+def test_cli_sweep_same_on_one_and_two_threads(monkeypatch, tmp_path):
+    # 450 replicates are three ranges, so the second thread runs; the default
+    # thread count comes from SBERGSMA_THREADS, as for test and null
+    argv = ["sweep", "--model", "sar", "--thetas", "0,0.5", "--T", "10", "--reps", "450",
+            "--linear-chain", "3", "--seed", "3"]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SBERGSMA_THREADS", threads)
+        out = tmp_path / f"sweep{threads}.csv"
+        assert main(argv + ["-o", str(out)]) == 0
+        meta, *rows = out.read_text().splitlines()
+        assert json.loads(meta[len("# meta: "):])["config"]["threads"] == int(threads)
+        outs.append(rows)
+    assert outs[0] == outs[1]
+
+
 _COORDS = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (2.0, 0.0)}
 
 
@@ -446,7 +462,7 @@ _VALID_ARGV = {
 @pytest.mark.parametrize(
     "command,flag",
     [(c, "--threads")
-     for c in ("compute", "simulate", "sweep", "prewhiten", "weights", "spectrum")]
+     for c in ("compute", "simulate", "prewhiten", "weights", "spectrum")]
     + [(c, "--seed") for c in ("compute", "prewhiten", "weights", "spectrum")]
     # F is a family's standard member: no command takes a location or scale
     + [(c, f) for c in ("test", "null", "simulate", "sweep", "spectrum")
@@ -549,7 +565,8 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
           for flag in ("--cutoff", "--level") for c in ("nan", "inf")],
         *[([c, *args, "--linear-chain", "3", "--threads", n],
            f"argument --threads: must be at least 1, got {n}")
-          for c, args in (("test", ["{panel}"]), ("null", ["--R", "3", "--T", "10"]))
+          for c, args in (("test", ["{panel}"]), ("null", ["--R", "3", "--T", "10"]),
+                          ("sweep", ["--model", "sma"]))
           for n in ("0", "-4")],
         # W is one of two flags on every subcommand that reads one
         *[([c, *args], "one of the arguments --weights --linear-chain is required")

@@ -128,6 +128,23 @@ def test_panel_validation():
         SpatialPanel(np.zeros((5, 1)))
 
 
+def test_panel_leaves_the_callers_array_writable():
+    x = stream(3).standard_normal((6, 3))
+    panel = SpatialPanel(x)
+    x[0, 0] = 1.0
+    assert panel.data[0, 0] != 1.0
+    assert not panel.data.flags.writeable
+
+
+def test_panel_does_not_follow_writes_to_its_source():
+    # a panel built from a view keeps the values it was validated with
+    base = stream(4).standard_normal((6, 5))
+    panel = SpatialPanel(base[:, :3])
+    want = sb_statistic(panel, row_standardize(linear_chain(3))).value
+    base[:, 0] = 7.0
+    assert sb_statistic(panel, row_standardize(linear_chain(3))).value == want
+
+
 def test_batch_matches_single():
     rng = stream(22)
     panels = rng.standard_normal((8, 12, 5))

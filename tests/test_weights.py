@@ -129,3 +129,19 @@ def test_negative_weight_rejected():
 def test_all_zero_weights_rejected():
     with pytest.raises(IsolatedRegionError, match="S0 = 0"):
         ProximityMatrix(np.zeros((3, 3)))
+
+
+def test_weights_leave_the_callers_array_writable():
+    w = linear_chain(3).weights.copy()
+    W = ProximityMatrix(w)
+    w[0, 1] = 5.0
+    assert W.weights[0, 1] == 1.0
+    assert not W.weights.flags.writeable
+
+
+def test_weights_do_not_follow_writes_to_their_source():
+    base = np.ones((3, 4))
+    np.fill_diagonal(base, 0.0)
+    W = ProximityMatrix(base[:, :3])
+    base[0, 0] = 2.0
+    assert W.weights[0, 0] == 0.0 and W.s0 == 6.0
