@@ -9,12 +9,7 @@ confidence intervals, and AR pre-whitening for temporally dependent panels.
 
 __version__ = "0.1.0"
 
-from .bergsma import (
-    CenteredKernelMatrix,
-    empirical_kernel_matrix,
-    kappa_tilde,
-    rho_tilde,
-)
+from .bergsma import rho_tilde
 from .depmodels import DependenceSpec, SweepResult, simulate_panel, theta_sweep
 from .inference import (
     TestReport,
@@ -44,7 +39,6 @@ from .weights import (
 
 __all__ = [
     "ARFit",
-    "CenteredKernelMatrix",
     "DependenceSpec",
     "EigenSpectrum",
     "NullDistribution",
@@ -58,11 +52,9 @@ __all__ = [
     "adjacency_from_edges",
     "asymptotic_null_sample",
     "bootstrap_ci",
-    "empirical_kernel_matrix",
     "fit_ar",
     "independence_rho_quantile",
     "inverse_distance",
-    "kappa_tilde",
     "linear_chain",
     "moments",
     "monte_carlo_null",

@@ -11,7 +11,8 @@ grand mean.  The covariance estimator is the average over the C(T,2) pairs
 
 and rho~ = kappa~(x,y) / sqrt(kappa~(x,x) kappa~(y,y)).
 
-No centred kernel is built.  With c a series' mean pair distance, shift
+h~ defines the estimator here as mathematics only: the library never forms
+it, nor any T x T matrix.  With c a series' mean pair distance, shift
 d' = |z_m - z_n| - c and a' = a - c/2, which sums to zero.  Then still
 -2 h~ = d' - a'_m - a'_n, and the row-sum expansion of Huo & Szekely (2016)
 collapses to
@@ -29,8 +30,6 @@ of simulated panels) goes through :func:`pairwise_kappa` and
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,16 +50,6 @@ from .exceptions import (
 #: depend on R and T alone, so a panel's kappa~ is bitwise the same in any
 #: batch.  2 MiB is one L2 cache of the 2-vCPU Xeon it was tuned on.
 _KERNEL_BYTES = 1 << 21
-
-
-@dataclass(frozen=True)
-class CenteredKernelMatrix:
-    """Immutable T x T matrix of empirically centered kernel values."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
 
 
 def _validated_series(z, min_length: int) -> np.ndarray:
@@ -161,30 +150,6 @@ def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:
     ii = np.arange(diag.shape[-1])
     rho[..., ii, ii] = 1.0
     return rho
-
-
-def empirical_kernel_matrix(z) -> CenteredKernelMatrix:
-    """Build the empirically centered kernel matrix of a series.
-
-    Requires T >= 2 and finite values.  For T = 2 the off-diagonal entries
-    are zero (the centering cancels the single absolute difference exactly).
-    """
-    z = _validated_series(z, min_length=2)
-    a = _centring(z)
-    return CenteredKernelMatrix(-0.5 * (np.abs(z[:, None] - z) - a[:, None] - a))
-
-
-def kappa_tilde(Hx: CenteredKernelMatrix, Hy: CenteredKernelMatrix) -> float:
-    """U-statistic covariance estimate from two kernel matrices.
-
-    Averages elementwise products over the strict upper triangle only; the
-    diagonal never enters.
-    """
-    ex, ey = Hx.entries, Hy.entries
-    if ex.shape != ey.shape:
-        raise DimensionMismatchError(f"kernel shapes differ: {ex.shape} vs {ey.shape}")
-    # T (T - 1) / 2 pairs, T (T - 1) = size - T
-    return float(2.0 * np.triu(ex * ey, 1).sum() / (ex.size - len(ex)))
 
 
 def rho_tilde(x, y) -> float:

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bergsma import _validated_series
 from .exceptions import (
     LagError,
+    NonFiniteError,
     RankDeficientError,
     SampleSizeError,
     ShortSeriesError,
@@ -38,7 +40,7 @@ def fit_ar(series, p: int) -> ARFit:
     deficiency (e.g. a constant series, whose lags are collinear with the
     intercept) raises rather than silently pseudo-inverting.
     """
-    x = np.asarray(series, dtype=float)
+    x = _validated_series(series, min_length=0)
     if p < 1:
         raise ShortSeriesError(f"AR order must be >= 1, got {p}")
     T = x.size
@@ -71,7 +73,7 @@ def acf(series, max_lag: int):
 
     Returns ``(values, threshold)`` with threshold = 1.96 / sqrt(T).
     """
-    x = np.asarray(series, dtype=float)
+    x = _validated_series(series, min_length=0)
     T = x.size
     if not (0 <= max_lag < T):
         raise LagError(f"need 0 <= max_lag < T = {T}, got {max_lag}")
@@ -91,6 +93,8 @@ def moments(samples):
     x = np.asarray(samples, dtype=float)
     if x.size < 4:
         raise SampleSizeError(f"need at least 4 samples, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("samples contain NaN or infinite values")
     m = x.mean()
     d = x - m
     m2 = float(np.mean(d**2))

@@ -89,6 +89,10 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatchError(f"expected R x 2 coordinates, got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        names = ", ".join(str(labels[i]) if labels else str(i + 1) for i in bad)
+        raise NonFiniteError(f"non-finite coordinates for region(s) {names}")
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
     off = ~np.eye(len(pts), dtype=bool)

@@ -74,6 +74,23 @@ def naive_kappa(Hx, Hy):
     return total / (T * (T - 1) / 2)
 
 
+def dense_kernel(z):
+    """The centered kernel as one T x T array, from the absolute-difference
+    matrix and its row means: the definition vectorised, for long series."""
+    z = np.asarray(z, dtype=float)
+    T = len(z)
+    D = np.abs(z[:, None] - z)
+    A = D.mean(axis=1)
+    a = (T / (T - 1)) * (A - 0.5 * A.mean())
+    return -0.5 * (D - a[:, None] - a)
+
+
+def dense_kappa(Hx, Hy):
+    """naive_kappa over the strict upper triangle, vectorised."""
+    T = len(Hx)
+    return 2.0 * np.triu(Hx * Hy, 1).sum() / (T * (T - 1))
+
+
 def naive_rho(x, y):
     Hx, Hy = naive_kernel(x), naive_kernel(y)
     return naive_kappa(Hx, Hy) / np.sqrt(naive_kappa(Hx, Hx) * naive_kappa(Hy, Hy))

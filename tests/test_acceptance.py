@@ -18,9 +18,7 @@ from sbergsma import (
     DependenceSpec,
     ReferenceDistribution,
     SpatialPanel,
-    empirical_kernel_matrix,
     independence_rho_quantile,
-    kappa_tilde,
     monte_carlo_null,
     asymptotic_null_sample,
     nystrom_eigenvalues,
@@ -30,6 +28,7 @@ from sbergsma import (
     sb_values_batch,
     theta_sweep,
 )
+from sbergsma.bergsma import _centring, pairwise_kappa
 from sbergsma.rng import stream
 
 from conftest import naive_rho, naive_sb
@@ -104,12 +103,14 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_hand_kernel():
-    H = empirical_kernel_matrix([0.0, 1.0, 2.0])
+    z = np.array([0.0, 1.0, 2.0])
+    a = _centring(z)
+    H = -0.5 * (np.abs(z[:, None] - z) - a[:, None] - a)
     expected = np.array(
         [[5 / 6, 1 / 12, -1 / 6], [1 / 12, 1 / 3, 1 / 12], [-1 / 6, 1 / 12, 5 / 6]]
     )
-    err = float(np.max(np.abs(H.entries - expected)))
-    kerr = abs(kappa_tilde(H, H) - 1 / 72)
+    err = float(np.max(np.abs(H - expected)))
+    kerr = abs(pairwise_kappa(z[:, None])[0, 0] - 1 / 72)
     _line(2, err < 1e-15 and kerr < 1e-15, f"kernel error {err:.1e}, kappa error {kerr:.1e}")
 
 

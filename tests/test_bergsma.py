@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from sbergsma import (
     ProximityMatrix,
-    empirical_kernel_matrix,
-    kappa_tilde,
     linear_chain,
     rho_tilde,
     sb_values_batch,
@@ -22,7 +20,7 @@ from sbergsma.exceptions import (
 )
 from sbergsma.rng import stream
 
-from conftest import naive_kappa, naive_kernel, naive_rho
+from conftest import dense_kappa, dense_kernel, naive_kappa, naive_kernel, naive_rho
 
 series_strategy = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -31,8 +29,23 @@ series_strategy = st.lists(
 ).filter(lambda v: max(v) - min(v) > 1e-6)
 
 
+def test_every_export_resolves():
+    import sbergsma
+
+    assert len(set(sbergsma.__all__)) == len(sbergsma.__all__)
+    for name in sbergsma.__all__:
+        assert getattr(sbergsma, name) is not None, name
+
+
+def centred_kernel(z):
+    """h~ from the library's centring vector: -1/2 (|z_m - z_n| - a_m - a_n)."""
+    z = np.asarray(z, dtype=float)
+    a = _centring(z)
+    return -0.5 * (np.abs(z[:, None] - z) - a[:, None] - a)
+
+
 def test_kernel_hand_values():
-    H = empirical_kernel_matrix([0.0, 1.0, 2.0]).entries
+    z = np.array([0.0, 1.0, 2.0])
     expected = np.array(
         [
             [5 / 6, 1 / 12, -1 / 6],
@@ -40,65 +53,53 @@ def test_kernel_hand_values():
             [-1 / 6, 1 / 12, 5 / 6],
         ]
     )
-    assert np.max(np.abs(H - expected)) < 1e-15
+    assert np.max(np.abs(centred_kernel(z) - expected)) < 1e-15
+    assert abs(pairwise_kappa(z[:, None])[0, 0] - 1 / 72) < 1e-15
 
 
 def test_kernel_t2_off_diagonal_cancels():
-    # at T = 2 the bracketed term cancels exactly for m != n, so every
-    # entry that enters kappa~ (the strict upper triangle) is zero
-    H = empirical_kernel_matrix([0.0, 1.0]).entries
-    assert H[0, 1] == 0.0 and H[1, 0] == 0.0
-
-
-def test_kernel_shift_invariance():
-    z = np.array([0.3, -1.2, 5.0, 2.2])
-    H1 = empirical_kernel_matrix(z).entries
-    H2 = empirical_kernel_matrix(z + 17.5).entries
-    assert np.allclose(H1, H2, rtol=0, atol=1e-12)
-
-
-def test_kernel_errors():
-    with pytest.raises(LengthError):
-        empirical_kernel_matrix([1.0])
-    with pytest.raises(NonFiniteError):
-        empirical_kernel_matrix([1.0, np.nan, 2.0])
+    # at T = 2 the bracketed term cancels exactly for m != n, so the one
+    # pair that enters kappa~ contributes zero
+    z = np.array([0.0, 1.0])
+    assert centred_kernel(z)[0, 1] == 0.0
+    assert np.all(pairwise_kappa(z[:, None]) == 0.0)
 
 
 @given(series_strategy)
 @settings(max_examples=50, deadline=None)
-def test_kernel_matches_naive_and_is_symmetric(values):
-    H = empirical_kernel_matrix(values).entries
-    assert np.allclose(H, H.T, rtol=0, atol=1e-12)
-    assert np.allclose(H, naive_kernel(values), rtol=1e-12, atol=1e-12)
+def test_centring_matches_naive_kernel(values):
+    assert np.allclose(centred_kernel(values), naive_kernel(values), rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_shift_invariance():
+    z = np.array([0.3, -1.2, 5.0, 2.2])
+    y = np.array([1.0, 0.5, -2.0, 4.0])
+    assert np.allclose(_centring(z + 17.5), _centring(z), rtol=0, atol=1e-12)
+    K = pairwise_kappa(np.column_stack([z, y]))
+    K2 = pairwise_kappa(np.column_stack([z + 17.5, y]))
+    assert np.allclose(K2, K, rtol=0, atol=1e-12)
 
 
 @given(series_strategy, st.sampled_from([-2.0, 0.5, 3.0]))
 @settings(max_examples=30, deadline=None)
 def test_kernel_scale_equivariance(values, c):
     z = np.asarray(values)
-    H1 = empirical_kernel_matrix(z).entries
-    H2 = empirical_kernel_matrix(c * z).entries
-    assert np.allclose(H2, abs(c) * H1, rtol=1e-10, atol=1e-10)
+    y = np.random.default_rng(len(z)).standard_normal(len(z))
+    a = _centring(z)
+    assert np.allclose(_centring(c * z), abs(c) * a, rtol=1e-10, atol=1e-10)
+    # kappa~(c x, y) = |c| kappa~(x, y) and kappa~(c x, c x) = c^2 kappa~(x, x)
+    K = pairwise_kappa(np.column_stack([z, y]))
+    K2 = pairwise_kappa(np.column_stack([c * z, y]))
+    scale = abs(c) * np.sqrt(K[0, 0] * K[1, 1])
+    assert abs(K2[0, 1] - abs(c) * K[0, 1]) <= 1e-10 * scale
+    assert K2[0, 0] == pytest.approx(c**2 * K[0, 0], rel=1e-10)
+    assert K2[1, 1] == K[1, 1]
 
 
-def test_kappa_self_hand_value():
-    H = empirical_kernel_matrix([0.0, 1.0, 2.0])
-    assert kappa_tilde(H, H) == pytest.approx(1 / 72, rel=1e-12)
-
-
-def test_kappa_annihilator_and_t2():
-    H2 = empirical_kernel_matrix([0.0, 1.0])
-    assert kappa_tilde(H2, H2) == 0.0
-    H = empirical_kernel_matrix([0.0, 1.0, 2.0])
-    Z = empirical_kernel_matrix([5.0, 5.0, 5.0])
-    assert kappa_tilde(H, Z) == 0.0
-
-
-def test_kappa_dimension_mismatch():
-    H3 = empirical_kernel_matrix([0.0, 1.0, 2.0])
-    H4 = empirical_kernel_matrix([0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(DimensionMismatchError):
-        kappa_tilde(H3, H4)
+def test_kappa_annihilator():
+    # a constant series has an all-zero kernel, so it annihilates any other
+    K = pairwise_kappa(np.column_stack([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]]))
+    assert K[0, 1] == 0.0 and K[1, 0] == 0.0 and K[1, 1] == 0.0
 
 
 def test_rho_self_and_affine():
@@ -132,6 +133,17 @@ def test_rho_degenerate_and_length_errors():
         rho_tilde([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         rho_tilde([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(LengthError):
+        rho_tilde([1.0], [1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            rho_tilde([1.0, bad, 2.0], [0.0, 1.0, 2.0])
+        with pytest.raises(NonFiniteError):
+            rho_tilde([0.0, 1.0, 2.0], [1.0, 2.0, bad])
+    with pytest.raises(DimensionMismatchError):
+        rho_tilde(np.ones((3, 2)), [0.0, 1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        rho_tilde([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0]])
 
 
 @given(series_strategy)
@@ -219,11 +231,10 @@ def test_nonlinear_dependence_detected_where_pearson_fails():
 def test_pairwise_kappa_matches_elementwise():
     data = stream(5).standard_normal((12, 4))
     K = pairwise_kappa(data)
+    H = [naive_kernel(data[:, i]) for i in range(4)]
     for i in range(4):
         for j in range(4):
-            Hi = empirical_kernel_matrix(data[:, i])
-            Hj = empirical_kernel_matrix(data[:, j])
-            assert K[i, j] == pytest.approx(kappa_tilde(Hi, Hj), rel=1e-12)
+            assert K[i, j] == pytest.approx(naive_kappa(H[i], H[j]), rel=1e-12)
 
 
 @pytest.mark.parametrize("T", [0, 1])
@@ -367,13 +378,13 @@ def test_kappa_memory_bounded_for_any_batch():
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
-def test_long_series_rho_matches_kernel_matrix_route(offset):
+def test_long_series_rho_matches_dense_oracle(offset):
     # the shift by the mean pair distance keeps the row-sum expansion from
     # cancelling: unshifted, offset 0 misses by about 1e-14
     T = 1000
     x, y = offset + stream(11).standard_normal((2, T))
-    Hx, Hy = empirical_kernel_matrix(x), empirical_kernel_matrix(y)
-    want = kappa_tilde(Hx, Hy) / np.sqrt(kappa_tilde(Hx, Hx) * kappa_tilde(Hy, Hy))
+    Hx, Hy = dense_kernel(x), dense_kernel(y)
+    want = dense_kappa(Hx, Hy) / np.sqrt(dense_kappa(Hx, Hx) * dense_kappa(Hy, Hy))
     assert abs(rho_tilde(x, y) - want) < 2e-15
 
 

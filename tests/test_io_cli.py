@@ -684,6 +684,12 @@ def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(t
     "argv,category",
     [
         (["weights", "--weights", "{w}", "-o", "{out}"], "NegativeWeightError"),
+        # an infinite coordinate used to exit 0 with an all-zero row and column,
+        # and a NaN one to fail with a message about W
+        (["weights", "--weights", "{c}", "--weights-kind", "coords", "-o", "{out}"],
+         "NonFiniteError"),
+        (["weights", "--weights", "{n}", "--weights-kind", "coords", "-o", "{out}"],
+         "NonFiniteError"),
         # I - theta W has condition 2.2e13 on the standardized chain
         (["simulate", "--model", "sar", "--theta", "0.9999999999999", "--linear-chain", "4",
           "--seed", "1", "-o", "{out}"], "SingularSystemError"),
@@ -692,9 +698,16 @@ def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(t
 def test_cli_weight_and_model_errors_are_json_errors(argv, category, tmp_path, capsys):
     w = tmp_path / "w.csv"
     w.write_text("0,1,1\n1,0,-1\n1,1,0\n")
+    c = tmp_path / "c.csv"
+    c.write_text("A,0,0\nB,1,0\nC,inf,0\n")
+    n = tmp_path / "n.csv"
+    n.write_text("A,0,0\nB,1,0\nC,0,nan\n")
     out = tmp_path / "out.csv"
-    assert main([a.format(w=w, out=out) for a in argv]) == 1
-    assert json.loads(capsys.readouterr().err)["error_category"] == category
+    assert main([a.format(w=w, c=c, n=n, out=out) for a in argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_category"] == category
+    if category == "NonFiniteError":
+        assert err["message"].endswith("coordinates for region(s) C")
     assert not out.exists()
 
 

@@ -14,7 +14,9 @@ from sbergsma import (
     sb_statistic,
 )
 from sbergsma.exceptions import (
+    DimensionMismatchError,
     LagError,
+    NonFiniteError,
     RankDeficientError,
     SampleSizeError,
     ShortSeriesError,
@@ -57,11 +59,23 @@ def test_ar3_coefficients_recovered_within_se():
     assert np.all(np.abs(fit.coefficients - np.r_[0.0, phi]) < 3 * se)
 
 
-def test_short_series_errors():
+def _with(bad):
+    x = stream(45).standard_normal(30)
+    x[10] = bad
+    return x
+
+
+def test_fit_ar_errors():
     with pytest.raises(ShortSeriesError):
         fit_ar(np.arange(7.0), 3)  # needs T > 8
     with pytest.raises(ShortSeriesError):
         fit_ar(np.arange(20.0), 0)
+    # NaN or inf used to give NaN coefficients, a 2-d series numpy's ValueError
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            fit_ar(_with(bad), 1)
+    with pytest.raises(DimensionMismatchError):
+        fit_ar(np.ones((30, 2)), 1)
 
 
 def test_residuals_orthogonal_to_design():
@@ -122,6 +136,11 @@ def test_acf_errors():
         acf(np.arange(5.0), 5)
     with pytest.raises(SampleSizeError):
         acf(np.full(10, 2.0), 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            acf(_with(bad), 3)
+    with pytest.raises(DimensionMismatchError):
+        acf(np.ones((30, 2)), 3)
 
 
 def test_moments_hand_case():
@@ -143,3 +162,6 @@ def test_moments_errors():
         moments([1.0, 2.0, 3.0])
     with pytest.raises(SampleSizeError):
         moments(np.full(10, 5.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            moments(_with(bad))

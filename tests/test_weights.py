@@ -14,6 +14,7 @@ from sbergsma.exceptions import (
     DuplicatePointError,
     IsolatedRegionError,
     NegativeWeightError,
+    NonFiniteError,
     RegionIndexError,
     SelfLoopError,
     SizeError,
@@ -52,6 +53,12 @@ def test_inverse_distance_examples():
     assert W3.weights[1, 2] == pytest.approx(1.0)
     with pytest.raises(DuplicatePointError):
         inverse_distance([(0, 0), (0, 0), (1, 1)])
+    # an infinite coordinate used to give its region all-zero weights
+    pts = [(0.0, 0.0), (1.0, 0.0), (np.inf, 0.0), (0.0, np.nan)]
+    with pytest.raises(NonFiniteError, match=r"region\(s\) C, D$"):
+        inverse_distance(pts, ["A", "B", "C", "D"])
+    with pytest.raises(NonFiniteError, match=r"region\(s\) 3, 4$"):
+        inverse_distance(pts)
 
 
 def test_linear_chain_examples():
