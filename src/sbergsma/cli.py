@@ -46,7 +46,7 @@ from .weights import linear_chain, row_standardize
 
 
 def _dist_from_args(args) -> ReferenceDistribution:
-    return ReferenceDistribution(args.dist, df=args.df)
+    return ReferenceDistribution(args.dist, df=1.0 if args.df is None else args.df)
 
 
 def _hash_file(path: str) -> str:
@@ -231,7 +231,7 @@ def _cmd_spectrum(args):
 def _add_dist_args(p):
     """Add --dist and --df: F is the standard member of a family (see ReferenceDistribution)."""
     p.add_argument("--dist", choices=FAMILIES, default="normal")
-    p.add_argument("--df", type=float, default=1.0, help="chi-square degrees of freedom")
+    p.add_argument("--df", type=float, help="chi-square degrees of freedom (default: 1)")
 
 
 def _add_weight_args(p, standardize=True):
@@ -402,6 +402,7 @@ _DEPENDENT_FLAGS = (
     # spectrum has no --null and always reads --K and --grid
     ("--K", lambda a: getattr(a, "null", "asym") == "asym", "with --null asym", 100),
     ("--grid", lambda a: getattr(a, "null", "asym") == "asym", "with --null asym", 2000),
+    ("--df", lambda a: a.dist == "chi-square", "with --dist chi-square", 1.0),
     ("--level", lambda a: a.bootstrap is not None, "with --bootstrap", 0.95),
     ("--cutoff-sims", lambda a: a.cutoff is None, "without --cutoff", 10_000),
     ("--regions", lambda a: a.weights is not None and a.weights_kind == "edges",

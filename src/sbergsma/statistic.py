@@ -11,6 +11,7 @@ symmetrization.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -128,24 +129,31 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)
 
 
-def replicate_values(values, n: int, n_jobs: int = 1, size: int = _RANGE) -> np.ndarray:
+def replicate_values(values, n: int, n_jobs: int = 1, size: int | None = _RANGE) -> np.ndarray:
     """Join ``values(lo, hi)``, the S~_B of replicates lo..hi-1 along its last
     axis, over the ranges of ``size`` replicates that cover 0..n-1.
 
     The one replicate loop of the Monte Carlo null, the theta sweep, the
-    bootstrap and the pair cutoff.  Ranges run on ``n_jobs`` threads (one: the
-    calling thread) and join in index order, so no value depends on ``n_jobs``;
-    the first error cancels the ranges not yet started.
+    bootstrap and the pair cutoff.  Ranges run on min(``n_jobs``, usable cores,
+    ranges) threads (one: the calling thread) and join in index order, so no
+    value depends on ``n_jobs``; the first error cancels the ranges not yet
+    started.  ``size=None``, for values that do not depend on where ranges
+    start and end, gives each thread a range: min(200, ceil(n / threads)).
     """
     if n_jobs < 1:
         raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
 
+    workers = min(n_jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+    if size is None:
+        size = min(_RANGE, max(1, -(-n // workers)))
     starts = range(0, n, size)
     ends = [min(lo + size, n) for lo in starts]
-    if n_jobs == 1:
+    workers = min(workers, len(starts))
+    if workers <= 1:
         parts = list(map(values, starts, ends))
     else:
-        pool = ThreadPoolExecutor(max_workers=n_jobs)
+        pool = ThreadPoolExecutor(max_workers=workers)
         try:
             parts = list(pool.map(values, starts, ends))
         finally:

@@ -1,5 +1,7 @@
 """Dependence model simulator and theta sweep tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sbergsma import (
     monte_carlo_null,
     row_standardize,
     sb_statistic,
+    sb_values_batch,
     simulate_panel,
     theta_sweep,
 )
@@ -162,6 +165,27 @@ def test_sweep_bitwise_same_on_any_thread_count(w_chain6):
     for theta in one.thetas:
         assert np.array_equal(one.samples[theta], two.samples[theta])
     assert one.summaries == two.summaries
+
+
+def test_small_run_gives_each_thread_a_range(monkeypatch, w_chain6):
+    # 20 replicates on 2 threads are two ranges of 10, not one range of 20
+    import sbergsma.depmodels as depmodels
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    batches = []
+
+    def recording(panels, W):
+        batches.append(len(panels))
+        return sb_values_batch(panels, W)
+
+    monkeypatch.setattr(depmodels, "sb_values_batch", recording)
+    runs = []
+    for n_jobs, sizes in ((1, [20, 20]), (2, [10] * 4)):  # one batch per theta and range
+        batches.clear()
+        runs.append(sb_replicates("SAR", [0.0, 0.5], w_chain6, NORMAL, T=10, reps=20,
+                                  seed=4, n_jobs=n_jobs))
+        assert batches == sizes
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_sweep_mean_increases_with_theta(w_chain6):

@@ -88,7 +88,7 @@ def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
 
     monkeypatch.setattr(inference, "monte_carlo_null", recording)
     panel = simulate_panel(DependenceSpec("SMA", 0.3, w5), T=30, seed=4)
-    # 500 replicates are three chunks, so three threads each get work
+    # 500 replicates are three ranges, one per thread up to the usable cores
     a, b = (test_spatial_independence(panel, w5, reps=500, seed=7, n_jobs=n)
             for n in (1, 3))
     assert seen == [1, 3]

@@ -381,6 +381,21 @@ def test_cli_sweep_same_on_one_and_two_threads(monkeypatch, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_null_same_file_on_one_and_two_threads(monkeypatch, tmp_path):
+    # 20 replicates on 2 threads are two ranges of 10; the files, written
+    # under one name in two directories, differ only in the echoed thread count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    texts = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        monkeypatch.chdir(tmp_path / threads)
+        assert main(["null", "--R", "6", "--T", "30", "--linear-chain", "6", "--reps", "20",
+                     "--seed", "1", "--threads", threads, "-o", "out.csv"]) == 0
+        texts.append((tmp_path / threads / "out.csv").read_text())
+    assert '"threads": 1}' in texts[0]
+    assert texts[0].replace('"threads": 1}', '"threads": 2}') == texts[1]
+
+
 _COORDS = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (2.0, 0.0)}
 
 
@@ -507,9 +522,6 @@ def test_cli_rejects_flags_the_command_does_not_read(
            "InvalidParameterError") for T in ("1", "2")],
         (["sweep", "--model", "sar", "--thetas", "0,0.5,0.5", "--linear-chain", "4"],
          "InvalidParameterError"),
-        # df is read by chi-square only; it used to be recorded and ignored
-        (["null", "--R", "4", "--T", "10", "--linear-chain", "4", "--dist", "normal",
-          "--df", "-7"], "UnsupportedDistributionError"),
     ],
 )
 def test_cli_size_arguments_rejected_before_any_simulation(
@@ -610,6 +622,12 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
         # --acf-lags sizes the ACF table only; without it it was ignored but recorded
         (["prewhiten", "{panel}", "--ar", "1", "--acf-lags", "5"],
          "argument --acf-lags: only read with --acf-output"),
+        # --df is read by chi-square only; elsewhere it was recorded, and a
+        # --df 1 (the old default) was accepted without a word
+        *[(argv + ["--df", df], "argument --df: only read with --dist chi-square")
+          for argv in (["null", "--R", "4", "--T", "10", "--linear-chain", "4",
+                        "--dist", "normal"], ["spectrum"])
+          for df in ("-7", "1")],
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
@@ -658,11 +676,12 @@ def test_cli_test_records_only_the_flags_it_reads(panel_file, tmp_path):
                      *args, "-o", str(out)]) == 0
         return json.loads(out.read_text())["meta"]["config"]
 
-    mode_flags = ("K", "grid", "level", "cutoff_sims")
+    mode_flags = ("K", "grid", "level", "cutoff_sims", "df")
     got = config("--cutoff", "0.2")
     assert not any(k in got for k in mode_flags)
     got = config("--null", "asym", "--bootstrap", "200", "--cutoff-sims", "50")
-    assert [got[k] for k in mode_flags] == [100, 2000, 0.95, 50]
+    assert [got[k] for k in mode_flags[:-1]] == [100, 2000, 0.95, 50]
+    assert config("--cutoff", "0.2", "--dist", "chi-square")["df"] == 1.0
 
 
 def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(tmp_path):

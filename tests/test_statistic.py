@@ -1,5 +1,9 @@
 """Spatial statistic tests: hand cases, invariances, kernel-reuse equivalence."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -245,10 +249,30 @@ def test_replicate_ranges_join_in_index_order(n_jobs, size):
     assert np.array_equal(got, np.arange(50) * [[1.0], [-1.0]])
 
 
-def test_replicate_ranges_stop_at_the_first_error():
-    import threading
-    import time
+@pytest.mark.parametrize("cores", [None, 1, 3])
+def test_replicate_threads_capped_at_the_usable_cores(monkeypatch, cores):
+    # eight ranges of one replicate, so a missing cap starts at most 8 threads
+    if cores is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+    idents = [None] * 8
 
+    def values(lo, hi):
+        idents[lo] = threading.get_ident()
+        time.sleep(0.01)  # keeps this thread busy, so the next range needs another
+        return np.arange(lo, hi) * [[1.0], [-1.0]]
+
+    got = replicate_values(values, 8, n_jobs=64, size=1)
+    assert np.array_equal(got, np.arange(8) * [[1.0], [-1.0]])
+    assert len(set(idents)) <= min(8, cores)
+    if cores == 1:
+        # one worker runs on the calling thread, with no pool
+        assert set(idents) == {threading.get_ident()}
+
+
+def test_replicate_ranges_stop_at_the_first_error():
     started = []
     lock = threading.Lock()
 
