@@ -293,7 +293,9 @@ def _positive_int(text: str) -> int:
 
 
 def _output_path(path: str) -> str:
-    """argparse type: a path in an existing directory, absent or a regular file."""
+    """argparse type: a nonempty path in an existing directory, absent or a regular file."""
+    if not path:
+        raise argparse.ArgumentTypeError("must not be empty")
     # the atomic rename would replace a FIFO or device node, and fail on a directory
     if os.path.exists(path) and not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"{path!r} exists and is not a regular file")

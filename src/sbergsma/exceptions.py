@@ -118,7 +118,7 @@ class TooManyDegenerateResamplesError(SbergsmaError):
 # --- I/O errors -------------------------------------------------------------
 
 class OutputPathError(SbergsmaError):
-    """Output path exists and is not a regular file."""
+    """Output path is empty, or exists and is not a regular file."""
 
 
 class ParseError(SbergsmaError):
@@ -146,4 +146,4 @@ class NonIntegerError(ParseError):
 
 
 class DuplicateLabelError(ParseError):
-    """A panel header names the same region twice."""
+    """A panel header or a coordinate list names the same region twice."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # np.quantile reads np.ma, which numpy 2 loads lazily; load it with the package
 
 from .exceptions import (
     EmptyNullError,
@@ -119,8 +118,8 @@ def bootstrap_ci(
     preserves the cross-sectional dependence being measured.  A resample that
     leaves some region constant is redrawn, up to 10 attempts per resample of
     its range of :func:`sbergsma.statistic.replicate_values`, so memory does
-    not grow with B and nothing depends on ``n_jobs``.  No clamping at 0 is
-    applied; raw percentiles are reported.
+    not grow with B and nothing depends on ``n_jobs``.  The ends are the raw
+    percentiles by numpy's default, linear, rule, with no clamping at 0.
     """
     if B < 200:
         raise InvalidParameterError(f"need B >= 200 bootstrap resamples, got {B}")
@@ -148,7 +147,7 @@ def bootstrap_ci(
         return sb_values_batch(resamples, W)
 
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(replicate_values(values, B, n_jobs), [alpha, 1.0 - alpha])
+    lo, hi = _quantile(replicate_values(values, B, n_jobs), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 
@@ -169,7 +168,12 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,
     def values(lo, hi):
         return sb_values_batch(stream(seed, lo).standard_normal((hi - lo, T, 2)), W2)
 
-    return float(np.quantile(replicate_values(values, n_sim, n_jobs, _CUTOFF_BLOCK), 0.95))
+    return float(_quantile(replicate_values(values, n_sim, n_jobs, _CUTOFF_BLOCK), 0.95))
+
+
+def _quantile(values: np.ndarray, q):
+    """np.quantile's default (linear) rule, without the numpy.ma import its first call makes."""
+    return np.interp(np.multiply(q, values.size - 1), np.arange(values.size), np.sort(values))
 
 
 def pairwise_screen(rho: np.ndarray, cutoff: float) -> np.ndarray:

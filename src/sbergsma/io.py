@@ -47,6 +47,8 @@ def atomic_write_text(path: str, text: str) -> None:
     A new file gets the mode ``open(path, "w")`` would give it, 0o666 less
     the umask; a replaced file keeps its mode.
     """
+    if not path:
+        raise OutputPathError("the output path is empty")
     # the rename would replace a FIFO or device node, and fail on a directory
     if os.path.exists(path) and not os.path.isfile(path):
         raise OutputPathError(f"{path!r} exists and is not a regular file")
@@ -206,9 +208,11 @@ def _load_coords(path: str) -> ProximityMatrix:
             continue  # a header: only a first row whose x and y are both non-numeric
         if not all(numeric):
             raise NonNumericError(f"row {lineno}: non-numeric coordinates")
-        xy = (float(fields[1]), float(fields[2]))
-        labels.append(fields[0].strip())
-        points.append(xy)
+        label = fields[0].strip()
+        if label in labels:
+            raise DuplicateLabelError(f"row {lineno}: duplicate region label {label!r}")
+        labels.append(label)
+        points.append((float(fields[1]), float(fields[2])))
     if not points:
         raise ParseError(f"{path}: no coordinate rows")
     return inverse_distance(points, labels)

@@ -38,8 +38,9 @@ from .weights import ProximityMatrix
 
 #: relative tolerance for the Nystrom trace / squared-trace consistency checks
 TRACE_TOL = 0.02
-#: midpoint grid size of the mean behind the squared-trace target
-_CHECK_GRID = 2**16
+#: midpoint grid size of the mean behind the squared-trace target; twice as
+#: many points move it by under 1e-7 relative, far inside TRACE_TOL
+_CHECK_GRID = 2**15
 
 #: weights of a pair term kept exactly; the rest become one normal
 _KEEP = 100
@@ -138,15 +139,10 @@ def _grid_eigenvalues(dist: ReferenceDistribution, m: int) -> np.ndarray:
 
 
 def _kernel_square_mean(dist: ReferenceDistribution) -> float:
-    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean on a fixed grid.
-
-    A symmetric law's grid is its own reflection about the median c = EZ, and
-    both terms are even about c, so the lower half of the grid gives the mean.
-    """
-    n = _CHECK_GRID // 2 if dist.family in SYMMETRIC else _CHECK_GRID
-    z = dist.ppf((np.arange(n) + 0.5) / _CHECK_GRID)
-    centre = dist.ppf(0.5) if n < _CHECK_GRID else z.mean()
-    spread = np.mean((z - centre) ** 2 - dist.mean_abs_from(z) ** 2)
+    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean taken on
+    the same _CHECK_GRID inverse-CDF midpoints for every law."""
+    z = dist.ppf((np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID)
+    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
     return dist.mean_abs_gap() ** 2 / 4 + spread / 2
 
 
@@ -207,7 +203,8 @@ def asymptotic_null_sample(
     """Sample the weighted-chi-square limit law of T * S~_B.
 
     ``spectra`` is one :class:`EigenSpectrum` per region; each distinct pair
-    of spectra, in either order, gets one CDF table.  The samples are
+    of spectra, in either order, gets one CDF table, held only until the last
+    pair that reads it, so memory does not grow with R.  The samples are
     sum_p w_p Y_p / S0 over pairs of weight w_p = w_ij + w_ji > 0, with Y_p
     drawn by inverse CDF from ``stream(seed, p)``.  ``meta`` gives the worst
     table's weights kept, remainder variance and tail mass beyond its grid.
@@ -220,13 +217,20 @@ def asymptotic_null_sample(
         raise SpectraMismatchError(f"{len(spectra)} spectra for {R} regions")
     iu = np.triu_indices(R, k=1)
     w_pair = (W.weights + W.weights.T)[iu]
-    laws, samples = {}, np.zeros(n_draws)
-    for p in np.flatnonzero(w_pair):
-        lam_i, lam_j = spectra[iu[0][p]], spectra[iu[1][p]]
-        key = frozenset((lam_i.tobytes(), lam_j.tobytes()))
-        y, F, *_ = laws[key] = laws.get(key) or _pair_law(lam_i, lam_j)
+    pairs = np.flatnonzero(w_pair)
+    keys = [frozenset((spectra[iu[0][p]].tobytes(), spectra[iu[1][p]].tobytes()))
+            for p in pairs]
+    last = {key: p for p, key in zip(pairs, keys)}
+    tables, summaries, samples = {}, [], np.zeros(n_draws)
+    for p, key in zip(pairs, keys):
+        if key not in tables:
+            y, F, kept, var_rest = _pair_law(spectra[iu[0][p]], spectra[iu[1][p]])
+            tables[key] = y, F
+            summaries.append((kept, var_rest, float(1.0 - F[-1])))
+        y, F = tables[key] if p < last[key] else tables.pop(key)
         samples += w_pair[p] * np.interp(stream(seed, int(p)).random(n_draws), F, y)
     samples /= W.s0
+    kept, var_rest, tail = zip(*summaries)
     return NullDistribution(
         samples,
         "asymptotic_eigen",
@@ -236,9 +240,9 @@ def asymptotic_null_sample(
             "n_draws": n_draws,
             "seed": seed,
             "common_spectrum": all(np.array_equal(s, spectra[0]) for s in spectra),
-            "weights_kept": min(law[2] for law in laws.values()),
-            "remainder_variance": max(law[3] for law in laws.values()),
-            "table_tail_mass": max(float(1.0 - law[1][-1]) for law in laws.values()),
+            "weights_kept": min(kept),
+            "remainder_variance": max(var_rest),
+            "table_tail_mass": max(tail),
         },
     )
 

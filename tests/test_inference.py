@@ -237,6 +237,17 @@ def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
     assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12
 
 
+def test_pair_cutoff_is_the_95th_percentile_of_simulated_rho():
+    # the cutoff takes np.quantile's linear rule without calling it; the pairs
+    # of each block of 2000 come from the stream of the block's first index
+    T, n_sim, seed = 10, 2300, 6
+    rho = [sb_statistic(SpatialPanel(x), linear_chain(2)).value
+           for lo in range(0, n_sim, 2000)
+           for x in stream(seed, lo).standard_normal((min(2000, n_sim - lo), T, 2))]
+    want = np.quantile(rho, 0.95)
+    assert abs(independence_rho_quantile(T, n_sim=n_sim, seed=seed) - want) <= 1e-12
+
+
 def _forbid_nulls(monkeypatch):
     import sbergsma.inference as inference
 

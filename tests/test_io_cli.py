@@ -427,6 +427,18 @@ def test_cli_coords_labels_must_be_the_panel_header(
     assert f"region {position} is" in err["message"]
 
 
+def test_cli_coords_reject_a_repeated_label(tmp_path, capsys):
+    # simulate wrote a panel headed A,A,B, which compute then refused
+    coords, out = tmp_path / "c.csv", tmp_path / "panel.csv"
+    coords.write_text("A,0,0\nA,1,0\nB,0,1\n")
+    assert main(["simulate", "--model", "sma", "--theta", "0.5", "--weights", str(coords),
+                 "--weights-kind", "coords", "--seed", "1", "-o", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error_category": "DuplicateLabelError",
+                   "message": "row 2: duplicate region label 'A'"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compute", "test"])
 def test_cli_coords_labels_in_panel_order_pass(command, tmp_path):
     assert main(_coords_argv(command, tmp_path, ("a", "b", "c"))) == 0
@@ -794,6 +806,34 @@ def test_cli_output_in_a_missing_directory_is_a_usage_error(command, panel_file,
     assert exc.value.code == 2
     assert "does not exist" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+
+@pytest.mark.parametrize("command", ["compute", "null", "prewhiten-acf"])
+def test_cli_empty_output_path_is_a_usage_error(command, panel_file, tmp_path, monkeypatch,
+                                                capsys):
+    # null used to simulate and then fail to write its temporary file into
+    # the parent of the working directory; compute printed to stdout
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "compute": ["compute", panel_file, "--linear-chain", "3", "-o", ""],
+        "null": ["null", "--R", "3", "--T", "10", "--linear-chain", "3", "--reps", "10",
+                 "--seed", "1", "-o", ""],
+        "prewhiten-acf": ["prewhiten", panel_file, "--ar", "1", "-o",
+                          str(tmp_path / "resid.csv"), "--acf-output", ""],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must not be empty" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+
+def test_writers_refuse_an_empty_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OutputPathError, match="empty"):
+        save_weights("", linear_chain(3))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["fifo", "dir"])

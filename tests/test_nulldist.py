@@ -11,6 +11,7 @@ from sbergsma import (
     ProximityMatrix,
     ReferenceDistribution,
     asymptotic_null_sample,
+    inverse_distance,
     monte_carlo_null,
     nystrom_eigenvalues,
     p_value,
@@ -107,6 +108,18 @@ def test_kernel_square_mean_matches_sampling(dist):
     assert abs(nulldist._kernel_square_mean(dist) - h2.mean()) < 4 * se
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_square_mean_grid_is_fine_enough(family):
+    # every law takes the mean on one grid of 2^15 midpoints; on twice that
+    # grid it moves by at most 1.6e-8 relative, against the check's 2%
+    dist = ReferenceDistribution(family)
+    z = dist.ppf((np.arange(2**16) + 0.5) / 2**16)
+    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
+    finer = dist.mean_abs_gap() ** 2 / 4 + spread / 2
+    assert nulldist._CHECK_GRID == 2**15
+    assert nulldist._kernel_square_mean(dist) == pytest.approx(finer, rel=1e-7, abs=0)
+
+
 def test_kernel_square_mean_uniform_is_exact():
     # the uniform kernel's eigenvalues are 1/(pi k)^2, whose squares sum to 1/90
     assert nulldist._kernel_square_mean(UNIFORM) == pytest.approx(1 / 90, rel=1e-6)
@@ -187,6 +200,20 @@ def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
                      n_draws=50, seed=1) < 16
 
 
+def test_asymptotic_null_memory_does_not_grow_with_the_pairs():
+    # a spectrum per region gives every pair its own CDF table of at least
+    # 2^14 points; holding all of them peaked at 17.3 MiB at R = 8 and
+    # 40.2 MiB at R = 16, where one table at a time stays near 11 MiB
+    def peak(R):
+        rng = stream(5)
+        spectra = [_synthetic_spectrum(np.sort(rng.uniform(0.1, 1.0, 4))[::-1])
+                   for _ in range(R)]
+        W = inverse_distance(rng.uniform(0.0, 10.0, (R, 2)))
+        return _peak_mib(asymptotic_null_sample, spectra, W, n_draws=100, seed=1)
+
+    assert peak(16) <= 1.1 * peak(8)
+
+
 def test_nystrom_square_sum_check_fires(monkeypatch):
     def spread(e):
         # same sum, 5% more square sum
@@ -220,16 +247,6 @@ def test_nystrom_rejects_bad_k():
         nystrom_eigenvalues(NORMAL, K=0, m=100)
     with pytest.raises(InvalidParameterError):
         nystrom_eigenvalues(NORMAL, K=200, m=100)
-
-
-@pytest.mark.parametrize("family", SYMMETRIC)
-def test_kernel_square_mean_of_a_symmetric_law_matches_the_full_grid(family):
-    # the check target reads only the lower half of its grid for these laws
-    dist = ReferenceDistribution(family)
-    z = dist.ppf((np.arange(nulldist._CHECK_GRID) + 0.5) / nulldist._CHECK_GRID)
-    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
-    full = dist.mean_abs_gap() ** 2 / 4 + spread / 2
-    assert nulldist._kernel_square_mean(dist) == pytest.approx(full, rel=1e-14, abs=0)
 
 
 def test_asymptotic_single_eigenvalue_is_centered_chi_square():

@@ -171,6 +171,19 @@ def test_asymptotic_test_loads_no_scipy(tmp_path):
     assert _python(code) == "0 []"
 
 
+def test_bootstrap_test_loads_no_numpy_ma(tmp_path):
+    # np.quantile loads numpy.ma on its first call, which a CLI run used to
+    # preload; numpy 1.x loads numpy.ma with numpy itself
+    panel = tmp_path / "panel.csv"
+    panel.write_text("a,b,c\n" + "".join(f"{i % 5},{i * 7 % 11},{i * 3 % 13}\n"
+                                          for i in range(20)))
+    argv = ["test", str(panel), "--linear-chain", "3", "--reps", "20", "--bootstrap", "200",
+            "--cutoff-sims", "200", "--seed", "1", "-o", str(tmp_path / "out.json")]
+    code = ("import sys, numpy; bare = 'numpy.ma' in sys.modules; from sbergsma.cli import main; "
+            f"print(main({argv!r}), bare or 'numpy.ma' not in sys.modules)")
+    assert _python(code) == "0 True"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_spectrum_loads_scipy_for_chi_square_only(family, tmp_path):
     argv = ["spectrum", "--dist", family, "--K", "100", "--grid", "400",
