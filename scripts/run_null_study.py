@@ -45,8 +45,7 @@ def main():
     for fam in args.families.split(","):
         dist = ReferenceDistribution(fam, df=1.0)
         null = monte_carlo_null(
-            dist, args.R, args.T, W, reps=args.reps, seed=args.seed,
-            n_jobs=args.threads,
+            dist, args.T, W, reps=args.reps, seed=args.seed, n_jobs=args.threads,
         )
         nulls[fam] = null
         save_samples(os.path.join(args.outdir, f"null_{fam}.csv"),

@@ -31,8 +31,7 @@ def main():
     for model in ("SAR", "SMA"):
         sweep = theta_sweep(model, W, args.thetas, args.T, reps=args.reps, seed=args.seed)
         print(f"{model}  theta    mean      sd      skew    kurt")
-        for theta in sweep.thetas:
-            mean, sd, skew, kurt = sweep.summaries[theta]
+        for theta, (mean, sd, skew, kurt) in sweep.summaries.items():
             print(f"     {theta:6.3f}  {mean:7.4f}  {sd:6.4f}  {skew:+6.3f}  {kurt:5.3f}")
         save_sweep(os.path.join(args.outdir, f"sweep_{model.lower()}.csv"),
                    sweep, meta={"config": vars(args)})

@@ -112,18 +112,21 @@ def pairwise_kappa(data) -> np.ndarray:
     g = max(1, _KERNEL_BYTES // (R * T * n * X.itemsize))  # panels per group
     G = np.empty((P, R, R))
     buf = np.empty(min(g, P) * n * T * R)  # one tile buffer, reused
-    for lo in range(0, P, g):
-        x, out = X[lo : lo + g], G[lo : lo + g]
-        a = _centring(np.swapaxes(x, -1, -2))  # (g, R, T)
-        c = 2.0 * a.mean(axis=-1)  # the mean pair distance
-        a -= 0.5 * c[..., None]
-        out[...] = -T * (a @ np.swapaxes(a, -1, -2))
-        wrapped = np.concatenate([x, x[:, :K]], axis=-2)
-        c = np.tile(c, T).reshape(x.shape)  # c at every time point
-        for k in range(1, K + 1, n):
-            tile = buf[: x.size * min(n, K + 1 - k)].reshape(len(x), -1, T, R)
-            F = panel_kernel_stack(wrapped, c, k, tile).reshape(len(x), -1, R)
-            out += np.swapaxes(F, -1, -2) @ F
+    # a series that overflows ends in a non-finite self-covariance, which
+    # rho_from_kappa reports as one error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, P, g):
+            x, out = X[lo : lo + g], G[lo : lo + g]
+            a = _centring(np.swapaxes(x, -1, -2))  # (g, R, T)
+            c = 2.0 * a.mean(axis=-1)  # the mean pair distance
+            a -= 0.5 * c[..., None]
+            out[...] = -T * (a @ np.swapaxes(a, -1, -2))
+            wrapped = np.concatenate([x, x[:, :K]], axis=-2)
+            c = np.tile(c, T).reshape(x.shape)  # c at every time point
+            for k in range(1, K + 1, n):
+                tile = buf[: x.size * min(n, K + 1 - k)].reshape(len(x), -1, T, R)
+                F = panel_kernel_stack(wrapped, c, k, tile).reshape(len(x), -1, R)
+                out += np.swapaxes(F, -1, -2) @ F
     G /= 2 * T * (T - 1)
     return G.reshape(*lead, R, R)
 

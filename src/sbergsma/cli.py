@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 from . import __version__
 from .depmodels import DependenceSpec, simulate_panel, theta_sweep
-from .exceptions import LabelMismatchError, SbergsmaError
+from .exceptions import DimensionMismatchError, LabelMismatchError, SbergsmaError
 from .inference import (
     independence_rho_quantile,
     pairwise_screen,
@@ -130,8 +130,8 @@ def _cmd_compute(args):
         "meta": _meta(args, hashes),
         "value": res.value,
         "scaled_value": res.scaled_value,
-        "s0": res.s0,
-        "standardized_w": res.standardized_w,
+        "s0": W.s0,
+        "standardized_w": W.standardized,
         "region_labels": list(panel.region_labels),
         "pair_rho": res.pair_rho.tolist(),
     }
@@ -179,9 +179,10 @@ def _cmd_test(args):
 def _cmd_null(args):
     seed = _seed(args)
     W, hashes = _resolve_weights(args)
+    if W.n_regions != args.R:
+        raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {args.R}")
     null = monte_carlo_null(
-        _dist_from_args(args), args.R, args.T, W,
-        reps=args.reps, seed=seed, n_jobs=args.threads,
+        _dist_from_args(args), args.T, W, reps=args.reps, seed=seed, n_jobs=args.threads,
     )
     save_samples(args.output, null.samples, meta=_meta(args, hashes))
 

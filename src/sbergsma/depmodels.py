@@ -135,10 +135,10 @@ def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-theta S~_B samples and moment summaries from a sweep."""
+    """Per-theta S~_B samples and moment summaries from a sweep, each dict keyed
+    by theta in the order the thetas were given."""
 
     model: str
-    thetas: tuple[float, ...]
     samples: dict  # theta -> np.ndarray of S~_B values
     summaries: dict = field(default_factory=dict)  # theta -> (mean, sd, skew, kurt)
 
@@ -172,4 +172,4 @@ def theta_sweep(
         raise InvalidParameterError(f"thetas must be distinct, got {thetas}")
     samples = dict(zip(thetas, sb_replicates(model, thetas, W, noise, T, reps, seed, n_jobs)))
     summaries = {theta: moments(vals) for theta, vals in samples.items()}
-    return SweepResult(model, thetas, samples, summaries)
+    return SweepResult(model, samples, summaries)

@@ -85,10 +85,8 @@ def test_spatial_independence(
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
     if null_method == "monte_carlo":
-        null = monte_carlo_null(
-            null_dist, panel.n_regions, panel.n_time, W,
-            reps=reps, seed=seed, n_jobs=n_jobs,
-        )
+        null = monte_carlo_null(null_dist, panel.n_time, W, reps=reps, seed=seed,
+                                n_jobs=n_jobs)
     else:
         null = asymptotic_null_sample(
             [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
@@ -99,7 +97,7 @@ def test_spatial_independence(
         sb=sb,
         p_value=p_value(sb.scaled_value, null),
         ci=ci,
-        null_meta={"method": null.method, **null.meta},
+        null_meta={"method": null_method, **null.meta},
         notes=tuple(notes),
     )
 

@@ -127,6 +127,9 @@ def load_panel(path: str) -> SpatialPanel:
     for lineno, fields in _data_lines(path):
         if labels is None:
             labels = [f.strip() for f in fields]
+            if "" in labels:
+                col = labels.index("") + 1
+                raise ParseError(f"row {lineno}, column {col}: blank region label")
             dups = [lb for k, lb in enumerate(labels) if lb in labels[:k]]
             if dups:
                 raise DuplicateLabelError(
@@ -209,6 +212,8 @@ def _load_coords(path: str) -> ProximityMatrix:
         if not all(numeric):
             raise NonNumericError(f"row {lineno}: non-numeric coordinates")
         label = fields[0].strip()
+        if not label:
+            raise ParseError(f"row {lineno}: blank region label")
         if label in labels:
             raise DuplicateLabelError(f"row {lineno}: duplicate region label {label!r}")
         labels.append(label)
@@ -235,7 +240,7 @@ def save_sweep(path: str, sweep, meta: dict | None = None) -> None:
     """Moment-summary CSV: model, theta, mean, sd, skewness, kurtosis."""
     _write_csv(
         path, meta, ["model", "theta", "mean", "sd", "skewness", "kurtosis"],
-        ([sweep.model, theta, *sweep.summaries[theta]] for theta in sweep.thetas),
+        ([sweep.model, theta, *summary] for theta, summary in sweep.summaries.items()),
     )
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
-    DimensionMismatchError,
     EmptyNullError,
     InvalidParameterError,
     NonFiniteError,
@@ -65,10 +64,10 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Sampled law of T * S~_B under the independence null."""
+    """Sampled law of T * S~_B under the independence null; ``meta`` describes
+    how it was drawn."""
 
     samples: np.ndarray
-    method: str  # "monte_carlo" | "asymptotic_eigen"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -233,7 +232,6 @@ def asymptotic_null_sample(
     kept, var_rest, tail = zip(*summaries)
     return NullDistribution(
         samples,
-        "asymptotic_eigen",
         meta={
             "R": R,
             "K": int(spectra[0].size),
@@ -251,14 +249,14 @@ def asymptotic_null_sample(
 
 def monte_carlo_null(
     dist: ReferenceDistribution,
-    R: int,
     T: int,
     W: ProximityMatrix,
     reps: int = 10_000,
     seed: int = 0,
     n_jobs: int = 1,
 ) -> NullDistribution:
-    """Simulate reps independent T x R i.i.d. panels and collect T * S~_B.
+    """Simulate reps independent T x R i.i.d. panels, R = ``W.n_regions``, and
+    collect T * S~_B.
 
     These are the theta = 0 replicates of :func:`sbergsma.depmodels.sb_replicates`:
     replicate r's panel depends only on (seed, r), and results are identical
@@ -268,14 +266,11 @@ def monte_carlo_null(
         raise EmptyNullError("reps must be >= 1")
     if T < 3:
         raise InvalidParameterError(f"need T >= 3, got {T}")
-    if W.n_regions != R:
-        raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {R}")
     samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
     return NullDistribution(
         samples,
-        "monte_carlo",
         meta={
-            "R": R,
+            "R": W.n_regions,
             "T": T,
             "reps": reps,
             "seed": seed,

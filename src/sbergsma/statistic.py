@@ -68,13 +68,12 @@ class SpatialPanel:
 
 @dataclass(frozen=True)
 class SBResult:
-    """Value of S~_B plus the full pairwise rho~ matrix and S0."""
+    """Value of S~_B plus the full pairwise rho~ matrix; S0 and whether W is
+    row-standardized are read from W itself."""
 
     value: float
     pair_rho: np.ndarray
-    s0: float
     scaled_value: float  # T * value
-    standardized_w: bool
 
     def __post_init__(self):
         self.pair_rho.setflags(write=False)
@@ -83,9 +82,7 @@ class SBResult:
 def sb_statistic(panel: SpatialPanel, W: ProximityMatrix) -> SBResult:
     """Compute S~_B for a panel against a proximity matrix.
 
-    S0 is taken as the actual weight sum even for unstandardized W; the
-    result records whether W was standardized so downstream reports can
-    flag the general-denominator case.
+    S0 is taken as the actual weight sum even for unstandardized W.
     """
     if W.n_regions != panel.n_regions:
         raise DimensionMismatchError(
@@ -93,14 +90,7 @@ def sb_statistic(panel: SpatialPanel, W: ProximityMatrix) -> SBResult:
         )
     rho = rho_from_kappa(pairwise_kappa(panel.data), panel.region_labels)
     value = float(_weighted_average(rho, W))
-    T = panel.n_time
-    return SBResult(
-        value=value,
-        pair_rho=rho,
-        s0=W.s0,
-        scaled_value=T * value,
-        standardized_w=W.standardized,
-    )
+    return SBResult(value=value, pair_rho=rho, scaled_value=panel.n_time * value)
 
 
 def _weighted_average(rho: np.ndarray, W: ProximityMatrix) -> np.ndarray:

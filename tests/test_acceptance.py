@@ -56,7 +56,7 @@ def _line(n: int, ok: bool, detail: str) -> None:
 def null_by_dist(w_adjacency):
     """10k-replicate Monte Carlo nulls for the six reference distributions."""
     return {
-        d.family: monte_carlo_null(d, R14, T50, w_adjacency, reps=REPS, seed=1, n_jobs=JOBS)
+        d.family: monte_carlo_null(d, T50, w_adjacency, reps=REPS, seed=1, n_jobs=JOBS)
         for d in SIX_DISTS
     }
 
@@ -66,9 +66,9 @@ def null_by_w(null_by_dist, w_invdist, w_chain):
     """Standard normal Monte Carlo nulls for all three proximity matrices."""
     return {
         "adjacency": null_by_dist["normal"],
-        "inverse_distance": monte_carlo_null(NORMAL, R14, T50, w_invdist, reps=REPS, seed=1,
+        "inverse_distance": monte_carlo_null(NORMAL, T50, w_invdist, reps=REPS, seed=1,
                                              n_jobs=JOBS),
-        "chain": monte_carlo_null(NORMAL, R14, T50, w_chain, reps=REPS, seed=1, n_jobs=JOBS),
+        "chain": monte_carlo_null(NORMAL, T50, w_chain, reps=REPS, seed=1, n_jobs=JOBS),
     }
 
 

@@ -38,7 +38,7 @@ def w5():
 
 @pytest.fixture(scope="module")
 def shared_null(w5):
-    return monte_carlo_null(NORMAL, 5, 30, w5, reps=2000, seed=100)
+    return monte_carlo_null(NORMAL, 30, w5, reps=2000, seed=100)
 
 
 def _shared_p(panel, W, null):

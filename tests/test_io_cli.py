@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,31 @@ def test_cli_compute_identical_columns(panel_file, capsys):
     assert panel_file in payload["meta"]["input_hashes"]
 
 
+@pytest.mark.parametrize("flag,s0,standardized", [([], 3.0, True),
+                                                   (["--no-standardize"], 4.0, False)])
+def test_cli_compute_writes_s0_and_standardization_of_w(flag, s0, standardized, panel_file,
+                                                       capsys):
+    # the raw chain of 3 regions has weight sum 4; its row-standardized form, 3
+    assert main(["compute", panel_file, "--linear-chain", "3", *flag]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["s0"], payload["standardized_w"]) == (s0, standardized)
+
+
+def test_cli_compute_overflow_is_one_json_line(tmp_path):
+    # numpy's overflow warnings used to come before the error line
+    panel = tmp_path / "big.csv"
+    panel.write_text("A,B\n1e308,1\n-1e308,2\n1e308,0\n-1e308,5\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run = subprocess.run([sys.executable, "-m", "sbergsma.cli", "compute", str(panel),
+                          "--linear-chain", "2"],
+                         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    line, = run.stderr.splitlines()
+    assert json.loads(line)["error_category"] == "NonFiniteError"
+
+
 def test_cli_test_rerun_byte_identical(tmp_path, capsys):
     rng = stream(3)
     panel_path = str(tmp_path / "p.csv")
@@ -223,6 +250,30 @@ def test_cli_null_writes_samples(tmp_path):
     assert lines[0].startswith("# meta:")
     assert lines[1] == "sample"
     assert len(lines) == 52
+
+
+def test_cli_null_rejects_w_of_another_size(monkeypatch, tmp_path, capsys):
+    import sbergsma.nulldist as nulldist
+
+    def no_draw(*args, **kw):
+        raise AssertionError("replicates were simulated")
+
+    monkeypatch.setattr(nulldist, "sb_replicates", no_draw)
+    out = tmp_path / "null.csv"
+    assert main(["null", "--R", "5", "--T", "10", "--linear-chain", "4", "--seed", "1",
+                 "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error_category": "DimensionMismatchError",
+                                                  "message": "W has 4 regions, R = 5"}
+    assert not out.exists()
+
+
+def test_cli_sweep_rows_in_the_order_of_thetas(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "sma", "--thetas", "0.5,0,0.25", "--T", "10",
+                 "--reps", "20", "--linear-chain", "3", "--seed", "1", "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [float(r["theta"]) for r in rows] == [0.5, 0.0, 0.25]
 
 
 def test_cli_weights_edges(tmp_path):
@@ -436,6 +487,31 @@ def test_cli_coords_reject_a_repeated_label(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error_category": "DuplicateLabelError",
                    "message": "row 2: duplicate region label 'A'"}
+    assert not out.exists()
+
+
+def test_cli_panel_rejects_a_blank_label(tmp_path, capsys):
+    # compute used to write "region_labels": ["A", "", "C"]
+    panel = tmp_path / "p.csv"
+    panel.write_text("A,,C\n1,2,3\n2,1,5\n3,3,1\n4,0,2\n")
+    assert main(["compute", str(panel), "--linear-chain", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error_category": "ParseError",
+                               "message": "row 1, column 2: blank region label"}
+
+
+@pytest.mark.parametrize("command", [["weights"],
+                                     ["simulate", "--model", "sma", "--theta", "0.5",
+                                      "--seed", "1"]])
+def test_cli_coords_reject_a_blank_label(command, tmp_path, capsys):
+    # weights exited 0, and simulate wrote a panel headed A,,C
+    coords, out = tmp_path / "c.csv", tmp_path / "out.csv"
+    coords.write_text("label,x,y\nA,0,0\n,1,0\nC,2,0\n")
+    assert main(command + ["--weights", str(coords), "--weights-kind", "coords",
+                           "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error_category": "ParseError",
+                                                  "message": "row 3: blank region label"}
     assert not out.exists()
 
 

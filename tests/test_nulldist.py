@@ -20,7 +20,6 @@ from sbergsma import (
 )
 from sbergsma.exceptions import (
     ConvergenceError,
-    DimensionMismatchError,
     EmptyNullError,
     InvalidParameterError,
     NonFiniteError,
@@ -360,11 +359,6 @@ def test_asymptotic_rejects_zero_draws():
         asymptotic_null_sample([_synthetic_spectrum([1.0])] * 2, W2, 0, 0)
 
 
-def test_monte_carlo_rejects_w_of_another_size():
-    with pytest.raises(DimensionMismatchError):
-        monte_carlo_null(NORMAL, 5, 10, row_standardize(linear_chain(4)), reps=10)
-
-
 @pytest.mark.parametrize("T", [1, 2])
 def test_monte_carlo_rejects_short_series_before_any_draw(monkeypatch, T):
     # unchecked, T = 1 divides by C(T, 2) = 0 and T = 2 fails as a constant series
@@ -373,23 +367,23 @@ def test_monte_carlo_rejects_short_series_before_any_draw(monkeypatch, T):
 
     monkeypatch.setattr(nulldist, "sb_replicates", no_draw)
     with pytest.raises(InvalidParameterError, match="T >= 3"):
-        monte_carlo_null(NORMAL, 4, T, row_standardize(linear_chain(4)), reps=10)
+        monte_carlo_null(NORMAL, T, row_standardize(linear_chain(4)), reps=10)
 
 
 def test_monte_carlo_determinism_and_threads():
     W = row_standardize(linear_chain(6))
-    a = monte_carlo_null(NORMAL, 6, 20, W, reps=300, seed=5)
-    b = monte_carlo_null(NORMAL, 6, 20, W, reps=300, seed=5)
-    c = monte_carlo_null(NORMAL, 6, 20, W, reps=300, seed=5, n_jobs=4)
+    a = monte_carlo_null(NORMAL, 20, W, reps=300, seed=5)
+    b = monte_carlo_null(NORMAL, 20, W, reps=300, seed=5)
+    c = monte_carlo_null(NORMAL, 20, W, reps=300, seed=5, n_jobs=4)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.samples, c.samples)
-    d = monte_carlo_null(NORMAL, 6, 20, W, reps=300, seed=6)
+    d = monte_carlo_null(NORMAL, 20, W, reps=300, seed=6)
     assert not np.array_equal(a.samples, d.samples)
 
 
 def test_monte_carlo_single_rep():
     W = row_standardize(linear_chain(4))
-    null = monte_carlo_null(NORMAL, 4, 10, W, reps=1, seed=9)
+    null = monte_carlo_null(NORMAL, 10, W, reps=1, seed=9)
     assert null.samples.shape == (1,)
     assert np.isfinite(null.samples).all()
 
@@ -397,13 +391,13 @@ def test_monte_carlo_single_rep():
 def test_monte_carlo_replicate_prefix_stable():
     # the first r samples do not depend on the total rep count
     W = row_standardize(linear_chain(4))
-    small = monte_carlo_null(NORMAL, 4, 12, W, reps=150, seed=2)
-    large = monte_carlo_null(NORMAL, 4, 12, W, reps=450, seed=2)
+    small = monte_carlo_null(NORMAL, 12, W, reps=150, seed=2)
+    large = monte_carlo_null(NORMAL, 12, W, reps=450, seed=2)
     assert np.array_equal(small.samples, large.samples[:150])
 
 
 def test_p_value_rules():
-    null = NullDistribution(np.arange(9999, dtype=float), "monte_carlo")
+    null = NullDistribution(np.arange(9999, dtype=float))
     assert p_value(1e12, null) == pytest.approx(1 / 10_000)
     assert p_value(-1e12, null) == pytest.approx(1.0)
     med = float(np.median(null.samples))
@@ -412,12 +406,12 @@ def test_p_value_rules():
 
 def test_p_value_empty():
     with pytest.raises(EmptyNullError):
-        p_value(0.0, NullDistribution(np.array([]), "monte_carlo"))
+        p_value(0.0, NullDistribution(np.array([])))
 
 
 @pytest.mark.parametrize("observed", [np.nan, np.inf, -np.inf])
 def test_p_value_rejects_non_finite_observed(observed):
     # a NaN statistic must not read as the smallest possible p-value
-    null = NullDistribution(np.arange(99, dtype=float), "monte_carlo")
+    null = NullDistribution(np.arange(99, dtype=float))
     with pytest.raises(NonFiniteError):
         p_value(observed, null)

@@ -42,7 +42,7 @@ def test_run_null_study(tmp_path, monkeypatch):
     W = row_standardize(linear_chain(4))
     for fam in ("normal", "uniform"):
         got = [float(r["sample"]) for r in _csv_rows(tmp_path / f"null_{fam}.csv")]
-        want = monte_carlo_null(ReferenceDistribution(fam), 4, 12, W, reps=60, seed=3)
+        want = monte_carlo_null(ReferenceDistribution(fam), 12, W, reps=60, seed=3)
         assert np.array_equal(got, want.samples)
     assert len(_csv_rows(tmp_path / "null_asymptotic.csv")) == 60
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -98,17 +98,10 @@ def test_result_recomputable_from_fields():
     W = ProximityMatrix(w)
     res = sb_statistic(SpatialPanel(data), W)
     iu = np.triu_indices(5, k=1)
-    recomputed = ((w + w.T)[iu] * res.pair_rho[iu]).sum() / res.s0
+    # S0 is the raw weight sum of an unstandardized W
+    recomputed = ((w + w.T)[iu] * res.pair_rho[iu]).sum() / w.sum()
     assert recomputed == pytest.approx(res.value, abs=1e-12)
     assert np.allclose(np.diagonal(res.pair_rho), 1.0)
-    assert res.s0 == pytest.approx(w.sum())
-
-
-def test_standardized_s0_is_r(w_adjacency):
-    rng = stream(3)
-    res = sb_statistic(SpatialPanel(rng.standard_normal((10, 14))), w_adjacency)
-    assert res.s0 == pytest.approx(14.0, abs=1e-10)
-    assert res.standardized_w
 
 
 def test_degenerate_column_named():
