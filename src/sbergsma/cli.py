@@ -377,10 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prewhiten", help="per-region AR(p) residual panel")
     p.add_argument("panel")
-    p.add_argument("--ar", type=int, default=3)
+    p.add_argument("--ar", type=_positive_int, default=3)
     p.add_argument("--acf-output", type=_output_path,
                    help="also write an ACF table CSV here")
-    p.add_argument("--acf-lags", type=int, help="lags of --acf-output (default: 10)")
+    p.add_argument("--acf-lags", type=_non_negative_int,
+                   help="lags of --acf-output (default: 10)")
     _add_output(p)
     p.set_defaults(func=_cmd_prewhiten)
 

@@ -69,11 +69,13 @@ def test_spatial_independence(
         raise EmptyNullError("reps must be >= 1")
     if n_jobs < 1:
         raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
+    if ci_resamples is not None:
+        _check_bootstrap(ci_resamples, ci_level)
     sb = sb_statistic(panel, W)
-    # the spectrum checks K and m, and the bootstrap its own arguments, before
-    # the null is simulated; each draw builds its own stream(seed, r)
-    # generators, so the order changes no value (the bootstrap and the null
-    # read the same streams, so they are not independent: see rng)
+    # the spectrum checks K and m before the null is simulated; each draw
+    # builds its own stream(seed, r) generators, so the order changes no value
+    # (the bootstrap and the null read the same streams, so they are not
+    # independent: see rng)
     if null_method == "asymptotic_eigen":
         spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
     ci = None
@@ -119,10 +121,7 @@ def bootstrap_ci(
     not grow with B and nothing depends on ``n_jobs``.  The ends are the raw
     percentiles by numpy's default, linear, rule, with no clamping at 0.
     """
-    if B < 200:
-        raise InvalidParameterError(f"need B >= 200 bootstrap resamples, got {B}")
-    if not (0.0 < level < 1.0):
-        raise InvalidParameterError(f"level must be in (0,1), got {level}")
+    _check_bootstrap(B, level)
     T = panel.n_time
     data = panel.data
 
@@ -147,6 +146,13 @@ def bootstrap_ci(
     alpha = (1.0 - level) / 2.0
     lo, hi = _quantile(replicate_values(values, B, n_jobs), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def _check_bootstrap(B: int, level: float) -> None:
+    if B < 200:
+        raise InvalidParameterError(f"need B >= 200 bootstrap resamples, got {B}")
+    if not (0.0 < level < 1.0):
+        raise InvalidParameterError(f"level must be in (0,1), got {level}")
 
 
 def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,

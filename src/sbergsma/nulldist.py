@@ -85,7 +85,9 @@ def nystrom_eigenvalues(
     The grid places equal probability mass 1/m at inverse-CDF midpoints, so
     the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
     eigenvalues estimate the operator spectrum directly.  For the symmetric
-    laws only its first ceil(m/2) rows are built (see :func:`_grid_eigenvalues`).
+    laws it splits under the grid's reflection into two halves in closed form,
+    min and max of the half-widths y_a = (x_{m-1-a} - x_a) / 2, and no kernel
+    matrix is built (see :func:`_grid_eigenvalues`).
     Two checks guard against a too-coarse grid or too small a K, each within
     2%: the eigenvalue sum must match the trace g(F)/2 and the square sum
     E h_F(Z1, Z2)^2.  A failed or NaN comparison raises ConvergenceError.  No
@@ -114,27 +116,37 @@ def _grid_eigenvalues(dist: ReferenceDistribution, m: int) -> np.ndarray:
 
     For a symmetric law the grid is its own reflection, x_{m-1-a} = 2c - x_a,
     so H commutes with the grid's reversal and splits into an even and an odd
-    half.  With h = m // 2, A = H[:h, :h] and B[a, b] = H[a, m-1-b] for
-    a, b < h, the odd half is A - B and the even half is A + B, bordered for
-    odd m by the middle row and column times sqrt(2) and the middle diagonal
-    entry.  Both read only the first m - h rows of H, so only those are built,
-    and the even half is formed in place over their first m - h columns: at
-    m = 2000 that is 16 MB of H and 8 MB of odd half, not 32 MB of H.  Two
-    solves of about m/2 replace one of size m, at a quarter of the cost; the
-    other laws build all of H and keep the one full solve.
+    half.  On the lower points a < m - h, h = m // 2, with half-widths
+    y_a = c - x_a and g = g_F there, -|x - y|/2 folds into Brownian
+    covariances: the odd half is min(y_a, y_b) / m and the even half
+    (g_a + g_b - g(F) - max(y_a, y_b)) / m, its middle row and column (y = 0,
+    odd m) times sqrt(1/2).  No kernel matrix is built and one half is held
+    at a time; two solves of about m/2 cost a quarter of one of size m.  y is
+    read from the lower points and c = F^-1(1/2), not as (x_{m-1-a} - x_a)/2,
+    since near q = 1 the upper points' quantiles lose digits.  The other laws
+    build all of H and keep the one full solve.
     """
-    grid = dist.ppf((np.arange(m) + 0.5) / m)
-    h = m // 2 if dist.family in SYMMETRIC else 0
-    H = dist.kernel(grid[:m - h, None], grid[None, :])
-    H /= m
-    if not h:
+    if dist.family not in SYMMETRIC:
+        grid = dist.ppf((np.arange(m) + 0.5) / m)
+        H = dist.kernel(grid[:, None], grid[None, :])
+        H /= m
         return np.linalg.eigvalsh(H)
-    B = H[:h, ::-1][:, :h]
-    odd = H[:h, :h] - B
-    H[:h, :h] += B
-    H[:h, h:m - h] *= np.sqrt(2.0)
-    H[h:, :h] *= np.sqrt(2.0)
-    return np.concatenate([np.linalg.eigvalsh(H[:, :m - h]), np.linalg.eigvalsh(odd)])
+    h = m // 2
+    lower = dist.ppf((np.arange(m - h) + 0.5) / m)
+    y = dist.ppf(0.5) - lower
+    g = dist.mean_abs_from(lower)
+    even = np.maximum.outer(y, y)
+    np.subtract((g - dist.mean_abs_gap())[:, None], even, out=even)
+    even += g
+    even /= m
+    if m % 2:
+        even[-1] *= np.sqrt(0.5)
+        even[:, -1] *= np.sqrt(0.5)
+    eig = np.linalg.eigvalsh(even)
+    del even
+    # rounding is monotone, so min(y_a / m, y_b / m) is min(y_a, y_b) / m exactly
+    y = y[:h] / m
+    return np.concatenate([eig, np.linalg.eigvalsh(np.minimum.outer(y, y))])
 
 
 def _kernel_square_mean(dist: ReferenceDistribution) -> float:

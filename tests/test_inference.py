@@ -267,6 +267,9 @@ def _forbid_nulls(monkeypatch):
         {"ci_resamples": 300, "ci_level": 1.5},
         # zero resamples is an error, not a request for no CI
         {"ci_resamples": 0},
+        # the asymptotic null's spectrum took its whole solve before these
+        {"null_method": "asymptotic_eigen", "ci_resamples": 100},
+        {"null_method": "asymptotic_eigen", "ci_resamples": 200, "ci_level": 1.5},
     ],
 )
 def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):

@@ -716,6 +716,12 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
           for argv in (["null", "--R", "4", "--T", "10", "--linear-chain", "4",
                         "--dist", "normal"], ["spectrum"])
           for df in ("-7", "1")],
+        # an AR order below 1 exited 1 as ShortSeriesError, after the panel was
+        # loaded and hashed, and a negative lag count as LagError after every fit
+        *[(["prewhiten", "{panel}", "--ar", p], f"argument --ar: must be at least 1, got {p}")
+          for p in ("0", "-1")],
+        (["prewhiten", "{panel}", "--acf-output", "{panel}.acf.csv", "--acf-lags", "-2"],
+         "argument --acf-lags: must be at least 0, got -2"),
     ],
 )
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):

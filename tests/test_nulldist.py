@@ -163,17 +163,46 @@ def test_nystrom_folds_only_symmetric_laws(monkeypatch, dist, m, sizes):
     assert solved == sizes
 
 
-@pytest.mark.parametrize("family,m,rows", [("normal", 400, 200), ("logistic", 401, 201),
-                                           ("exponential", 400, 400)])
-def test_nystrom_builds_only_the_rows_the_fold_reads(monkeypatch, family, m, rows):
-    shapes = []
+@pytest.mark.parametrize("family,m,shapes", [("normal", 400, []), ("logistic", 401, []),
+                                             ("exponential", 400, [(400, 400)])],
+                         ids=["normal-400", "logistic-401", "exponential-400"])
+def test_nystrom_builds_a_kernel_matrix_only_for_asymmetric_laws(monkeypatch, family, m,
+                                                                  shapes):
+    calls = []
     kernel = ReferenceDistribution.kernel
     monkeypatch.setattr(ReferenceDistribution, "kernel",
-                        lambda self, a, b: shapes.append(np.broadcast_shapes(
+                        lambda self, a, b: calls.append(np.broadcast_shapes(
                             np.shape(a), np.shape(b))) or kernel(self, a, b))
     nystrom_eigenvalues.cache_clear()
     nystrom_eigenvalues(ReferenceDistribution(family), K=100, m=m)
-    assert shapes == [(rows, m)]
+    assert calls == shapes
+
+
+@pytest.mark.parametrize("m", [400, 401])
+@pytest.mark.parametrize("family", SYMMETRIC)
+def test_nystrom_closed_form_halves_match_the_kernel_fold(monkeypatch, family, m):
+    # the even and odd halves of H = h_F(x_a, x_b) / m under the grid's
+    # reflection, folded from the kernel matrix itself
+    dist = ReferenceDistribution(family)
+    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    H = dist.kernel(grid[:, None], grid[None, :]) / m
+    h = m // 2
+    B = H[:h, ::-1][:, :h]
+    odd = H[:h, :h] - B
+    even = H[:m - h, :m - h].copy()
+    even[:h, :h] += B
+    even[:h, h:] *= np.sqrt(2.0)
+    even[h:, :h] *= np.sqrt(2.0)
+
+    halves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: halves.append(a.copy()) or eigvalsh(a))
+    nystrom_eigenvalues.cache_clear()
+    nystrom_eigenvalues(dist, K=100, m=m)
+    assert [a.shape for a in halves] == [even.shape, odd.shape]
+    tol = 1e-15 * np.abs(H).max()
+    np.testing.assert_allclose(halves[0], even, rtol=0, atol=tol)
+    np.testing.assert_allclose(halves[1], odd, rtol=0, atol=tol)
 
 
 def _peak_mib(f, *args, **kw):
@@ -187,9 +216,10 @@ def _peak_mib(f, *args, **kw):
 
 
 def test_nystrom_paper_spectrum_memory_is_bounded():
-    # 16 MB of half-grid rows and an 8 MB odd half, not the 32 MB full matrix
+    # one 8 MB half at a time, built in closed form; building the kernel's
+    # half-grid rows next to the odd half peaked at 23.3 MiB
     nystrom_eigenvalues.cache_clear()
-    assert _peak_mib(nystrom_eigenvalues, NORMAL, K=100, m=2000) < 24
+    assert _peak_mib(nystrom_eigenvalues, NORMAL, K=100, m=2000) < 12
 
 
 def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
