@@ -49,7 +49,7 @@ def main():
         )
         nulls[fam] = null
         save_samples(os.path.join(args.outdir, f"null_{fam}.csv"),
-                     null.samples, meta=null.meta)
+                     null.samples, meta={"config": vars(args)})
         print(f"{fam:12s} mean {null.samples.mean():+.4f} sd {null.samples.std():.4f}")
 
     fams = list(nulls)
@@ -63,7 +63,7 @@ def main():
     asym = asymptotic_null_sample([spectrum] * args.R, W,
                                   n_draws=args.reps, seed=args.seed)
     save_samples(os.path.join(args.outdir, "null_asymptotic.csv"),
-                 asym.samples, meta=asym.meta)
+                 asym.samples, meta={"config": vars(args), **asym.meta})
     ks_asym = ks_2samp(asym.samples, nulls[fams[0]].samples).statistic
     print("KS asymptotic vs Monte Carlo:", ks_asym)
 

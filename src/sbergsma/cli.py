@@ -4,8 +4,10 @@ Subcommands: compute, test, null, simulate, sweep, prewhiten, weights,
 spectrum.  The four that draw random numbers (test, null, simulate, sweep)
 take one --seed; when the flag is absent a seed is drawn from OS entropy and
 printed on stderr so the run can be replayed.  Every output embeds the
-package version, the fully resolved configuration, the seed (null for the
-deterministic subcommands) and SHA-256 hashes of all input files.
+package version, the fully resolved configuration, with the seed of the four
+subcommands that draw (the other four record no seed), and SHA-256 hashes of
+all input files.  The ``test`` output's ``ci`` is ``[lower, upper]``, and its
+``null`` holds the asymptotic null's diagnostics, ``{}`` with ``--null mc``.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ def _meta(args, hashes: dict) -> dict:
     return {
         "version": __version__,
         "config": config,
-        "seed": getattr(args, "seed", None),
         "input_hashes": hashes,
     }
 
@@ -427,6 +428,15 @@ def main(argv=None) -> int:
             parser.error(f"argument {flag}: only read {when}")
         if reads(args) and getattr(args, dest) is None:
             setattr(args, dest, default)
+    # an output must replace neither an input nor the run's other output
+    paths = {}
+    for name in ("panel", "--weights", "--output", "--acf-output"):
+        path = getattr(args, name.lstrip("-").replace("-", "_"), None)
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in paths and name in ("--output", "--acf-output"):
+                parser.error(f"argument {name}: {path!r} is also the {paths[real]} path")
+            paths.setdefault(real, name)
     try:
         args.func(args)
     except (SbergsmaError, OSError) as err:

@@ -28,12 +28,13 @@ _CUTOFF_BLOCK = 2000
 
 @dataclass(frozen=True)
 class TestReport:
-    """Everything Table-1-style reporting needs for one panel/W test."""
+    """Everything Table-1-style reporting needs for one panel/W test, and none
+    of its inputs, such as the CI level or the null method: the caller has them."""
 
     sb: SBResult
     p_value: float
-    ci: tuple  # (lower, upper, level, "bootstrap_percentile") or None
-    null_meta: dict
+    ci: tuple[float, float] | None  # percentile bootstrap (lower, upper)
+    null_meta: dict  # the null's own meta: {} for the Monte Carlo null
     notes: tuple[str, ...] = field(default=())
 
 
@@ -83,7 +84,7 @@ def test_spatial_independence(
     if ci_resamples is not None:
         lo, hi = bootstrap_ci(panel, W, B=ci_resamples, level=ci_level, seed=seed,
                               n_jobs=n_jobs)
-        ci = (lo, hi, ci_level, "bootstrap_percentile")
+        ci = (lo, hi)
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
     if null_method == "monte_carlo":
@@ -99,7 +100,7 @@ def test_spatial_independence(
         sb=sb,
         p_value=p_value(sb.scaled_value, null),
         ci=ci,
-        null_meta={"method": null_method, **null.meta},
+        null_meta=null.meta,
         notes=tuple(notes),
     )
 

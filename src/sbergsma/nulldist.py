@@ -64,8 +64,8 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Sampled law of T * S~_B under the independence null; ``meta`` describes
-    how it was drawn."""
+    """Sampled law of T * S~_B under the independence null.  ``meta`` holds only
+    diagnostics the draw computed, not the arguments it was drawn from."""
 
     samples: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -213,12 +213,14 @@ def asymptotic_null_sample(
 ) -> NullDistribution:
     """Sample the weighted-chi-square limit law of T * S~_B.
 
-    ``spectra`` is one :class:`EigenSpectrum` per region; each distinct pair
-    of spectra, in either order, gets one CDF table, held only until the last
-    pair that reads it, so memory does not grow with R.  The samples are
-    sum_p w_p Y_p / S0 over pairs of weight w_p = w_ij + w_ji > 0, with Y_p
-    drawn by inverse CDF from ``stream(seed, p)``.  ``meta`` gives the worst
-    table's weights kept, remainder variance and tail mass beyond its grid.
+    ``spectra`` is one :class:`EigenSpectrum` per region.  The pairs of weight
+    w_p = w_ij + w_ji > 0 are grouped by their unordered pair of spectra; each
+    group builds one CDF table, draws its pairs and drops the table before the
+    next group, so the null holds one table at a time and memory does not grow
+    with R.  The samples are sum_p w_p Y_p / S0, with Y_p drawn by inverse CDF
+    from ``stream(seed, p)``.  ``meta`` holds only what the draw computed: the
+    worst table's weights kept, remainder variance and tail mass beyond its
+    grid.
     """
     if n_draws < 1:
         raise EmptyNullError("n_draws must be >= 1")
@@ -228,28 +230,22 @@ def asymptotic_null_sample(
         raise SpectraMismatchError(f"{len(spectra)} spectra for {R} regions")
     iu = np.triu_indices(R, k=1)
     w_pair = (W.weights + W.weights.T)[iu]
-    pairs = np.flatnonzero(w_pair)
-    keys = [frozenset((spectra[iu[0][p]].tobytes(), spectra[iu[1][p]].tobytes()))
-            for p in pairs]
-    last = {key: p for p, key in zip(pairs, keys)}
-    tables, summaries, samples = {}, [], np.zeros(n_draws)
-    for p, key in zip(pairs, keys):
-        if key not in tables:
-            y, F, kept, var_rest = _pair_law(spectra[iu[0][p]], spectra[iu[1][p]])
-            tables[key] = y, F
-            summaries.append((kept, var_rest, float(1.0 - F[-1])))
-        y, F = tables[key] if p < last[key] else tables.pop(key)
-        samples += w_pair[p] * np.interp(stream(seed, int(p)).random(n_draws), F, y)
+    groups = {}
+    for p in np.flatnonzero(w_pair):
+        key = frozenset((spectra[iu[0][p]].tobytes(), spectra[iu[1][p]].tobytes()))
+        groups.setdefault(key, []).append(int(p))
+    summaries, samples = [], np.zeros(n_draws)
+    for ps in groups.values():
+        y, F, kept, var_rest = _pair_law(spectra[iu[0][ps[0]]], spectra[iu[1][ps[0]]])
+        summaries.append((kept, var_rest, float(1.0 - F[-1])))
+        for p in ps:
+            samples += w_pair[p] * np.interp(stream(seed, p).random(n_draws), F, y)
+        del y, F
     samples /= W.s0
     kept, var_rest, tail = zip(*summaries)
     return NullDistribution(
         samples,
         meta={
-            "R": R,
-            "K": int(spectra[0].size),
-            "n_draws": n_draws,
-            "seed": seed,
-            "common_spectrum": all(np.array_equal(s, spectra[0]) for s in spectra),
             "weights_kept": min(kept),
             "remainder_variance": max(var_rest),
             "table_tail_mass": max(tail),
@@ -272,23 +268,14 @@ def monte_carlo_null(
 
     These are the theta = 0 replicates of :func:`sbergsma.depmodels.sb_replicates`:
     replicate r's panel depends only on (seed, r), and results are identical
-    for any ``n_jobs``.
+    for any ``n_jobs``.  ``meta`` is empty: every input is an argument.
     """
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
     if T < 3:
         raise InvalidParameterError(f"need T >= 3, got {T}")
     samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
-    return NullDistribution(
-        samples,
-        meta={
-            "R": W.n_regions,
-            "T": T,
-            "reps": reps,
-            "seed": seed,
-            "distribution": dist.family,
-        },
-    )
+    return NullDistribution(samples)
 
 
 def p_value(observed_scaled: float, null: NullDistribution) -> float:

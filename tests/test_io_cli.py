@@ -218,7 +218,7 @@ def test_cli_test_rerun_byte_identical(tmp_path, capsys):
     assert out.read_bytes() == first
     payload = json.loads(first)
     assert 0 < payload["p_value"] <= 1
-    assert payload["null"]["reps"] == 300
+    assert payload["meta"]["config"]["reps"] == 300
 
 
 def test_cli_simulate_then_compute_matches_library(tmp_path, capsys):
@@ -734,6 +734,32 @@ def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    # the ACF table replaced the residual panel
+    (["prewhiten", "p.csv", "--ar", "1", "-o", "r.csv", "--acf-output", "r.csv"],
+     "--acf-output"),
+    (["prewhiten", "p.csv", "--ar", "1", "-o", "r.csv", "--acf-output", "./r.csv"],
+     "--acf-output"),
+    # the report replaced its own input, whose hash it then recorded
+    (["compute", "p.csv", "--linear-chain", "3", "-o", "p.csv"], "--output"),
+    (["test", "p.csv", "--linear-chain", "3", "--reps", "20", "--cutoff", "0.2",
+      "--seed", "1", "-o", "p.csv"], "--output"),
+    (["weights", "--weights", "w.csv", "-o", "w.csv"], "--output"),
+], ids=["prewhiten", "prewhiten-dot", "compute", "test", "weights"])
+def test_cli_output_must_not_replace_an_input_or_the_other_output(
+    argv, name, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    save_panel("p.csv", SpatialPanel(stream(8).standard_normal((20, 3))))
+    save_weights("w.csv", linear_chain(3))
+    before = {f: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {name}:" in capsys.readouterr().err
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("kind,text", [("edges", "1,2\n2,3\n"),
                                        ("coords", "a,0,0\nb,0,1\nc,2,0\n")],
                          ids=["edges", "coords"])
@@ -776,6 +802,22 @@ def test_cli_test_records_only_the_flags_it_reads(panel_file, tmp_path):
     got = config("--null", "asym", "--bootstrap", "200", "--cutoff-sims", "50")
     assert [got[k] for k in mode_flags[:-1]] == [100, 2000, 0.95, 50]
     assert config("--cutoff", "0.2", "--dist", "chi-square")["df"] == 1.0
+
+
+@pytest.mark.parametrize("null,diagnostics", [
+    ("mc", set()), ("asym", {"weights_kept", "remainder_variance", "table_tail_mass"})])
+def test_cli_test_records_each_input_once(null, diagnostics, tmp_path):
+    panel_path, out = str(tmp_path / "p.csv"), tmp_path / "report.json"
+    save_panel(panel_path, SpatialPanel(stream(3).standard_normal((20, 3))))
+    assert main(["test", panel_path, "--linear-chain", "3", "--null", null, "--reps", "50",
+                 "--bootstrap", "200", "--cutoff", "0.2", "--seed", "4",
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    lo, hi = payload["ci"]
+    assert lo <= hi
+    assert set(payload["null"]) == diagnostics
+    assert "seed" not in payload["meta"]
+    assert payload["meta"]["config"]["seed"] == 4
 
 
 def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(tmp_path):

@@ -48,6 +48,12 @@ def test_run_null_study(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary["pairwise_ks"]) == {"normal|uniform"}
     assert 0.0 <= summary["ks_asym_vs_mc"] <= 1.0
+    # each CSV records the run's configuration; the asymptotic one adds its diagnostics
+    metas = [json.loads((tmp_path / name).read_text().splitlines()[0][len("# meta: "):])
+             for name in ("null_normal.csv", "null_asymptotic.csv")]
+    assert metas[0] == {"config": summary["config"]}
+    assert metas[1].pop("config") == summary["config"]
+    assert set(metas[1]) == {"weights_kept", "remainder_variance", "table_tail_mass"}
 
 
 def test_run_theta_sweep(tmp_path, monkeypatch):
