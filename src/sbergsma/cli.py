@@ -4,10 +4,10 @@ Subcommands: compute, test, null, simulate, sweep, prewhiten, weights,
 spectrum.  The four that draw random numbers (test, null, simulate, sweep)
 take one --seed; when the flag is absent a seed is drawn from OS entropy and
 printed on stderr so the run can be replayed.  Every output embeds the
-package version, the fully resolved configuration, with the seed of the four
-subcommands that draw (the other four record no seed), and SHA-256 hashes of
-all input files.  The ``test`` output's ``ci`` is ``[lower, upper]``, and its
-``null`` holds the asymptotic null's diagnostics, ``{}`` with ``--null mc``.
+package version, the configuration but --threads and the output paths (with
+the seed of the four that draw) and SHA-256 hashes of all input files.  The
+``test`` output's ``ci`` is ``[lower, upper]``, and its ``null`` holds the
+asymptotic null's diagnostics, ``{}`` with ``--null mc``.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ def _panel_and_weights(args):
 
 
 def _meta(args, hashes: dict) -> dict:
+    # no value depends on --threads or on where a file is written
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
+        if k not in ("func", "threads", "output", "acf_output") and v is not None
     }
     return {
         "version": __version__,
@@ -132,7 +133,6 @@ def _cmd_compute(args):
         "value": res.value,
         "scaled_value": res.scaled_value,
         "s0": W.s0,
-        "standardized_w": W.standardized,
         "region_labels": list(panel.region_labels),
         "pair_rho": res.pair_rho.tolist(),
     }
@@ -142,11 +142,10 @@ def _cmd_compute(args):
 def _cmd_test(args):
     seed = _seed(args)
     panel, W, hashes = _panel_and_weights(args)
-    method = {"mc": "monte_carlo", "asym": "asymptotic_eigen"}[args.null]
     report = test_spatial_independence(
         panel,
         W,
-        null_method=method,
+        null_method=args.null,
         null_dist=_dist_from_args(args),
         reps=args.reps,
         seed=seed,
@@ -256,9 +255,7 @@ def _add_seed(p):
 
 
 def _add_threads(p):
-    # a string default goes through ``type`` only when this subcommand runs
-    p.add_argument("--threads", type=_positive_int,
-                   default=os.environ.get("SBERGSMA_THREADS", "1"))
+    p.add_argument("--threads", type=_positive_int, default=1)
 
 
 def _add_output(p, required=True):

@@ -41,7 +41,7 @@ class TestReport:
 def test_spatial_independence(
     panel: SpatialPanel,
     W: ProximityMatrix,
-    null_method: str = "monte_carlo",
+    null_method: str = "mc",
     null_dist: ReferenceDistribution = STANDARD_NORMAL,
     reps: int = 10_000,
     seed: int = 0,
@@ -56,15 +56,15 @@ def test_spatial_independence(
     The test is upper-tailed: Bergsma's rho >= 0, with equality exactly under
     independence, so spatial dependence only moves T * S~_B up and the p-value
     is the add-one share of null samples at or above it (:func:`p_value`).
-    ``null_method`` selects Monte Carlo simulation or the eigenvalue-based
-    asymptotic law, built from ``reps`` replicates.  To reuse one null over
-    many panels, build it once and call
-    ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference
+    ``null_method`` is ``"mc"``, Monte Carlo simulation, or ``"asym"``, the
+    eigenvalue-based asymptotic law, as with ``--null``; either is built from
+    ``reps`` replicates.  To reuse one null over many panels, build it once
+    and call ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference
     distribution defaults to standard normal: the null law is insensitive to
     F, and residual inputs are continuous.  ``n_jobs`` threads the Monte Carlo
     null and the bootstrap; results are identical for any value.
     """
-    if null_method not in ("monte_carlo", "asymptotic_eigen"):
+    if null_method not in ("mc", "asym"):
         raise InvalidParameterError(f"unknown null method {null_method!r}")
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
@@ -77,7 +77,7 @@ def test_spatial_independence(
     # builds its own stream(seed, r) generators, so the order changes no value
     # (the bootstrap and the null read the same streams, so they are not
     # independent: see rng)
-    if null_method == "asymptotic_eigen":
+    if null_method == "asym":
         spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
     ci = None
     notes = []
@@ -87,7 +87,7 @@ def test_spatial_independence(
         ci = (lo, hi)
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
-    if null_method == "monte_carlo":
+    if null_method == "mc":
         null = monte_carlo_null(null_dist, panel.n_time, W, reps=reps, seed=seed,
                                 n_jobs=n_jobs)
     else:

@@ -86,7 +86,7 @@ def nystrom_eigenvalues(
     the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
     eigenvalues estimate the operator spectrum directly.  For the symmetric
     laws it splits under the grid's reflection into two halves in closed form,
-    min and max of the half-widths y_a = (x_{m-1-a} - x_a) / 2, and no kernel
+    min and max of the half-widths y_a = c - x_a, c = F^-1(1/2), and no kernel
     matrix is built (see :func:`_grid_eigenvalues`).
     Two checks guard against a too-coarse grid or too small a K, each within
     2%: the eigenvalue sum must match the trace g(F)/2 and the square sum

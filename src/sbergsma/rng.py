@@ -36,13 +36,17 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it with the package, not in the first stream()
 
+from .exceptions import InvalidParameterError
+
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Generator for the stream identified by ``(seed, *ids)``.
 
     The same arguments always yield the same stream, independent of call
-    order and worker count.
+    order and worker count.  Every draw checks its seed here: an integer >= 0.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be an integer of at least 0, got {seed!r}")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -7,10 +7,12 @@ from sbergsma import (
     DependenceSpec,
     ReferenceDistribution,
     SpatialPanel,
+    asymptotic_null_sample,
     bootstrap_ci,
     independence_rho_quantile,
     linear_chain,
     monte_carlo_null,
+    nystrom_eigenvalues,
     p_value,
     pairwise_screen,
     row_standardize,
@@ -95,7 +97,7 @@ def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
     assert (a.p_value, a.null_meta) == (b.p_value, b.null_meta)
 
 
-@pytest.mark.parametrize("null_method", ["monte_carlo", "asymptotic_eigen"])
+@pytest.mark.parametrize("null_method", ["mc", "asym"])
 @pytest.mark.parametrize("n_jobs", [0, -4])
 def test_thread_counts_below_one_rejected_before_any_work(monkeypatch, w5, null_method,
                                                           n_jobs):
@@ -268,8 +270,11 @@ def _forbid_nulls(monkeypatch):
         # zero resamples is an error, not a request for no CI
         {"ci_resamples": 0},
         # the asymptotic null's spectrum took its whole solve before these
-        {"null_method": "asymptotic_eigen", "ci_resamples": 100},
-        {"null_method": "asymptotic_eigen", "ci_resamples": 200, "ci_level": 1.5},
+        {"null_method": "asym", "ci_resamples": 100},
+        {"null_method": "asym", "ci_resamples": 200, "ci_level": 1.5},
+        # the library takes the names of --null, and no others
+        {"null_method": "monte_carlo"},
+        {"null_method": "asymptotic_eigen"},
     ],
 )
 def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):
@@ -279,7 +284,7 @@ def test_bad_arguments_rejected_before_any_null(monkeypatch, w5, kwargs):
         test_spatial_independence(panel, w5, reps=20_000, **kwargs)
 
 
-@pytest.mark.parametrize("null_method", ["monte_carlo", "asymptotic_eigen"])
+@pytest.mark.parametrize("null_method", ["mc", "asym"])
 def test_zero_reps_rejected_before_any_null(monkeypatch, w5, null_method):
     _forbid_nulls(monkeypatch)
     panel = SpatialPanel(stream(13).standard_normal((20, 5)))
@@ -296,3 +301,19 @@ def test_independence_rho_quantile_rejects_zero_sims():
     for T in (1, 2):
         with pytest.raises(InvalidParameterError, match="T >= 3"):
             independence_rho_quantile(T, n_sim=10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("entry", ["monte_carlo_null", "bootstrap_ci", "asymptotic_null_sample"])
+def test_bad_seed_is_an_invalid_parameter(entry, seed, w5):
+    # numpy raised its own ValueError for -1 and a TypeError for 1.5
+    panel = SpatialPanel(stream(13).standard_normal((20, 5)))
+    spectrum = nystrom_eigenvalues(NORMAL, K=60, m=800)
+    call = {
+        "monte_carlo_null": lambda: monte_carlo_null(NORMAL, 20, w5, reps=10, seed=seed),
+        "bootstrap_ci": lambda: bootstrap_ci(panel, w5, B=200, seed=seed),
+        "asymptotic_null_sample": lambda: asymptotic_null_sample([spectrum] * 5, w5,
+                                                                 n_draws=10, seed=seed),
+    }[entry]
+    with pytest.raises(InvalidParameterError, match="seed must be an integer of at least 0"):
+        call()

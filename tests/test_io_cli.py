@@ -185,7 +185,10 @@ def test_cli_compute_writes_s0_and_standardization_of_w(flag, s0, standardized, 
     # the raw chain of 3 regions has weight sum 4; its row-standardized form, 3
     assert main(["compute", panel_file, "--linear-chain", "3", *flag]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["s0"], payload["standardized_w"]) == (s0, standardized)
+    assert payload["s0"] == s0
+    # W is row-standardized exactly when the configuration says so: no second copy
+    assert "standardized_w" not in payload
+    assert payload["meta"]["config"]["standardize"] is standardized
 
 
 def test_cli_compute_overflow_is_one_json_line(tmp_path):
@@ -416,35 +419,39 @@ def test_cli_test_threads_reach_every_simulation(monkeypatch, tmp_path):
     assert seen == {"monte_carlo_null": 2, "bootstrap_ci": 2, "independence_rho_quantile": 2}
 
 
-def test_cli_sweep_same_on_one_and_two_threads(monkeypatch, tmp_path):
-    # 450 replicates are three ranges, so the second thread runs; the default
-    # thread count comes from SBERGSMA_THREADS, as for test and null
-    argv = ["sweep", "--model", "sar", "--thetas", "0,0.5", "--T", "10", "--reps", "450",
-            "--linear-chain", "3", "--seed", "3"]
-    outs = []
+def _same_bytes_on_one_and_two_threads(argv, monkeypatch, tmp_path):
+    """Run argv at --threads 1 and 2, writing two names in one directory, on
+    two usable cores; the files must be byte-identical."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    blobs = []
     for threads in ("1", "2"):
-        monkeypatch.setenv("SBERGSMA_THREADS", threads)
-        out = tmp_path / f"sweep{threads}.csv"
-        assert main(argv + ["-o", str(out)]) == 0
-        meta, *rows = out.read_text().splitlines()
-        assert json.loads(meta[len("# meta: "):])["config"]["threads"] == int(threads)
-        outs.append(rows)
-    assert outs[0] == outs[1]
+        out = tmp_path / f"out{threads}"
+        assert main(argv + ["--threads", threads, "-o", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_cli_sweep_same_on_one_and_two_threads(monkeypatch, tmp_path):
+    # 450 replicates are three ranges, so the second thread runs
+    _same_bytes_on_one_and_two_threads(
+        ["sweep", "--model", "sar", "--thetas", "0,0.5", "--T", "10", "--reps", "450",
+         "--linear-chain", "3", "--seed", "3"], monkeypatch, tmp_path)
 
 
 def test_cli_null_same_file_on_one_and_two_threads(monkeypatch, tmp_path):
-    # 20 replicates on 2 threads are two ranges of 10; the files, written
-    # under one name in two directories, differ only in the echoed thread count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    texts = []
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        monkeypatch.chdir(tmp_path / threads)
-        assert main(["null", "--R", "6", "--T", "30", "--linear-chain", "6", "--reps", "20",
-                     "--seed", "1", "--threads", threads, "-o", "out.csv"]) == 0
-        texts.append((tmp_path / threads / "out.csv").read_text())
-    assert '"threads": 1}' in texts[0]
-    assert texts[0].replace('"threads": 1}', '"threads": 2}') == texts[1]
+    # 20 replicates on 2 threads are two ranges of 10
+    _same_bytes_on_one_and_two_threads(
+        ["null", "--R", "6", "--T", "30", "--linear-chain", "6", "--reps", "20",
+         "--seed", "1"], monkeypatch, tmp_path)
+
+
+def test_cli_test_same_file_on_one_and_two_threads(monkeypatch, tmp_path):
+    # 500 replicates are three ranges; the bootstrap and the pair cutoff are threaded too
+    panel_path = str(tmp_path / "p.csv")
+    save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
+    _same_bytes_on_one_and_two_threads(
+        ["test", panel_path, "--linear-chain", "4", "--reps", "500", "--bootstrap", "200",
+         "--cutoff-sims", "500", "--seed", "1"], monkeypatch, tmp_path)
 
 
 _COORDS = {"a": (0.0, 0.0), "b": (0.0, 1.0), "c": (2.0, 0.0)}
@@ -835,6 +842,28 @@ def test_cli_records_acf_lags_only_with_an_acf_table_and_spectrum_sizes_always(t
     assert (got["K"], got["grid"]) == (100, 2000)
 
 
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_cli_config_records_no_thread_count_and_no_output_path(command, tmp_path):
+    # neither changes a value, so the same run at another thread count or
+    # under another name writes the same bytes
+    panel_path, out, acf_out = (tmp_path / name for name in ("p.csv", "out", "acf.csv"))
+    save_panel(str(panel_path), SpatialPanel(stream(6).standard_normal((40, 3))))
+    argv = [a.format(panel=panel_path, out=out) for a in _VALID_ARGV[command]]
+    threaded = ["--threads", "2", "--seed", "1"]
+    extra = {"compute": ["-o", str(out)], "test": threaded, "null": threaded,
+             "simulate": ["--seed", "1"], "sweep": threaded,
+             "prewhiten": ["--acf-output", str(acf_out)]}
+    assert main(argv + extra.get(command, [])) == 0
+    for path in (out, acf_out) if command == "prewhiten" else (out,):
+        text = path.read_text()
+        if command in ("compute", "test"):
+            meta = json.loads(text)["meta"]
+        else:
+            meta = json.loads(text.splitlines()[0][len("# meta: "):])
+        assert meta["config"]
+        assert not {"threads", "output", "acf_output"} & set(meta["config"])
+
+
 @pytest.mark.parametrize(
     "argv,category",
     [
@@ -872,18 +901,6 @@ def test_cli_linear_chain_too_short_is_a_size_error(tmp_path, capsys):
     assert main(["weights", "--linear-chain", "0", "-o", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error_category"] == "SizeError"
     assert not out.exists()
-
-
-def test_cli_bad_threads_variable_fails_only_where_threads_are_read(
-    monkeypatch, tmp_path, capsys
-):
-    monkeypatch.setenv("SBERGSMA_THREADS", "abc")
-    assert main(["weights", "--linear-chain", "3", "-o", str(tmp_path / "w.csv")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["null", "--R", "3", "--T", "10", "--linear-chain", "3", "--seed", "1",
-              "-o", str(tmp_path / "n.csv")])
-    assert exc.value.code == 2
-    assert "argument --threads: invalid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["fifo", "dir"])

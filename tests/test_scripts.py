@@ -16,6 +16,7 @@ from sbergsma import (
     row_standardize,
     theta_sweep,
 )
+from sbergsma.exceptions import InvalidParameterError, SizeError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -54,6 +55,9 @@ def test_run_null_study(tmp_path, monkeypatch):
     assert metas[0] == {"config": summary["config"]}
     assert metas[1].pop("config") == summary["config"]
     assert set(metas[1]) == {"weights_kept", "remainder_variance", "table_tail_mass"}
+    # the thread count and the directory change no value
+    assert summary["config"]["seed"] == 3
+    assert not {"threads", "outdir"} & set(summary["config"])
 
 
 def test_run_theta_sweep(tmp_path, monkeypatch):
@@ -69,6 +73,9 @@ def test_run_theta_sweep(tmp_path, monkeypatch):
         for row in rows:
             mean, sd, _, _ = want.summaries[float(row["theta"])]
             assert float(row["mean"]) == mean and float(row["sd"]) == sd
+        with open(tmp_path / f"sweep_{model.lower()}.csv") as fh:
+            config = json.loads(fh.readline()[len("# meta: "):])["config"]
+        assert config["seed"] == 5 and "outdir" not in config
 
 
 def test_run_theta_sweep_thetas_that_do_not_parse_are_usage_errors(
@@ -87,6 +94,11 @@ def test_run_theta_sweep_thetas_that_do_not_parse_are_usage_errors(
     ("run_theta_sweep", "--seed", "-1", "must be at least 0, got -1"),
     # a thread count below 1 used to end in an InvalidParameterError traceback
     ("run_null_study", "--threads", "0", "must be at least 1, got 0"),
+    # and these in an EmptyNullError, SampleSizeError, SizeError or
+    # InvalidParameterError traceback, after --outdir was made
+    *[("run_null_study", flag, "0", "must be at least 1, got 0")
+      for flag in ("--reps", "--R", "--K")],
+    *[("run_theta_sweep", flag, "0", "must be at least 1, got 0") for flag in ("--reps", "--R")],
 ])
 def test_scripts_reject_out_of_range_counts(name, flag, value, message, tmp_path,
                                             monkeypatch, capsys):
@@ -94,3 +106,17 @@ def test_scripts_reject_out_of_range_counts(name, flag, value, message, tmp_path
         _run_script(name, [flag, value, "--outdir", str(tmp_path / "out")], monkeypatch)
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,argv,error", [
+    # K above the grid fails in the asymptotic null, after every Monte Carlo null
+    ("run_null_study", ["--R", "4", "--T", "12", "--reps", "20", "--families", "normal",
+                        "--K", "60", "--grid", "50", "--threads", "1"], InvalidParameterError),
+    ("run_theta_sweep", ["--R", "1", "--T", "12", "--reps", "20", "--thetas", "0"], SizeError),
+])
+def test_scripts_make_no_outdir_when_the_library_rejects_a_size(name, argv, error, tmp_path,
+                                                                 monkeypatch):
+    with pytest.raises(error):
+        _run_script(name, argv + ["--outdir", str(tmp_path / "out")], monkeypatch)
+    assert not (tmp_path / "out").exists()
