@@ -52,15 +52,19 @@ from .exceptions import (
 _KERNEL_BYTES = 1 << 21
 
 
-def _validated_series(z, min_length: int) -> np.ndarray:
+def _validated_series(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d series, got shape {z.shape}")
-    if z.size < min_length:
-        raise LengthError(f"series length {z.size} < required {min_length}")
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("series contains NaN or infinite values")
     return z
+
+
+def check_time_points(T: int) -> None:
+    """The one check of the statistic's T >= 3 time points, for every entry point."""
+    if T < 3:
+        raise LengthError(f"need T >= 3 time points, got {T}")
 
 
 def _centring(X: np.ndarray) -> np.ndarray:
@@ -159,10 +163,12 @@ def rho_tilde(x, y) -> float:
     """Bergsma correlation estimate rho~ between two equal-length series.
 
     Invariant under separate affine maps of each argument (including sign
-    flips); raises on constant series, whose self-covariance vanishes.
+    flips).  Unequal lengths raise before too few time points do; a constant
+    series, whose self-covariance vanishes, raises too.
     """
-    x = _validated_series(x, min_length=3)
-    y = _validated_series(y, min_length=3)
+    x = _validated_series(x)
+    y = _validated_series(y)
     if x.size != y.size:
         raise DimensionMismatchError(f"series lengths differ: {x.size} vs {y.size}")
+    check_time_points(x.size)
     return float(rho_from_kappa(pairwise_kappa(np.column_stack([x, y])), ("x", "y"))[0, 1])

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bergsma import check_time_points
 from .exceptions import (
     DegenerateRegionError,
     InvalidParameterError,
@@ -84,7 +85,7 @@ class DependenceSpec:
                 f"I - theta W is badly conditioned (theta = {self.theta}, "
                 f"condition {cond:.3g})",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=5,
             )
         return np.linalg.inv(A)
 
@@ -123,8 +124,7 @@ def sb_replicates(model: str, thetas, W: ProximityMatrix, noise: ReferenceDistri
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
     """Draw a T x R panel with rows i.i.d. under the model; no column may be constant."""
-    if T < 3:
-        raise InvalidParameterError(f"need T >= 3, got {T}")
+    check_time_points(T)
     eps = spec.noise.sample((T, spec.W.n_regions), stream(seed))
     y = _apply_dependence(spec, eps)
     flat = [name for name, col in zip(spec.W.region_labels, y.T) if np.ptp(col) == 0]
@@ -163,8 +163,7 @@ def theta_sweep(
     """
     if reps < 4:
         raise SampleSizeError(f"need reps >= 4 for moment summaries, got {reps}")
-    if T < 3:
-        raise InvalidParameterError(f"need T >= 3, got {T}")
+    check_time_points(T)
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise InvalidParameterError("need at least one theta")

@@ -22,10 +22,6 @@ class DimensionMismatchError(SbergsmaError):
     """Arrays that must share a shape do not."""
 
 
-class DegenerateSeriesError(SbergsmaError):
-    """Self-covariance of a series is zero, as for a constant series."""
-
-
 # --- spatial weights errors -------------------------------------------------
 
 class RegionIndexError(SbergsmaError):
@@ -33,7 +29,7 @@ class RegionIndexError(SbergsmaError):
 
 
 class SelfLoopError(SbergsmaError):
-    """Edge list contains a self-loop; the diagonal of W must be zero."""
+    """A nonzero diagonal entry of W, from any source; the message names the first."""
 
 
 class DuplicatePointError(SbergsmaError):
@@ -59,8 +55,8 @@ class LabelMismatchError(SbergsmaError):
 
 # --- panel / statistic errors -----------------------------------------------
 
-class DegenerateRegionError(DegenerateSeriesError):
-    """A panel column is constant; its Bergsma self-covariance vanishes."""
+class DegenerateRegionError(SbergsmaError):
+    """A series or panel column is constant; its Bergsma self-covariance vanishes."""
 
 
 # --- null distribution errors -----------------------------------------------
@@ -126,19 +122,11 @@ class ParseError(SbergsmaError):
 
 
 class RaggedRowError(ParseError):
-    """CSV rows have inconsistent lengths."""
+    """A panel or dense W file row whose length differs; the message names it."""
 
 
 class NonNumericError(ParseError):
     """A cell expected to be numeric is not."""
-
-
-class NotSquareError(ParseError):
-    """Dense weight matrix file is not square."""
-
-
-class NonzeroDiagonalError(ParseError):
-    """Dense weight matrix file has a nonzero diagonal entry."""
 
 
 class NonIntegerError(ParseError):

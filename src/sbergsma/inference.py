@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bergsma import check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import (
     EmptyNullError,
     InvalidParameterError,
@@ -20,7 +21,7 @@ from .nulldist import (
 from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
 from .statistic import SBResult, SpatialPanel, replicate_values, sb_statistic, sb_values_batch
-from .weights import ProximityMatrix, linear_chain
+from .weights import ProximityMatrix
 
 #: independent normal pairs drawn from one stream for the pair-screen cutoff
 _CUTOFF_BLOCK = 2000
@@ -163,15 +164,14 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,
     This is the empirical cutoff used to flag individually significant
     region pairs (about 0.17 at T = 19); it does not depend on ``n_jobs``.
     """
-    if T < 3:
-        raise InvalidParameterError(f"need T >= 3, got {T}")
+    check_time_points(T)
     if n_sim < 1:
         raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
-    # for R = 2 with the symmetric 0/1 pair matrix, S~_B reduces to rho~ itself
-    W2 = linear_chain(2)
 
     def values(lo, hi):
-        return sb_values_batch(stream(seed, lo).standard_normal((hi - lo, T, 2)), W2)
+        pairs = stream(seed, lo).standard_normal((hi - lo, T, 2))
+        # a copy, so the join holds one value per pair, not the range's 2 x 2 matrices
+        return rho_from_kappa(pairwise_kappa(pairs))[:, 0, 1].copy()
 
     return float(_quantile(replicate_values(values, n_sim, n_jobs, _CUTOFF_BLOCK), 0.95))
 

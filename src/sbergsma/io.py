@@ -29,8 +29,6 @@ from .exceptions import (
     DuplicateLabelError,
     NonIntegerError,
     NonNumericError,
-    NonzeroDiagonalError,
-    NotSquareError,
     OutputPathError,
     ParseError,
     RaggedRowError,
@@ -164,20 +162,16 @@ def load_weights(
 
 
 def _load_dense(path: str) -> ProximityMatrix:
+    """A dense W file, whose rows must be of equal length; :class:`ProximityMatrix`
+    checks the rest, squareness and the diagonal too, as for W from any source."""
     rows = []
     for lineno, fields in _data_lines(path):
+        if rows and len(fields) != len(rows[0]):
+            raise RaggedRowError(f"row {lineno} has {len(fields)} cells, not {len(rows[0])}")
         rows.append([_parse_cell(c, lineno, j + 1) for j, c in enumerate(fields)])
     if not rows:
         raise ParseError(f"{path}: empty weight matrix")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1 or lengths.pop() != len(rows):
-        raise NotSquareError(f"{path}: weight matrix is not square")
-    w = np.array(rows)
-    nz = np.flatnonzero(np.diagonal(w))
-    if nz.size:
-        i = nz[0] + 1
-        raise NonzeroDiagonalError(f"{path}: nonzero diagonal entry w[{i},{i}]")
-    return ProximityMatrix(w)
+    return ProximityMatrix(np.array(rows))
 
 
 def _load_edges(path: str, n_regions: int | None) -> ProximityMatrix:

@@ -19,10 +19,10 @@ Two generation routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from .bergsma import check_time_points
 from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
@@ -74,7 +74,6 @@ class NullDistribution:
         self.samples.setflags(write=False)
 
 
-@lru_cache(maxsize=16)
 def nystrom_eigenvalues(
     dist: ReferenceDistribution,
     K: int = 100,
@@ -91,8 +90,7 @@ def nystrom_eigenvalues(
     Two checks guard against a too-coarse grid or too small a K, each within
     2%: the eigenvalue sum must match the trace g(F)/2 and the square sum
     E h_F(Z1, Z2)^2.  A failed or NaN comparison raises ConvergenceError.  No
-    random numbers are drawn.  Results are memoised per (dist, K, m); the
-    spectrum is read-only.
+    random numbers are drawn; the spectrum is read-only.
     """
     if K < 1 or K > m:
         raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
@@ -272,8 +270,7 @@ def monte_carlo_null(
     """
     if reps < 1:
         raise EmptyNullError("reps must be >= 1")
-    if T < 3:
-        raise InvalidParameterError(f"need T >= 3, got {T}")
+    check_time_points(T)
     samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
     return NullDistribution(samples)
 

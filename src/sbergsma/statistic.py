@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import pairwise_kappa, rho_from_kappa
+from .bergsma import check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
-    LengthError,
     NonFiniteError,
     SizeError,
 )
@@ -42,8 +41,7 @@ class SpatialPanel:
         d = np.array(self.data, dtype=float)  # a copy, so no caller can write it
         if d.ndim != 2:
             raise DimensionMismatchError(f"panel must be 2-d, got shape {d.shape}")
-        if d.shape[0] < 3:
-            raise LengthError(f"need T >= 3 time points, got {d.shape[0]}")
+        check_time_points(d.shape[0])
         if d.shape[1] < 2:
             raise SizeError(f"need R >= 2 regions, got {d.shape[1]}")
         if not np.all(np.isfinite(d)):
@@ -112,8 +110,7 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     if X.ndim != 3:
         raise DimensionMismatchError(f"panels must be a 3-d (B, T, R) stack, got {X.shape}")
     _, T, R = X.shape
-    if T < 3:
-        raise LengthError(f"need T >= 3 time points, got {T}")
+    check_time_points(T)
     if W.n_regions != R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {R}")
     return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)

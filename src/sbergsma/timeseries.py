@@ -40,7 +40,7 @@ def fit_ar(series, p: int) -> ARFit:
     deficiency (e.g. a constant series, whose lags are collinear with the
     intercept) raises rather than silently pseudo-inverting.
     """
-    x = _validated_series(series, min_length=0)
+    x = _validated_series(series)
     if p < 1:
         raise ShortSeriesError(f"AR order must be >= 1, got {p}")
     T = x.size
@@ -73,7 +73,7 @@ def acf(series, max_lag: int):
 
     Returns ``(values, threshold)`` with threshold = 1.96 / sqrt(T).
     """
-    x = _validated_series(series, min_length=0)
+    x = _validated_series(series)
     T = x.size
     if not (0 <= max_lag < T):
         raise LagError(f"need 0 <= max_lag < T = {T}, got {max_lag}")

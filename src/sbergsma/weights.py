@@ -43,7 +43,8 @@ class ProximityMatrix:
         if np.any(w < 0):
             raise NegativeWeightError("W contains negative weights")
         if np.any(np.diagonal(w) != 0):
-            raise SelfLoopError("diagonal of W must be zero")
+            i = np.flatnonzero(np.diagonal(w))[0] + 1
+            raise SelfLoopError(f"nonzero diagonal entry w[{i},{i}]")
         if not w.any():
             raise IsolatedRegionError("W has no nonzero weight, so S0 = 0")
         labels = self.region_labels or tuple(f"R{i+1}" for i in range(w.shape[0]))
@@ -77,8 +78,6 @@ def adjacency_from_edges(edges, R: int) -> ProximityMatrix:
     for i, j in edges:
         if not (1 <= i <= R and 1 <= j <= R):
             raise RegionIndexError(f"edge ({i},{j}) outside [1, {R}]")
-        if i == j:
-            raise SelfLoopError(f"self-loop ({i},{i}) not allowed")
         w[i - 1, j - 1] = 1.0
         w[j - 1, i - 1] = 1.0
     return ProximityMatrix(w)

@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbergsma import (
+    DependenceSpec,
     ProximityMatrix,
+    ReferenceDistribution,
+    SpatialPanel,
+    independence_rho_quantile,
     linear_chain,
+    monte_carlo_null,
     rho_tilde,
     sb_values_batch,
+    simulate_panel,
+    theta_sweep,
 )
+from sbergsma import depmodels, inference, nulldist
 from sbergsma.bergsma import _centring, panel_kernel_stack, pairwise_kappa
 from sbergsma.exceptions import (
-    DegenerateSeriesError,
+    DegenerateRegionError,
     DimensionMismatchError,
     LengthError,
     NonFiniteError,
@@ -126,8 +134,32 @@ def test_rho_symmetry_exact():
     assert rho_tilde(x, y) == rho_tilde(y, x)
 
 
+_SHORT_PANEL_ENTRIES = {
+    "SpatialPanel": lambda T: SpatialPanel(np.ones((T, 3))),
+    "sb_values_batch": lambda T: sb_values_batch(np.ones((4, T, 3)), linear_chain(3)),
+    "rho_tilde": lambda T: rho_tilde(np.arange(T), np.arange(T)),
+    "simulate_panel": lambda T: simulate_panel(DependenceSpec("SMA", 0.5, linear_chain(3)), T),
+    "theta_sweep": lambda T: theta_sweep("SMA", linear_chain(3), [0.0], T, reps=10),
+    "monte_carlo_null": lambda T: monte_carlo_null(
+        ReferenceDistribution("normal"), T, linear_chain(3), reps=10),
+    "independence_rho_quantile": lambda T: independence_rho_quantile(T, n_sim=10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SHORT_PANEL_ENTRIES))
+def test_every_entry_point_rejects_short_panels_alike(entry, monkeypatch):
+    # one check, so one category and one message, and nothing drawn first
+    def no_draw(*args, **kw):
+        raise AssertionError("a random stream was opened")
+
+    for module in (depmodels, inference, nulldist):
+        monkeypatch.setattr(module, "stream", no_draw)
+    with pytest.raises(LengthError, match=r"^need T >= 3 time points, got 2$"):
+        _SHORT_PANEL_ENTRIES[entry](2)
+
+
 def test_rho_degenerate_and_length_errors():
-    with pytest.raises(DegenerateSeriesError):
+    with pytest.raises(DegenerateRegionError):
         rho_tilde([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(LengthError):
         rho_tilde([0.0, 1.0], [0.0, 1.0])

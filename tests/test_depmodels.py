@@ -21,6 +21,7 @@ from sbergsma.depmodels import _apply_dependence, sb_replicates
 from sbergsma.exceptions import (
     DegenerateRegionError,
     InvalidParameterError,
+    LengthError,
     SampleSizeError,
     SingularSystemError,
 )
@@ -64,11 +65,16 @@ def test_sar_admissibility_bounds(w_chain6):
     DependenceSpec("SMA", 1.5, w_chain6)
 
 
-def test_sar_near_unit_theta_warns():
+@pytest.mark.parametrize("path", ["simulate_panel", "theta_sweep"])
+def test_sar_near_unit_theta_warns(path):
     W = row_standardize(linear_chain(14))
-    spec = DependenceSpec("SAR", 0.999, W)
-    with pytest.warns(RuntimeWarning, match="conditioned"):
-        simulate_panel(spec, T=5, seed=0)
+    with pytest.warns(RuntimeWarning, match="conditioned") as record:
+        if path == "simulate_panel":
+            simulate_panel(DependenceSpec("SAR", 0.999, W), T=5, seed=0)
+        else:
+            theta_sweep("SAR", W, [0.999], T=5, reps=4)
+    # the warning names the caller's line, not one inside the library
+    assert record[0].filename == __file__
 
 
 def test_sweep_checks_sar_conditioning_before_any_draw(monkeypatch):
@@ -97,7 +103,7 @@ def test_sweep_rejects_bad_sizes_before_any_draw(monkeypatch, w_chain6):
     with pytest.raises(InvalidParameterError):
         theta_sweep("SMA", w_chain6, [], T=10, reps=10)
     for T in (1, 2):
-        with pytest.raises(InvalidParameterError, match="T >= 3"):
+        with pytest.raises(LengthError, match="T >= 3"):
             theta_sweep("SMA", w_chain6, [0.0, 0.5], T=T, reps=10)
     # SweepResult.samples holds one key per theta, so a repeat would be lost
     with pytest.raises(InvalidParameterError, match="distinct"):
@@ -139,7 +145,7 @@ def test_bad_model_and_theta(w_chain6):
         DependenceSpec("CAR", 0.1, w_chain6)
     with pytest.raises(InvalidParameterError):
         DependenceSpec("SMA", float("nan"), w_chain6)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(LengthError):
         simulate_panel(DependenceSpec("SMA", 0.1, w_chain6), T=2)
 
 

@@ -23,6 +23,7 @@ from sbergsma import (
 from sbergsma.exceptions import (
     EmptyNullError,
     InvalidParameterError,
+    LengthError,
     TooManyDegenerateResamplesError,
 )
 from sbergsma.rng import stream
@@ -299,7 +300,7 @@ def test_independence_rho_quantile_rejects_zero_sims():
         independence_rho_quantile(19, n_sim=0)
     # unchecked, T = 1 divides by C(T, 2) = 0 and T = 2 fails as a constant series
     for T in (1, 2):
-        with pytest.raises(InvalidParameterError, match="T >= 3"):
+        with pytest.raises(LengthError, match="T >= 3"):
             independence_rho_quantile(T, n_sim=10)
 
 

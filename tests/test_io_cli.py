@@ -11,17 +11,17 @@ import sys
 import numpy as np
 import pytest
 
-from sbergsma import SpatialPanel, inverse_distance, linear_chain, sb_statistic
+from sbergsma import ProximityMatrix, SpatialPanel, inverse_distance, linear_chain, sb_statistic
 from sbergsma.cli import main
 from sbergsma.exceptions import (
+    DimensionMismatchError,
     DuplicateLabelError,
     NonIntegerError,
     NonNumericError,
-    NonzeroDiagonalError,
-    NotSquareError,
     OutputPathError,
     ParseError,
     RaggedRowError,
+    SelfLoopError,
 )
 from sbergsma.io import (
     load_panel,
@@ -81,11 +81,29 @@ def test_panel_parse_errors(tmp_path):
 def test_dense_weight_errors(tmp_path):
     bad = tmp_path / "w.csv"
     bad.write_text("0,1\n1,0\n0,1\n")
-    with pytest.raises(NotSquareError):
+    with pytest.raises(DimensionMismatchError):
+        load_weights(str(bad))
+    bad.write_text("0,1\n1,0,1\n")
+    with pytest.raises(RaggedRowError, match="row 2"):
         load_weights(str(bad))
     bad.write_text("0,1\n1,2\n")
-    with pytest.raises(NonzeroDiagonalError, match=r"w\[2,2\]"):
+    with pytest.raises(SelfLoopError, match=r"w\[2,2\]"):
         load_weights(str(bad))
+
+
+@pytest.mark.parametrize("source", ["dense", "edges", "ProximityMatrix"])
+def test_nonzero_diagonal_is_one_error_from_every_source(source, tmp_path):
+    # every source of W goes through ProximityMatrix's one diagonal check
+    path = tmp_path / "w.csv"
+    with pytest.raises(SelfLoopError, match=r"w\[2,2\]"):
+        if source == "dense":
+            path.write_text("0,1,0\n1,1,1\n0,1,0\n")
+            load_weights(str(path))
+        elif source == "edges":
+            path.write_text("1,2\n2,2\n2,3\n")
+            load_weights(str(path), "edges")
+        else:
+            ProximityMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]))
 
 
 def test_edge_list_rejects_fractional_index(tmp_path):
@@ -610,11 +628,14 @@ def test_cli_rejects_flags_the_command_does_not_read(
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
         # unchecked, T = 1 ends in a ZeroDivisionError traceback and T = 2 in a
-        # DegenerateRegionError after the whole simulation
+        # DegenerateRegionError after the whole simulation; T < 3 is the
+        # LengthError a panel file with fewer than 3 rows raises
         *[(["null", "--R", "4", "--T", T, "--linear-chain", "4"],
-           "InvalidParameterError") for T in ("1", "2")],
+           "LengthError") for T in ("1", "2")],
         *[(["sweep", "--model", "sar", "--T", T, "--linear-chain", "4"],
-           "InvalidParameterError") for T in ("1", "2")],
+           "LengthError") for T in ("1", "2")],
+        (["simulate", "--model", "sma", "--theta", "0.5", "--T", "2",
+          "--linear-chain", "4"], "LengthError"),
         (["sweep", "--model", "sar", "--thetas", "0,0.5,0.5", "--linear-chain", "4"],
          "InvalidParameterError"),
     ],
@@ -631,14 +652,15 @@ def test_cli_size_arguments_rejected_before_any_simulation(
 
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
     # nystrom_eigenvalues itself runs, so its K and grid checks can fail first,
-    # but its eigensolve may not (and no memoised spectrum may stand in for it)
-    nulldist.nystrom_eigenvalues.cache_clear()
+    # but its eigensolve may not
     monkeypatch.setattr(np.linalg, "eigvalsh", no_simulation)
     monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
     # the bootstrap and the pair cutoff
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
     monkeypatch.setattr(depmodels, "sb_replicates", no_simulation)
     monkeypatch.setattr(nulldist, "sb_replicates", no_simulation)
+    # the one panel simulate_panel draws
+    monkeypatch.setattr(depmodels, "stream", no_simulation)
     panel_path = str(tmp_path / "p.csv")
     save_panel(panel_path, SpatialPanel(stream(4).standard_normal((20, 4))))
     out = tmp_path / "out"

@@ -23,6 +23,7 @@ from sbergsma.exceptions import (
     ConvergenceError,
     EmptyNullError,
     InvalidParameterError,
+    LengthError,
     NonFiniteError,
     SpectraMismatchError,
 )
@@ -74,13 +75,7 @@ def test_nystrom_trace_uniform():
     # leading eigenvalues are 1/(pi^2 k^2) for the uniform kernel
     ks = np.arange(1, 11)
     assert np.allclose(spec.eigenvalues[:10], 1 / (np.pi * ks) ** 2, rtol=0.01)
-
-
-def test_nystrom_memoised_per_arguments():
-    spec = nystrom_eigenvalues(UNIFORM, K=100, m=1000)
-    assert nystrom_eigenvalues(ReferenceDistribution("uniform"), K=100, m=1000) is spec
-    assert nystrom_eigenvalues(UNIFORM, K=50, m=1000) is not spec
-    # every caller shares the one array, so no caller may write to it
+    # the one array every pair of a null reads, so no caller may write to it
     assert not spec.eigenvalues.flags.writeable
 
 
@@ -132,8 +127,7 @@ def test_nystrom_trace_check_fires_when_k_is_too_small():
 
 
 def _patch_eigvalsh(monkeypatch, change):
-    """Route the eigensolve of the next uncached spectrum through ``change``."""
-    nystrom_eigenvalues.cache_clear()
+    """Route the eigensolve of the next spectrum through ``change``."""
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: change(eigvalsh(a)))
 
@@ -174,7 +168,6 @@ def test_nystrom_builds_a_kernel_matrix_only_for_asymmetric_laws(monkeypatch, fa
     monkeypatch.setattr(ReferenceDistribution, "kernel",
                         lambda self, a, b: calls.append(np.broadcast_shapes(
                             np.shape(a), np.shape(b))) or kernel(self, a, b))
-    nystrom_eigenvalues.cache_clear()
     nystrom_eigenvalues(ReferenceDistribution(family), K=100, m=m)
     assert calls == shapes
 
@@ -198,7 +191,6 @@ def test_nystrom_closed_form_halves_match_the_kernel_fold(monkeypatch, family, m
     halves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: halves.append(a.copy()) or eigvalsh(a))
-    nystrom_eigenvalues.cache_clear()
     nystrom_eigenvalues(dist, K=100, m=m)
     assert [a.shape for a in halves] == [even.shape, odd.shape]
     tol = 1e-15 * np.abs(H).max()
@@ -219,7 +211,6 @@ def _peak_mib(f, *args, **kw):
 def test_nystrom_paper_spectrum_memory_is_bounded():
     # one 8 MB half at a time, built in closed form; building the kernel's
     # half-grid rows next to the odd half peaked at 23.3 MiB
-    nystrom_eigenvalues.cache_clear()
     assert _peak_mib(nystrom_eigenvalues, NORMAL, K=100, m=2000) < 12
 
 
@@ -284,7 +275,6 @@ def test_nystrom_draws_no_random_numbers(monkeypatch):
     def no_stream(*args):
         raise AssertionError("a random stream was opened")
 
-    nystrom_eigenvalues.cache_clear()
     monkeypatch.setattr(nulldist, "stream", no_stream)
     assert nystrom_eigenvalues(UNIFORM, K=50, m=400).eigenvalues.size == 50
 
@@ -414,7 +404,7 @@ def test_monte_carlo_rejects_short_series_before_any_draw(monkeypatch, T):
         raise AssertionError("replicates were simulated")
 
     monkeypatch.setattr(nulldist, "sb_replicates", no_draw)
-    with pytest.raises(InvalidParameterError, match="T >= 3"):
+    with pytest.raises(LengthError, match="T >= 3"):
         monte_carlo_null(NORMAL, T, row_standardize(linear_chain(4)), reps=10)
 
 
