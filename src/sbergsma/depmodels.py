@@ -68,7 +68,8 @@ class DependenceSpec:
 
         I + theta W for SMA; (I - theta W)^{-1} for SAR, after a conditioning
         check that raises if I - theta W is numerically singular and warns if
-        it is badly conditioned.
+        it is badly conditioned.  The warning names the line that called
+        :func:`simulate_panel` or :func:`theta_sweep`.
         """
         I = np.eye(self.W.n_regions)
         if self.model == "SMA":
@@ -85,6 +86,8 @@ class DependenceSpec:
                 f"I - theta W is badly conditioned (theta = {self.theta}, "
                 f"condition {cond:.3g})",
                 RuntimeWarning,
+                # this frame, cached_property.__get__, _apply_dependence or
+                # sb_replicates, simulate_panel or theta_sweep, then their caller
                 stacklevel=5,
             )
         return np.linalg.inv(A)

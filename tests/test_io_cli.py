@@ -86,9 +86,6 @@ def test_dense_weight_errors(tmp_path):
     bad.write_text("0,1\n1,0,1\n")
     with pytest.raises(RaggedRowError, match="row 2"):
         load_weights(str(bad))
-    bad.write_text("0,1\n1,2\n")
-    with pytest.raises(SelfLoopError, match=r"w\[2,2\]"):
-        load_weights(str(bad))
 
 
 @pytest.mark.parametrize("source", ["dense", "edges", "ProximityMatrix"])
@@ -655,8 +652,9 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     # but its eigensolve may not
     monkeypatch.setattr(np.linalg, "eigvalsh", no_simulation)
     monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
-    # the bootstrap and the pair cutoff
+    # the bootstrap's S~_B values, and the pair cutoff's rho~ values
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
+    monkeypatch.setattr(inference, "pairwise_kappa", no_simulation)
     monkeypatch.setattr(depmodels, "sb_replicates", no_simulation)
     monkeypatch.setattr(nulldist, "sb_replicates", no_simulation)
     # the one panel simulate_panel draws
