@@ -36,8 +36,6 @@ import numpy as np
 from .exceptions import InvalidParameterError, UnsupportedDistributionError
 
 FAMILIES = ("normal", "uniform", "exponential", "laplace", "logistic", "chi-square")
-#: the families whose law is symmetric about its median, F(c - z) = 1 - F(c + z)
-SYMMETRIC = ("normal", "uniform", "laplace", "logistic")
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _ERF = np.frompyfunc(math.erf, 1, 1)

@@ -221,6 +221,21 @@ def test_cli_compute_overflow_is_one_json_line(tmp_path):
     assert json.loads(line)["error_category"] == "NonFiniteError"
 
 
+@pytest.mark.parametrize("dist", ["normal", "exponential"])
+def test_cli_spectrum_same_bytes_on_one_and_two_blas_threads(dist, tmp_path):
+    # a dense eigvalsh of the grid kernel differed in 100 of 100 normal rows
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"spectrum{threads}.csv"
+        subprocess.run([sys.executable, "-m", "sbergsma.cli", "spectrum", "--dist", dist,
+                        "--K", "100", "--grid", "2000", "-o", str(out)],
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_test_rerun_byte_identical(tmp_path, capsys):
     rng = stream(3)
     panel_path = str(tmp_path / "p.csv")
@@ -650,7 +665,7 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
     # nystrom_eigenvalues itself runs, so its K and grid checks can fail first,
     # but its eigensolve may not
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_simulation)
+    monkeypatch.setattr(nulldist, "_top_eigenvalues", no_simulation)
     monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
     # the bootstrap's S~_B values, and the pair cutoff's rho~ values
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)

@@ -1,6 +1,7 @@
 """Null distribution tests: Nystrom spectra, asymptotic draws, p-values."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -29,7 +30,7 @@ from sbergsma.exceptions import (
 )
 from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution
-from sbergsma.reference import FAMILIES, SYMMETRIC
+from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -126,16 +127,20 @@ def test_nystrom_trace_check_fires_when_k_is_too_small():
         nystrom_eigenvalues(NORMAL, K=20, m=2000)
 
 
-def _patch_eigvalsh(monkeypatch, change):
-    """Route the eigensolve of the next spectrum through ``change``."""
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: change(eigvalsh(a)))
+def _patch_eigensolve(monkeypatch, change):
+    """Route the eigenvalues of the next spectrum through ``change``."""
+    solve = nulldist._top_eigenvalues
+    monkeypatch.setattr(nulldist, "_top_eigenvalues", lambda *a: change(solve(*a)))
+
+
+#: every family, chi-square at its default df = 1, plus chi-square at df = 3
+ALL_LAWS = [ReferenceDistribution(f) for f in FAMILIES] + [
+    ReferenceDistribution("chi-square", df=3.0)]
 
 
 @pytest.mark.parametrize("m", [400, 401])
-@pytest.mark.parametrize("family", SYMMETRIC)
-def test_nystrom_reflection_fold_matches_full_solve(family, m):
-    dist = ReferenceDistribution(family)
+@pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
+def test_nystrom_lanczos_matches_full_solve(dist, m):
     grid = dist.ppf((np.arange(m) + 0.5) / m)
     full = np.linalg.eigvalsh(dist.kernel(grid[:, None], grid[None, :]) / m)
     want = full[np.argsort(np.abs(full))[::-1][:100]]
@@ -143,59 +148,45 @@ def test_nystrom_reflection_fold_matches_full_solve(family, m):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize(
-    "dist,m,sizes",
-    [(ReferenceDistribution("exponential"), 400, [400]),
-     (ReferenceDistribution("chi-square", df=3.0), 401, [401]),
-     (ReferenceDistribution("normal"), 400, [200, 200]),
-     (ReferenceDistribution("logistic"), 401, [201, 200])],
-    ids=["exponential", "chi-square", "normal-even", "logistic-odd"],
-)
-def test_nystrom_folds_only_symmetric_laws(monkeypatch, dist, m, sizes):
-    solved = []
-    _patch_eigvalsh(monkeypatch, lambda e: solved.append(e.size) or e)
-    nystrom_eigenvalues(dist, K=100, m=m)
-    assert solved == sizes
+@pytest.mark.parametrize("m", [400, 401])
+@pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
+def test_grid_operator_matches_the_kernel_matrix(dist, m):
+    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    H = dist.kernel(grid[:, None], grid[None, :]) / m
+    apply = nulldist._grid_operator(dist, m)
+    a = np.arange(m)
+    for v in (np.ones(m), a / m, np.cos(0.7 * a) + 0.3):
+        np.testing.assert_allclose(apply(v), H @ v, rtol=0, atol=1e-15 * np.abs(H).max() * m)
 
 
-@pytest.mark.parametrize("family,m,shapes", [("normal", 400, []), ("logistic", 401, []),
-                                             ("exponential", 400, [(400, 400)])],
-                         ids=["normal-400", "logistic-401", "exponential-400"])
-def test_nystrom_builds_a_kernel_matrix_only_for_asymmetric_laws(monkeypatch, family, m,
-                                                                  shapes):
-    calls = []
-    kernel = ReferenceDistribution.kernel
-    monkeypatch.setattr(ReferenceDistribution, "kernel",
-                        lambda self, a, b: calls.append(np.broadcast_shapes(
-                            np.shape(a), np.shape(b))) or kernel(self, a, b))
-    nystrom_eigenvalues(ReferenceDistribution(family), K=100, m=m)
-    assert calls == shapes
+def test_lanczos_doubles_its_steps_until_the_ritz_values_converge():
+    # evenly spaced eigenvalues converge slowly: 2K = 10 steps are not enough,
+    # and each doubled run restarts, so 10 + 20 + ... + 320 = 630 products
+    d = np.linspace(1.0, 2.0, 1000)
+    steps = []
+    lam = nulldist._top_eigenvalues(lambda v: steps.append(1) or d * v, d.size, 5)
+    np.testing.assert_allclose(lam, d[::-1][:5], rtol=1e-13, atol=0)
+    assert len(steps) == 630
+
+
+def test_nystrom_single_point_grid_fails_its_checks_without_a_warning():
+    # one grid point: the first Lanczos step spans the whole space and its
+    # residual is exactly zero, which stops the iteration instead of dividing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="eigenvalue sum"):
+            nystrom_eigenvalues(UNIFORM, K=1, m=1)
 
 
 @pytest.mark.parametrize("m", [400, 401])
-@pytest.mark.parametrize("family", SYMMETRIC)
-def test_nystrom_closed_form_halves_match_the_kernel_fold(monkeypatch, family, m):
-    # the even and odd halves of H = h_F(x_a, x_b) / m under the grid's
-    # reflection, folded from the kernel matrix itself
-    dist = ReferenceDistribution(family)
-    grid = dist.ppf((np.arange(m) + 0.5) / m)
-    H = dist.kernel(grid[:, None], grid[None, :]) / m
-    h = m // 2
-    B = H[:h, ::-1][:, :h]
-    odd = H[:h, :h] - B
-    even = H[:m - h, :m - h].copy()
-    even[:h, :h] += B
-    even[:h, h:] *= np.sqrt(2.0)
-    even[h:, :h] *= np.sqrt(2.0)
-
-    halves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: halves.append(a.copy()) or eigvalsh(a))
-    nystrom_eigenvalues(dist, K=100, m=m)
-    assert [a.shape for a in halves] == [even.shape, odd.shape]
-    tol = 1e-15 * np.abs(H).max()
-    np.testing.assert_allclose(halves[0], even, rtol=0, atol=tol)
-    np.testing.assert_allclose(halves[1], odd, rtol=0, atol=tol)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nystrom_builds_no_kernel_matrix(monkeypatch, family, m):
+    calls = []
+    kernel = ReferenceDistribution.kernel
+    monkeypatch.setattr(ReferenceDistribution, "kernel",
+                        lambda self, a, b: calls.append(1) or kernel(self, a, b))
+    nystrom_eigenvalues(ReferenceDistribution(family), K=100, m=m)
+    assert calls == []
 
 
 def _peak_mib(f, *args, **kw):
@@ -208,10 +199,12 @@ def _peak_mib(f, *args, **kw):
         tracemalloc.stop()
 
 
-def test_nystrom_paper_spectrum_memory_is_bounded():
-    # one 8 MB half at a time, built in closed form; building the kernel's
-    # half-grid rows next to the odd half peaked at 23.3 MiB
-    assert _peak_mib(nystrom_eigenvalues, NORMAL, K=100, m=2000) < 12
+@pytest.mark.parametrize("family", ["normal", "exponential"])
+def test_nystrom_paper_spectrum_memory_is_bounded(family):
+    # a Lanczos basis of 2K = 200 vectors of 2000 points, 3.2 MB; the dense
+    # exponential solve peaked at 30.7 MiB and the normal fold at 8.0
+    dist = ReferenceDistribution(family)
+    assert _peak_mib(nystrom_eigenvalues, dist, K=100, m=2000) < 6
 
 
 def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
@@ -260,13 +253,13 @@ def test_nystrom_square_sum_check_fires(monkeypatch):
         s = np.sqrt((1.05 * np.sum(e**2) - e.size * c**2) / np.sum((e - c) ** 2))
         return c + s * (e - c)
 
-    _patch_eigvalsh(monkeypatch, spread)
+    _patch_eigensolve(monkeypatch, spread)
     with pytest.raises(ConvergenceError, match="eigenvalue square sum"):
         nystrom_eigenvalues(NORMAL, K=400, m=400)
 
 
 def test_nystrom_nan_spectrum_fails_its_checks(monkeypatch):
-    _patch_eigvalsh(monkeypatch, lambda e: np.full_like(e, np.nan))
+    _patch_eigensolve(monkeypatch, lambda e: np.full_like(e, np.nan))
     with pytest.raises(ConvergenceError):
         nystrom_eigenvalues(NORMAL, K=50, m=400)
 
