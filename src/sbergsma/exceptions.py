@@ -56,7 +56,7 @@ class LabelMismatchError(SbergsmaError):
 # --- panel / statistic errors -----------------------------------------------
 
 class DegenerateRegionError(SbergsmaError):
-    """A series or panel column is constant; its Bergsma self-covariance vanishes."""
+    """A constant series or column, or an all-zero spectrum: no Bergsma self-covariance."""
 
 
 # --- null distribution errors -----------------------------------------------

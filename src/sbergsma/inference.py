@@ -75,9 +75,9 @@ def test_spatial_independence(
         _check_bootstrap(ci_resamples, ci_level)
     sb = sb_statistic(panel, W)
     # the spectrum checks K and m before the null is simulated; each draw
-    # builds its own stream(seed, r) generators, so the order changes no value
-    # (the bootstrap and the null read the same streams, so they are not
-    # independent: see rng)
+    # builds its own generators, so the order changes no value (the bootstrap
+    # and the Monte Carlo null read the same stream(seed, r), so they are not
+    # independent; the asymptotic null reads stream(seed): see rng)
     if null_method == "asym":
         spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
     ci = None

@@ -11,9 +11,9 @@ Two generation routes:
 
   with all Z i.i.d. standard normal, using the leading eigenvalues of the
   population kernel on an equal-probability-mass grid (Nystrom), by Lanczos
-  on a matrix-free product, checked against its trace and square sum.  Each pair term
-  is drawn by inverse CDF from its law's CDF, inverted from the characteristic
-  function with the small weights made one normal.
+  on a matrix-free product, checked against its trace and square sum.  The sum
+  is one law Q, whose CDF is tabulated once from its characteristic function,
+  with the small weights made one normal (Lindsay, Pilla & Basak 2000).
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .bergsma import check_time_points
 from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
+    DegenerateRegionError,
     EmptyNullError,
     InvalidParameterError,
     NonFiniteError,
+    SizeError,
     SpectraMismatchError,
 )
 from .reference import ReferenceDistribution
@@ -43,7 +45,8 @@ _CHECK_GRID = 2**15
 #: Ritz residual, relative to the top Ritz value, below which Lanczos stops
 _RITZ_TOL = 1e-13
 
-#: weights of a pair term kept exactly; the rest become one normal
+#: weights of the limit law kept exactly, the largest in magnitude; the rest
+#: become one normal
 _KEEP = 100
 #: probability mass the CDF table may leave beyond each end of its grid
 _TAIL_MASS = 1e-12
@@ -61,6 +64,12 @@ class EigenSpectrum:
     eigenvalues: np.ndarray  # K values, decreasing by magnitude
 
     def __post_init__(self):
+        if self.eigenvalues.size == 0:
+            raise SizeError("an eigen spectrum needs at least one eigenvalue")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise NonFiniteError("eigen spectrum has NaN or infinite eigenvalues")
+        if not np.any(self.eigenvalues):
+            raise DegenerateRegionError("eigen spectrum is all zero: the law's kernel vanishes")
         self.eigenvalues.setflags(write=False)
 
 
@@ -73,6 +82,8 @@ class NullDistribution:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.samples)):
+            raise NonFiniteError("null distribution has NaN or infinite samples")
         self.samples.setflags(write=False)
 
 
@@ -172,26 +183,23 @@ def _chi2_edge(a, d, log_eps):
     return float(np.min((log_eps + log_mgf) / s))
 
 
-def _pair_law(lam_i, lam_j, keep=_KEEP):
-    """CDF table (y, F, weights kept, remainder variance) of one pair term.
+def _largest(c, d):
+    """The _KEEP weights c of largest |c|, their counts d, and 2 sum d c^2 of the rest."""
+    kept, dropped = np.split(np.argsort(-np.abs(c), kind="stable"), [_KEEP])
+    return c[kept], d[kept], 2.0 * float(d[dropped] @ c[dropped] ** 2)
 
-    Y = sum_{k,l} c_kl (Z_kl^2 - 1), c_kl = lam_i[k] lam_j[l] / sqrt(sum lam_i^2
-    sum lam_j^2); equal c_kl merge into one chi-square with their count d as
-    degrees of freedom.  The ``keep`` largest |c| stay exact, the rest become
-    N(0, 2 sum d c^2) (Lindsay, Pilla & Basak 2000).  F(y) = 1/2 - int_0^inf
-    Im(exp(-ity) phi(t)) / (pi t) dt (Gil-Pelaez; Imhof 1961) is summed by the
-    midpoint rule with one FFT on a grid between Chernoff bounds that leave mass
-    _TAIL_MASS beyond each end, of the fewest _GRIDS points with truncation
-    error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.  log phi is summed over
-    blocks of weights of at most _PHI_BLOCK (t, c) entries, or of one weight
-    on a larger grid: at R = 14, K = 100 a null of all pairs then peaks at about
-    10 MiB in tracemalloc, where blocks of 2^21 entries took 63 MiB.
+
+def _cdf_table(c, d, var_rest):
+    """CDF table (y, F) of sum_j c_j (chi2_{d_j} - d_j) + N(0, var_rest).
+
+    F(y) = 1/2 - int_0^inf Im(exp(-ity) phi(t)) / (pi t) dt (Gil-Pelaez; Imhof
+    1961) is summed by the midpoint rule with one FFT on a grid between Chernoff
+    bounds that leave mass _TAIL_MASS beyond each end, of the fewest _GRIDS
+    points with truncation error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
+    log phi is summed over blocks of weights of at most _PHI_BLOCK (t, c)
+    entries, or of one weight on a larger grid: the paper's null then peaks at
+    about 10 MiB in tracemalloc, where blocks of 2^21 entries took 63 MiB.
     """
-    norm = np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
-    c, d = np.unique(np.multiply.outer(lam_i, lam_j) / norm, return_counts=True)
-    order = np.argsort(-np.abs(c), kind="stable")
-    var_rest = 2.0 * float(d[order[keep:]] @ c[order[keep:]] ** 2)
-    c, d = c[order[:keep]], d[order[:keep]]
     log_eps, mu = -np.log(_TAIL_MASS), float(d @ c)
     z = np.sqrt(2.0 * log_eps * var_rest)
     lo = -mu - _chi2_edge(np.maximum(-c, 0.0), d, log_eps) - z
@@ -210,7 +218,7 @@ def _pair_law(lam_i, lam_j, keep=_KEEP):
         log_phi += (0.5j * np.arctan(x) - 0.25 * np.log1p(x * x)) @ d[j:j + step]
     S = np.fft.fft(np.exp(log_phi) / t) * np.exp(-1j * np.pi * np.arange(n) / n)
     F = np.maximum.accumulate(np.clip(0.5 - 2.0 * S.imag / span, 0.0, 1.0))
-    return lo + span / n * np.arange(n), F, c.size, var_rest
+    return lo + span / n * np.arange(n), F
 
 
 def asymptotic_null_sample(
@@ -218,44 +226,38 @@ def asymptotic_null_sample(
 ) -> NullDistribution:
     """Sample the weighted-chi-square limit law of T * S~_B.
 
-    ``spectra`` is one :class:`EigenSpectrum` per region.  The pairs of weight
-    w_p = w_ij + w_ji > 0 are grouped by their unordered pair of spectra; each
-    group builds one CDF table, draws its pairs and drops the table before the
-    next group, so the null holds one table at a time and memory does not grow
-    with R.  The samples are sum_p w_p Y_p / S0, with Y_p drawn by inverse CDF
-    from ``stream(seed, p)``.  ``meta`` holds only what the draw computed: the
-    worst table's weights kept, remainder variance and tail mass beyond its
-    grid.
+    ``spectra`` is one :class:`EigenSpectrum` per region.  Each distinct pair of
+    spectra finds its distinct weights c_kl and their counts once; each pair p
+    keeps its _KEEP largest, scaled by w_p / S0, as no other can be among Q's
+    _KEEP largest, so memory is O(K^2 + pairs * _KEEP).  Equal weights of all
+    pairs merge, and one table of Q is inverted at ``n_draws`` uniforms of
+    ``stream(seed)``.  ``meta`` holds only what the draw computed: the table's
+    weights kept, remainder variance and tail mass beyond its grid.
     """
     if n_draws < 1:
         raise EmptyNullError("n_draws must be >= 1")
-    spectra = [s.eigenvalues for s in spectra]
     R = W.n_regions
     if len(spectra) != R:
         raise SpectraMismatchError(f"{len(spectra)} spectra for {R} regions")
     iu = np.triu_indices(R, k=1)
-    w_pair = (W.weights + W.weights.T)[iu]
-    groups = {}
+    w_pair = (W.weights + W.weights.T)[iu] / W.s0
+    laws, scaled, counts, var_rest = {}, [], [], 0.0
     for p in np.flatnonzero(w_pair):
-        key = frozenset((spectra[iu[0][p]].tobytes(), spectra[iu[1][p]].tobytes()))
-        groups.setdefault(key, []).append(int(p))
-    summaries, samples = [], np.zeros(n_draws)
-    for ps in groups.values():
-        y, F, kept, var_rest = _pair_law(spectra[iu[0][ps[0]]], spectra[iu[1][ps[0]]])
-        summaries.append((kept, var_rest, float(1.0 - F[-1])))
-        for p in ps:
-            samples += w_pair[p] * np.interp(stream(seed, p).random(n_draws), F, y)
-        del y, F
-    samples /= W.s0
-    kept, var_rest, tail = zip(*summaries)
-    return NullDistribution(
-        samples,
-        meta={
-            "weights_kept": min(kept),
-            "remainder_variance": max(var_rest),
-            "table_tail_mass": max(tail),
-        },
-    )
+        lam_i, lam_j = spectra[iu[0][p]].eigenvalues, spectra[iu[1][p]].eigenvalues
+        key = frozenset((lam_i.tobytes(), lam_j.tobytes()))
+        if key not in laws:
+            c = np.multiply.outer(lam_i, lam_j) / np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
+            laws[key] = _largest(*np.unique(c, return_counts=True))
+        c, d, rest = laws[key]
+        scaled.append(w_pair[p] * c)
+        counts.append(d)
+        var_rest += rest * float(w_pair[p]) ** 2
+    c, merged = np.unique(np.concatenate(scaled), return_inverse=True)
+    c, d, rest = _largest(c, np.bincount(merged, weights=np.concatenate(counts)))
+    y, F = _cdf_table(c, d, var_rest + rest)
+    meta = {"weights_kept": c.size, "remainder_variance": var_rest + rest,
+            "table_tail_mass": float(1.0 - F[-1])}
+    return NullDistribution(np.interp(stream(seed).random(n_draws), F, y), meta)
 
 
 # -- Monte Carlo route -------------------------------------------------------

@@ -21,14 +21,14 @@ thread count of the one replicate loop, :func:`sbergsma.statistic.replicate_valu
 * Pair-screen cutoff: standard normal pairs in ranges of 2000; the range
   starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
   ``stream(seed, lo)``.
-* Asymptotic null pair p (i < j, row-major) of nonzero weight: ``n_draws``
-  uniforms from ``stream(seed, p)``, mapped by its law's inverse CDF.
-* ``simulate_panel``: ``stream(seed)``.
+* The asymptotic null's ``n_draws`` uniforms, mapped by its law's inverse CDF,
+  and ``simulate_panel``, which no ``test`` runs: ``stream(seed)``, disjoint
+  from every numbered stream.
 
 These draws are not independent of one another within one seed: the Monte
-Carlo replicate, the bootstrap resample, the cutoff range and the asymptotic
-pair numbered r all read ``stream(seed, r)``.  With a standard normal null,
-replicate 0's noise is exactly the first T * R normals of cutoff range 0.
+Carlo replicate, the bootstrap resample and the cutoff range numbered r all
+read ``stream(seed, r)``.  With a standard normal null, replicate 0's noise is
+exactly the first T * R normals of cutoff range 0.
 """
 
 from __future__ import annotations

@@ -221,15 +221,23 @@ def test_cli_compute_overflow_is_one_json_line(tmp_path):
     assert json.loads(line)["error_category"] == "NonFiniteError"
 
 
-@pytest.mark.parametrize("dist", ["normal", "exponential"])
-def test_cli_spectrum_same_bytes_on_one_and_two_blas_threads(dist, tmp_path):
-    # a dense eigvalsh of the grid kernel differed in 100 of 100 normal rows
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--dist", "normal", "--K", "100", "--grid", "2000"],
+    ["spectrum", "--dist", "exponential", "--K", "100", "--grid", "2000"],
+    ["test", "{panel}", "--linear-chain", "14", "--null", "asym", "--reps", "10000",
+     "--cutoff-sims", "2000", "--seed", "3"],
+], ids=["normal", "exponential", "test-asym"])
+def test_cli_spectrum_same_bytes_on_one_and_two_blas_threads(args, tmp_path):
+    # a dense eigvalsh of the grid kernel differed in 100 of 100 normal rows;
+    # the asymptotic test reads the normal spectrum through its p-value
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    panel = tmp_path / "panel.csv"
+    save_panel(str(panel), SpatialPanel(stream(3).standard_normal((50, 14))))
     blobs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"spectrum{threads}.csv"
-        subprocess.run([sys.executable, "-m", "sbergsma.cli", "spectrum", "--dist", dist,
-                        "--K", "100", "--grid", "2000", "-o", str(out)],
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "sbergsma.cli",
+                        *(a.format(panel=panel) for a in args), "-o", str(out)],
                        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
                        check=True, capture_output=True)
         blobs.append(out.read_bytes())

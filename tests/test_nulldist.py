@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -22,10 +21,12 @@ from sbergsma import (
 )
 from sbergsma.exceptions import (
     ConvergenceError,
+    DegenerateRegionError,
     EmptyNullError,
     InvalidParameterError,
     LengthError,
     NonFiniteError,
+    SizeError,
     SpectraMismatchError,
 )
 from sbergsma import nulldist
@@ -215,9 +216,9 @@ def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
 
 
 def test_asymptotic_null_memory_does_not_grow_with_the_pairs():
-    # a spectrum per region gives every pair its own CDF table of at least
-    # 2^14 points; holding all of them peaked at 17.3 MiB at R = 8 and
-    # 40.2 MiB at R = 16, where one table at a time stays near 11 MiB
+    # a spectrum per region gives every pair its own weights, but the null
+    # builds one CDF table of at least 2^14 points; holding a table per pair
+    # peaked at 17.3 MiB at R = 8 and 40.2 MiB at R = 16
     def peak(R):
         rng = stream(5)
         spectra = [_synthetic_spectrum(np.sort(rng.uniform(0.1, 1.0, 4))[::-1])
@@ -228,22 +229,50 @@ def test_asymptotic_null_memory_does_not_grow_with_the_pairs():
     assert peak(16) <= 1.1 * peak(8)
 
 
-def test_asymptotic_null_holds_one_table_at_a_time(monkeypatch):
-    # interleaved spectra: the pairs of one table are not consecutive
+def test_asymptotic_null_memory_stays_below_the_pairs_weights():
+    # R = 50 has 1225 pairs, whose K^2 = 10^4 weights each would take 98 MB;
+    # each pair keeps 100 and the null peaked at 12.4 MiB
+    spectrum = nystrom_eigenvalues(NORMAL, K=100, m=2000)
+    W = inverse_distance(stream(5).uniform(0.0, 10.0, (50, 2)))
+    assert _peak_mib(asymptotic_null_sample, [spectrum] * 50, W, n_draws=100, seed=1) < 16
+
+
+def test_asymptotic_null_builds_one_table_and_opens_one_stream(monkeypatch):
+    # interleaved spectra: the pairs of one pair of spectra are not consecutive
     A, B = _synthetic_spectrum([1.0, 0.5]), _synthetic_spectrum([1.0, -0.3, 0.2])
     W = ProximityMatrix(np.ones((8, 8)) - np.eye(8))
-    tables, alive = [], []
-    pair_law = nulldist._pair_law
+    tables, streams = [], []
+    cdf_table, open_stream = nulldist._cdf_table, nulldist.stream
+    monkeypatch.setattr(nulldist, "_cdf_table", lambda *a: tables.append(a) or cdf_table(*a))
+    monkeypatch.setattr(nulldist, "stream", lambda *ids: streams.append(ids) or open_stream(*ids))
+    null = asymptotic_null_sample([A, B] * 4, W, n_draws=100, seed=1)
+    assert len(tables) == 1
+    assert streams == [(1,)]
+    again = asymptotic_null_sample([A, B] * 4, W, n_draws=100, seed=1)
+    assert np.array_equal(again.samples, null.samples)
+    assert again.meta == null.meta
 
-    def tracked(*args, **kw):
-        alive.append(sum(ref() is not None for ref in tables))
-        y, F, kept, var_rest = pair_law(*args, **kw)
-        tables.append(weakref.ref(F))
-        return y, F, kept, var_rest
 
-    monkeypatch.setattr(nulldist, "_pair_law", tracked)
-    asymptotic_null_sample([A, B] * 4, W, n_draws=100, seed=1)
-    assert alive == [0, 0, 0]
+def test_one_pair_table_is_the_pair_law(monkeypatch):
+    # with one nonzero pair, w_p / S0 = 1 and the null's table is that pair's
+    # law: its 100 largest distinct weights and a normal of the rest
+    lam_i = nystrom_eigenvalues(NORMAL, K=100, m=2000).eigenvalues
+    lam_j = 1.0 / np.arange(1.0, 41.0) ** 1.5
+    c, d = np.unique(np.outer(lam_i, lam_j) / np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2)),
+                     return_counts=True)
+    order = np.argsort(-np.abs(c), kind="stable")
+    kept, rest = order[:100], order[100:]
+    want = nulldist._cdf_table(c[kept], d[kept], 2.0 * float(d[rest] @ c[rest] ** 2))
+    tables = []
+    cdf_table = nulldist._cdf_table
+    monkeypatch.setattr(nulldist, "_cdf_table",
+                        lambda *a: tables.append(cdf_table(*a)) or tables[-1])
+    w = np.zeros((3, 3))
+    w[2, 0] = 3.0
+    spectra = [_synthetic_spectrum(lam_i), _synthetic_spectrum([1.0]), _synthetic_spectrum(lam_j)]
+    asymptotic_null_sample(spectra, ProximityMatrix(w), n_draws=10, seed=0)
+    (y, F), = tables
+    assert np.array_equal(y, want[0]) and np.array_equal(F, want[1])
 
 
 def test_nystrom_square_sum_check_fires(monkeypatch):
@@ -292,7 +321,7 @@ def test_asymptotic_single_eigenvalue_is_centered_chi_square():
 
 
 def test_single_eigenvalue_table_is_exact_chi_square_cdf():
-    y, F, kept, var_rest = nulldist._pair_law(np.array([1.0]), np.array([1.0]))
+    y, F = nulldist._cdf_table(np.array([1.0]), np.array([1]), 0.0)
     # the grid starts at the support edge -1 and never reads below it
     assert y[0] == -1.0
     assert np.all(np.diff(F) >= 0) and F[0] >= 0 and F[-1] <= 1
@@ -307,11 +336,12 @@ def test_truncated_table_matches_all_weights():
     lam = nystrom_eigenvalues(NORMAL, K=100, m=2000).eigenvalues
     c, d = np.unique(np.outer(lam, lam) / np.sum(lam**2), return_counts=True)
     assert c.size == 100 * 101 // 2
-    y, F, kept, var_rest = nulldist._pair_law(lam, lam)
-    y_all, F_all, kept_all, _ = nulldist._pair_law(lam, lam, keep=c.size)
-    assert (kept, kept_all) == (100, c.size)
+    kept, counts, var_rest = nulldist._largest(c, d)
+    assert kept.size == 100
     order = np.argsort(-np.abs(c))
     assert var_rest == pytest.approx(2 * np.sum((d * c**2)[order[100:]]), rel=1e-12)
+    y, F = nulldist._cdf_table(kept, counts, var_rest)
+    y_all, F_all = nulldist._cdf_table(c, d, 0.0)
     at = [-1.0, 0.0, 2.0, 5.0]
     assert np.max(np.abs(np.interp(at, y, F) - np.interp(at, y_all, F_all))) <= 1e-6
     # the table has the variance of the normalized term, sum of 2 d c^2 = 2
@@ -344,23 +374,6 @@ def test_asymptotic_distinct_spectra_match_oracle_sampler():
     assert ks_2samp(new, old).statistic < 0.02
 
 
-def test_asymptotic_draws_do_not_depend_on_w():
-    spectra = [_synthetic_spectrum(1.0 / np.arange(1.0, 11.0) ** 2)] * 4
-    Wa = np.zeros((4, 4))
-    Wa[0, 1] = 1.0
-    Wb = np.zeros((4, 4))
-    Wb[1, 3], Wb[2, 0] = 2.0, 0.5
-    parts = [asymptotic_null_sample(spectra, ProximityMatrix(w), 2000, seed=6)
-             for w in (Wa, Wb, Wa + Wb)]
-    # each pair keeps its own draws, so S0-weighted samples add over W
-    lhs = parts[2].samples * 3.5
-    rhs = parts[0].samples * 1.0 + parts[1].samples * 2.5
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
-    again = asymptotic_null_sample(spectra, ProximityMatrix(Wa + Wb), 2000, seed=6)
-    assert np.array_equal(again.samples, parts[2].samples)
-    assert again.meta == parts[2].meta
-
-
 def test_asymptotic_pair_summand_centered():
     lam = 1.0 / np.arange(1.0, 21.0) ** 2
     spectra = [_synthetic_spectrum(lam)] * 2
@@ -388,6 +401,18 @@ def test_asymptotic_spectra_count_checked():
 def test_asymptotic_rejects_zero_draws():
     with pytest.raises(EmptyNullError):
         asymptotic_null_sample([_synthetic_spectrum([1.0])] * 2, W2, 0, 0)
+
+
+@pytest.mark.parametrize("lam, error", [
+    ([], SizeError),
+    ([1.0, np.nan], NonFiniteError),
+    ([np.inf, 1.0], NonFiniteError),
+    ([0.0, 0.0, 0.0], DegenerateRegionError),
+], ids=["empty", "nan", "inf", "zero"])
+def test_eigen_spectrum_rejects_degenerate_eigenvalues(lam, error):
+    # an all-zero spectrum gave all-NaN null samples, and p = 1/101 from 100
+    with pytest.raises(error):
+        _synthetic_spectrum(lam)
 
 
 @pytest.mark.parametrize("T", [1, 2])
@@ -438,6 +463,13 @@ def test_p_value_rules():
 def test_p_value_empty():
     with pytest.raises(EmptyNullError):
         p_value(0.0, NullDistribution(np.array([])))
+
+
+@pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+def test_null_distribution_rejects_non_finite_samples(sample):
+    # a NaN null, from any route, must not yield a p-value
+    with pytest.raises(NonFiniteError):
+        NullDistribution(np.array([0.0, sample, 1.0]))
 
 
 @pytest.mark.parametrize("observed", [np.nan, np.inf, -np.inf])
