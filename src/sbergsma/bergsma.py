@@ -140,17 +140,18 @@ def rho_from_kappa(kappa: np.ndarray, labels=None) -> np.ndarray:
 
     Raises :class:`NonFiniteError` if a self-covariance overflows or is NaN,
     and :class:`DegenerateRegionError` naming every series (by label, or
-    1-based position) whose self-covariance is not positive in any matrix of
-    the batch: a constant series has an all-zero kernel, at any scale.
+    1-based position) whose self-covariance is zero, as a constant series' is,
+    or subnormal, so short of digits, in any matrix of the batch.
     """
     diag = np.diagonal(kappa, axis1=-2, axis2=-1)
     if not np.all(np.isfinite(diag)):
         raise NonFiniteError("self-covariance is not finite: a series is NaN or overflows")
-    bad = diag <= 0.0
+    bad = diag < np.finfo(float).tiny
     if bad.any():
         cols = np.flatnonzero(bad.reshape(-1, diag.shape[-1]).any(axis=0))
         names = ", ".join(labels[i] if labels else f"#{i + 1}" for i in cols)
-        raise DegenerateRegionError(f"degenerate (constant) series: {names}")
+        raise DegenerateRegionError(
+            f"degenerate series (constant, or too small a spread to square in float64): {names}")
     # square roots first, so the product cannot overflow or underflow
     sd = np.sqrt(diag)
     rho = kappa / (sd[..., :, None] * sd[..., None, :])

@@ -56,7 +56,8 @@ class LabelMismatchError(SbergsmaError):
 # --- panel / statistic errors -----------------------------------------------
 
 class DegenerateRegionError(SbergsmaError):
-    """A constant series or column, or an all-zero spectrum: no Bergsma self-covariance."""
+    """No Bergsma self-covariance: a constant series or column, a spread too small to
+    square in float64, a resample constant in every draw, or an all-zero spectrum."""
 
 
 # --- null distribution errors -----------------------------------------------
@@ -103,12 +104,6 @@ class LagError(SbergsmaError):
 
 class SampleSizeError(SbergsmaError):
     """Too few samples for the requested moment summary."""
-
-
-# --- inference errors -------------------------------------------------------
-
-class TooManyDegenerateResamplesError(SbergsmaError):
-    """Bootstrap redraw budget exhausted by degenerate resamples."""
 
 
 # --- I/O errors -------------------------------------------------------------

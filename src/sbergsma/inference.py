@@ -7,11 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergsma import check_time_points, pairwise_kappa, rho_from_kappa
-from .exceptions import (
-    EmptyNullError,
-    InvalidParameterError,
-    TooManyDegenerateResamplesError,
-)
+from .exceptions import DegenerateRegionError, EmptyNullError, InvalidParameterError
 from .nulldist import (
     asymptotic_null_sample,
     monte_carlo_null,
@@ -25,6 +21,8 @@ from .weights import ProximityMatrix
 
 #: independent normal pairs drawn from one stream for the pair-screen cutoff
 _CUTOFF_BLOCK = 2000
+#: draws of one bootstrap resample, each with a constant column, before it fails
+_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -117,32 +115,33 @@ def bootstrap_ci(
     """Percentile bootstrap CI for S~_B, resampling time rows jointly.
 
     Rows are resampled with replacement across all regions at once, which
-    preserves the cross-sectional dependence being measured.  A resample that
-    leaves some region constant is redrawn, up to 10 attempts per resample of
-    its range of :func:`sbergsma.statistic.replicate_values`, so memory does
-    not grow with B and nothing depends on ``n_jobs``.  The ends are the raw
-    percentiles by numpy's default, linear, rule, with no clamping at 0.
+    preserves the cross-sectional dependence being measured.  Resample b is
+    drawn from ``stream(seed, b)`` until no region is constant in it, at most
+    ``_REDRAWS`` times, else :class:`DegenerateRegionError` names b and the
+    regions constant in its last draw, so no value or error depends on
+    ``n_jobs``.  The ends are the raw percentiles by numpy's default, linear,
+    rule, with no clamping at 0.
     """
     _check_bootstrap(B, level)
     T = panel.n_time
     data = panel.data
 
     def values(lo, hi):
-        n = hi - lo
-        resamples = np.empty((n, T, panel.n_regions))
-        attempts = 0
-        for i in range(n):
-            rng = stream(seed, lo + i)
-            while True:
-                attempts += 1
-                if attempts > 10 * n:
-                    raise TooManyDegenerateResamplesError(
-                        f"more than {10 * n} attempts at resamples {lo}..{hi - 1} were degenerate")
+        resamples = np.empty((hi - lo, T, panel.n_regions))
+        for b in range(lo, hi):
+            rng = stream(seed, b)
+            for _ in range(_REDRAWS):
                 sub = data[rng.integers(0, T, size=T)]
                 # constant column <=> degenerate kernel; cheap max-min check
-                if np.all(sub.max(axis=0) - sub.min(axis=0) > 0):
+                flat = sub.max(axis=0) == sub.min(axis=0)
+                if not flat.any():
                     break
-            resamples[i] = sub
+            else:
+                names = ", ".join(r for r, f in zip(panel.region_labels, flat) if f)
+                raise DegenerateRegionError(
+                    f"bootstrap resample {b}: all {_REDRAWS} draws have a constant"
+                    f" series; the last at {names}")
+            resamples[b - lo] = sub
         return sb_values_batch(resamples, W)
 
     alpha = (1.0 - level) / 2.0

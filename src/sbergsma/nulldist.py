@@ -94,8 +94,8 @@ def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000
     the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
     eigenvalues estimate the operator spectrum directly.  The K leading ones
     come from Lanczos iteration on v -> H v in O(m) (:func:`_top_eigenvalues`),
-    with no m x m matrix: at K = 100, m = 2000 any law takes about 60 ms and
-    peaks near 4 MiB in tracemalloc, on 1 or 2 BLAS threads with the same bits.
+    with no m x m matrix: at K = 100, m = 2000 any law peaks near 4 MiB in
+    tracemalloc, on 1 or 2 BLAS threads with the same bits.
     Two checks guard against a too-coarse grid or too small a K, each within
     2%: the eigenvalue sum must match the trace g(F)/2 and the square sum
     E h_F(Z1, Z2)^2.  A failed or NaN comparison raises ConvergenceError.  No
@@ -198,7 +198,7 @@ def _cdf_table(c, d, var_rest):
     points with truncation error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
     log phi is summed over blocks of weights of at most _PHI_BLOCK (t, c)
     entries, or of one weight on a larger grid: the paper's null then peaks at
-    about 10 MiB in tracemalloc, where blocks of 2^21 entries took 63 MiB.
+    about 10 MiB in tracemalloc.
     """
     log_eps, mu = -np.log(_TAIL_MASS), float(d @ c)
     z = np.sqrt(2.0 * log_eps * var_rest)

@@ -16,8 +16,7 @@ thread count of the one replicate loop, :func:`sbergsma.statistic.replicate_valu
   samples equal the Monte Carlo null at the same seed.
 * Bootstrap resample b: ``integers(0, T, size=T)`` row indices from
   ``stream(seed, b)``; a resample with a constant column is redrawn from the
-  same stream, with at most 10 * n draws over the n (at most 200) resamples
-  of each range of the loop.
+  same stream, at most ``_REDRAWS`` draws per resample.
 * Pair-screen cutoff: standard normal pairs in ranges of 2000; the range
   starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
   ``stream(seed, lo)``.

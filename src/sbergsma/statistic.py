@@ -26,7 +26,7 @@ from .exceptions import (
 )
 from .weights import ProximityMatrix
 
-#: replicates of one range of :func:`replicate_values`; no value depends on it
+#: most replicates of one range of :func:`replicate_values`; no value depends on it
 _RANGE = 200
 
 
@@ -116,16 +116,17 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)
 
 
-def replicate_values(values, n: int, n_jobs: int = 1, size: int | None = _RANGE) -> np.ndarray:
+def replicate_values(values, n: int, n_jobs: int = 1, size: int | None = None) -> np.ndarray:
     """Join ``values(lo, hi)``, the S~_B of replicates lo..hi-1 along its last
-    axis, over the ranges of ``size`` replicates that cover 0..n-1.
+    axis, over ranges that cover 0..n-1.
 
     The one replicate loop of the Monte Carlo null, the theta sweep, the
-    bootstrap and the pair cutoff.  Ranges run on min(``n_jobs``, usable cores,
-    ranges) threads (one: the calling thread) and join in index order, so no
-    value depends on ``n_jobs``; the first error cancels the ranges not yet
-    started.  ``size=None``, for values that do not depend on where ranges
-    start and end, gives each thread a range: min(200, ceil(n / threads)).
+    bootstrap and the pair cutoff.  Each thread gets a range of
+    min(200, ceil(n / threads)) replicates unless the values, as the pair
+    cutoff's do, depend on where ranges start: those pass a fixed ``size``.
+    Ranges run on min(``n_jobs``, usable cores, ranges) threads (one: the
+    calling thread) and join in index order, so no value or error depends on
+    ``n_jobs``: the first error in index order cancels the ranges not yet started.
     """
     if n_jobs < 1:
         raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")

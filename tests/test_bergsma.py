@@ -14,6 +14,7 @@ from sbergsma import (
     linear_chain,
     monte_carlo_null,
     rho_tilde,
+    sb_statistic,
     sb_values_batch,
     simulate_panel,
     theta_sweep,
@@ -132,6 +133,31 @@ def test_rho_symmetry_exact():
     x = rng.standard_normal(15)
     y = rng.standard_normal(15)
     assert rho_tilde(x, y) == rho_tilde(y, x)
+
+
+@pytest.mark.parametrize("power", [-400, 400])
+def test_rho_bitwise_unchanged_by_power_of_two_scale(power):
+    rng = stream(18)
+    x = rng.standard_normal(30)
+    y = rng.standard_normal(30)
+    assert rho_tilde(x * 2.0**power, y) == rho_tilde(x, y)
+    assert rho_tilde(x, y * 2.0**power) == rho_tilde(x, y)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_spread_too_small_to_square_is_degenerate(scale):
+    # at 1e-160 the self-covariance is subnormal and rho~ would be off in the
+    # 4th digit; at 1e-200 it underflows to 0, though no series is constant
+    rng = stream(19)
+    x = rng.standard_normal(30)
+    y = rng.standard_normal(30)
+    with pytest.raises(DegenerateRegionError, match="too small a spread.*: x$"):
+        rho_tilde(x * scale, y)
+    data = rng.standard_normal((30, 3))
+    data[:, 1] *= scale
+    panel = SpatialPanel(data, ("north", "middle", "south"))
+    with pytest.raises(DegenerateRegionError, match="too small a spread.*: middle$"):
+        sb_statistic(panel, linear_chain(3))
 
 
 _SHORT_PANEL_ENTRIES = {

@@ -1,5 +1,7 @@
 """Inference workflow tests: independence test, bootstrap CI, pair screen."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,14 +19,15 @@ from sbergsma import (
     pairwise_screen,
     row_standardize,
     sb_statistic,
+    sb_values_batch,
     simulate_panel,
     test_spatial_independence,
 )
 from sbergsma.exceptions import (
+    DegenerateRegionError,
     EmptyNullError,
     InvalidParameterError,
     LengthError,
-    TooManyDegenerateResamplesError,
 )
 from sbergsma.rng import stream
 
@@ -149,25 +152,54 @@ def test_bootstrap_b_too_small(w5):
         bootstrap_ci(panel, w5, B=300, level=1.5)
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_bootstrap_degenerate_column_exhausts_redraws(n_jobs):
+def test_bootstrap_degenerate_column_exhausts_redraws(monkeypatch):
     # identity panel: column i is constant unless row i is drawn, so a
-    # non-degenerate resample needs all 14 rows present (prob ~ 1e-5); the
-    # bound is 10 attempts per resample of a range, whatever the thread count
+    # non-degenerate resample needs all 14 rows present (prob ~ 1e-5); resample
+    # 0 fails first, in its own range on one thread and on two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     panel = SpatialPanel(np.eye(14))
-    with pytest.raises(TooManyDegenerateResamplesError, match="2000 attempts"):
-        bootstrap_ci(panel, row_standardize(linear_chain(14)), B=600, seed=0,
-                     n_jobs=n_jobs)
+    messages = []
+    for n_jobs in (1, 2):
+        with pytest.raises(DegenerateRegionError, match="resample 0: all 100 draws") as err:
+            bootstrap_ci(panel, row_standardize(linear_chain(14)), B=600, seed=0,
+                         n_jobs=n_jobs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # the regions named are those constant in the last draw
+    rng = stream(0, 0)
+    for _ in range(100):
+        rows = rng.integers(0, 14, size=14)
+    want = ", ".join(f"R{i + 1}" for i in range(14) if i not in rows)
+    assert messages[0].endswith(f"the last at {want}")
 
 
 @pytest.mark.parametrize("n_jobs", [2, 3])
-def test_bootstrap_and_cutoff_bitwise_identical_for_any_thread_count(w5, n_jobs):
-    # B = 650 is four ranges of the replicate loop, n_sim = 5000 three blocks
+def test_bootstrap_and_cutoff_bitwise_identical_for_any_thread_count(monkeypatch, w5, n_jobs):
+    # B = 200 is two or three ranges of the replicate loop, B = 650 four;
+    # n_sim = 5000 is three blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     panel = SpatialPanel(stream(33).standard_normal((15, 5)))
-    assert (bootstrap_ci(panel, w5, B=650, seed=2, n_jobs=n_jobs)
-            == bootstrap_ci(panel, w5, B=650, seed=2))
+    for B in (200, 650):
+        assert (bootstrap_ci(panel, w5, B=B, seed=2, n_jobs=n_jobs)
+                == bootstrap_ci(panel, w5, B=B, seed=2))
     assert (independence_rho_quantile(12, n_sim=5000, seed=3, n_jobs=n_jobs)
             == independence_rho_quantile(12, n_sim=5000, seed=3))
+
+
+def test_small_bootstrap_gives_each_thread_a_range(monkeypatch, w5):
+    # 200 resamples on 2 threads are two ranges of 100, not one range of 200
+    import sbergsma.inference as inference
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    batches = []
+
+    def recording(panels, W):
+        batches.append(len(panels))
+        return sb_values_batch(panels, W)
+
+    monkeypatch.setattr(inference, "sb_values_batch", recording)
+    bootstrap_ci(SpatialPanel(stream(35).standard_normal((15, 5))), w5, B=200, n_jobs=2)
+    assert batches == [100, 100]
 
 
 def test_bootstrap_memory_does_not_grow_with_B():
@@ -218,24 +250,47 @@ def test_pairwise_screen_rejects_non_finite_cutoff(cutoff):
         pairwise_screen(np.eye(3), cutoff)
 
 
+def _per_resample_bootstrap(data, W, B, seed):
+    """S~_B of each resample b, redrawn from stream (seed, b) while degenerate,
+    and the number of draws of each."""
+    T = len(data)
+    values, draws = [], []
+    for b in range(B):
+        rng = stream(seed, b)
+        n = 0
+        while True:
+            n += 1
+            sub = data[rng.integers(0, T, size=T)]
+            if np.all(np.ptp(sub, axis=0) > 0):
+                break
+        values.append(sb_statistic(SpatialPanel(sub), W).value)
+        draws.append(n)
+    return np.array(values), np.array(draws)
+
+
 def test_bootstrap_ci_is_percentile_of_per_resample_statistics(w5):
     # column 0 has eight equal values out of ten, so about a tenth of the
     # resamples are constant there and get redrawn from the same stream
     T, B, seed = 10, 240, 4
     data = stream(12).standard_normal((T, 5))
     data[:8, 0] = 0.0
-    panel = SpatialPanel(data)
-    values, draws = [], 0
-    for b in range(B):
-        rng = stream(seed, b)
-        while True:
-            draws += 1
-            sub = data[rng.integers(0, T, size=T)]
-            if np.all(np.ptp(sub, axis=0) > 0):
-                break
-        values.append(sb_statistic(SpatialPanel(sub), w5).value)
-    assert draws > B
-    lo, hi = bootstrap_ci(panel, w5, B=B, seed=seed)
+    values, draws = _per_resample_bootstrap(data, w5, B, seed)
+    assert draws.sum() > B
+    lo, hi = bootstrap_ci(SpatialPanel(data), w5, B=B, seed=seed)
+    want = np.quantile(values, [0.025, 0.975])
+    assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12
+
+
+def test_bootstrap_completes_when_most_draws_are_degenerate(w5):
+    # column j < 4 is constant in a draw that misses row j, its one distinct
+    # value, so a draw is degenerate unless it holds rows 0-3: about 0.85
+    T, B, seed = 12, 2000, 5
+    data = stream(13).standard_normal((T, 5))
+    data[:, :4] = 0.0
+    data[np.arange(4), np.arange(4)] = 1.0
+    values, draws = _per_resample_bootstrap(data, w5, B, seed)
+    assert draws.sum() > 5 * B and draws.max() < 100
+    lo, hi = bootstrap_ci(SpatialPanel(data), w5, B=B, seed=seed)
     want = np.quantile(values, [0.025, 0.975])
     assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12
 
