@@ -41,15 +41,21 @@ from .exceptions import (
     NonFiniteError,
 )
 
-#: Bytes of pair distances built at once, the one memory budget of every
-#: kernel caller; only :func:`pairwise_kappa` reads it.  A tile holds as many
-#: time offsets of one panel as fit, n = _KERNEL_BYTES // (T R 8), at least
-#: one, so a panel whose T//2 x T x R stack fits is one tile and memory stays
-#: bounded in T.  Panels run in groups of as many n-offset stacks as fit, at
-#: least one, so memory stays bounded in the batch too.  n and the group size
-#: depend on R and T alone, so a panel's kappa~ is bitwise the same in any
-#: batch.  2 MiB is one L2 cache of the 2-vCPU Xeon it was tuned on.
-_KERNEL_BYTES = 1 << 21
+#: Bytes built at once, the one memory budget of the package: every batch
+#: size, of kernel tiles, replicate ranges, cutoff draws and CDF table blocks,
+#: is :func:`batch_rows` of it.  A kernel tile holds as many time offsets of
+#: one panel as fit, n = _BATCH_BYTES // (T R 8), at least one, so a panel
+#: whose T//2 x T x R stack fits is one tile and memory stays bounded in T.
+#: Panels run in groups of as many n-offset stacks as fit, at least one, so
+#: memory stays bounded in the batch too.  n and the group size depend on R
+#: and T alone, so a panel's kappa~ is bitwise the same in any batch.  2 MiB
+#: is one L2 cache of the 2-vCPU Xeon it was tuned on.
+_BATCH_BYTES = 1 << 21
+
+
+def batch_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that fit the budget at once, at least one."""
+    return max(1, _BATCH_BYTES // row_bytes)
 
 
 def _validated_series(z) -> np.ndarray:
@@ -112,8 +118,8 @@ def pairwise_kappa(data) -> np.ndarray:
         raise LengthError(f"series length {T} < required 2")
     X = data.reshape(-1, T, R)
     P, K = len(X), T // 2
-    n = min(K, max(1, _KERNEL_BYTES // (R * T * X.itemsize)))  # offsets per tile
-    g = max(1, _KERNEL_BYTES // (R * T * n * X.itemsize))  # panels per group
+    n = min(K, batch_rows(R * T * X.itemsize))  # offsets per tile
+    g = batch_rows(R * T * n * X.itemsize)  # panels per group
     G = np.empty((P, R, R))
     buf = np.empty(min(g, P) * n * T * R)  # one tile buffer, reused
     # a series that overflows ends in a non-finite self-covariance, which

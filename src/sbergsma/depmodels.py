@@ -107,9 +107,9 @@ def sb_replicates(model: str, thetas, W: ProximityMatrix, noise: ReferenceDistri
     Replicate r's noise is one ``noise.sample((T, R))`` draw from stream
     (seed, r); each range of :func:`sbergsma.statistic.replicate_values` draws
     its noise once and maps it by the ``model`` of every theta (common random
-    numbers), so theta = 0 gives the Monte Carlo null.  No value depends on
-    where ranges start and end, so the loop's one split applies: 20
-    replicates on 2 threads are two ranges of 10.
+    numbers), so theta = 0 gives the Monte Carlo null.  A replicate holds its
+    noise and one mapped copy, 2 T R doubles, in a range that fits the batch
+    byte budget: 20 replicates on 2 threads are two ranges of 10.
     """
     specs = [DependenceSpec(model, theta, W, noise) for theta in thetas]
     for spec in specs:
@@ -122,7 +122,7 @@ def sb_replicates(model: str, thetas, W: ProximityMatrix, noise: ReferenceDistri
             eps[i] = noise.sample((T, W.n_regions), stream(seed, lo + i))
         return np.stack([sb_values_batch(_apply_dependence(spec, eps), W) for spec in specs])
 
-    return replicate_values(values, reps, n_jobs)
+    return replicate_values(values, reps, 2 * T * W.n_regions * 8, n_jobs)
 
 
 def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import check_time_points, pairwise_kappa, rho_from_kappa
+from .bergsma import batch_rows, check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import DegenerateRegionError, EmptyNullError, InvalidParameterError
 from .nulldist import (
     asymptotic_null_sample,
@@ -119,8 +119,8 @@ def bootstrap_ci(
     drawn from ``stream(seed, b)`` until no region is constant in it, at most
     ``_REDRAWS`` times, else :class:`DegenerateRegionError` names b and the
     regions constant in its last draw, so no value or error depends on
-    ``n_jobs``.  The ends are the raw percentiles by numpy's default, linear,
-    rule, with no clamping at 0.
+    ``n_jobs`` or on the byte budget that sizes ranges.  The ends are the raw
+    percentiles by numpy's default, linear, rule, with no clamping at 0.
     """
     _check_bootstrap(B, level)
     T = panel.n_time
@@ -145,7 +145,7 @@ def bootstrap_ci(
         return sb_values_batch(resamples, W)
 
     alpha = (1.0 - level) / 2.0
-    lo, hi = _quantile(replicate_values(values, B, n_jobs), [alpha, 1.0 - alpha])
+    lo, hi = _quantile(replicate_values(values, B, data.nbytes, n_jobs), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 
@@ -161,18 +161,28 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,
     """Monte Carlo 95th percentile of rho~ for independent standard normal pairs.
 
     This is the empirical cutoff used to flag individually significant
-    region pairs (about 0.17 at T = 19); it does not depend on ``n_jobs``.
+    region pairs (about 0.17 at T = 19).  Block i of 2000 pairs is one stream
+    (seed, 2000 i), drawn in budget-sized slices; no value depends on ``n_jobs``.
     """
     check_time_points(T)
     if n_sim < 1:
         raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
+    # pairs drawn at once: slices of one stream draw the normals one draw would
+    step = batch_rows(T * 2 * 8)
 
     def values(lo, hi):
-        pairs = stream(seed, lo).standard_normal((hi - lo, T, 2))
-        # a copy, so the join holds one value per pair, not the range's 2 x 2 matrices
-        return rho_from_kappa(pairwise_kappa(pairs))[:, 0, 1].copy()
+        rho = []
+        for start in range(lo * _CUTOFF_BLOCK, min(hi * _CUTOFF_BLOCK, n_sim), _CUTOFF_BLOCK):
+            rng, n = stream(seed, start), min(_CUTOFF_BLOCK, n_sim - start)
+            for k in range(0, n, step):
+                pairs = rng.standard_normal((min(step, n - k), T, 2))
+                # a copy, so the range holds one value per pair, not its 2 x 2 matrices
+                rho.append(rho_from_kappa(pairwise_kappa(pairs))[:, 0, 1].copy())
+        return np.concatenate(rho)
 
-    return float(_quantile(replicate_values(values, n_sim, n_jobs, _CUTOFF_BLOCK), 0.95))
+    # a range holds each block's values; only one slice of draws at a time
+    blocks = -(-n_sim // _CUTOFF_BLOCK)
+    return float(_quantile(replicate_values(values, blocks, 8 * _CUTOFF_BLOCK, n_jobs), 0.95))
 
 
 def _quantile(values: np.ndarray, q):

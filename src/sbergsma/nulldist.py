@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import check_time_points
+from .bergsma import batch_rows, check_time_points
 from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
@@ -53,8 +53,6 @@ _TAIL_MASS = 1e-12
 #: grid sizes a CDF table may take, and its target truncation error
 _GRIDS = 2 ** np.arange(14, 21)
 _TRUNC_TOL = 1e-7
-#: (t, c) entries of log phi computed at once
-_PHI_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,9 @@ def _cdf_table(c, d, var_rest):
     1961) is summed by the midpoint rule with one FFT on a grid between Chernoff
     bounds that leave mass _TAIL_MASS beyond each end, of the fewest _GRIDS
     points with truncation error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
-    log phi is summed over blocks of weights of at most _PHI_BLOCK (t, c)
-    entries, or of one weight on a larger grid: the paper's null then peaks at
-    about 10 MiB in tracemalloc.
+    log phi is summed over blocks of weights whose (t, c) entries fit the
+    batch byte budget, 2^18 at 2 MiB, or of one weight on a larger grid: the
+    paper's null then peaks at about 10 MiB in tracemalloc.
     """
     log_eps, mu = -np.log(_TAIL_MASS), float(d @ c)
     z = np.sqrt(2.0 * log_eps * var_rest)
@@ -212,7 +210,7 @@ def _cdf_table(c, d, var_rest):
     t = (np.arange(n) + 0.5) * (2 * np.pi / span)
     # log phi(t) - i t lo, summed over blocks of weights
     log_phi = -1j * t * (mu + lo) - 0.5 * var_rest * t * t
-    step = max(1, _PHI_BLOCK // n)
+    step = batch_rows(8 * n)  # weights per block, at n float64 (t, c) entries each
     for j in range(0, c.size, step):
         x = np.multiply.outer(2.0 * t, c[j:j + step])
         log_phi += (0.5j * np.arctan(x) - 0.25 * np.log1p(x * x)) @ d[j:j + step]

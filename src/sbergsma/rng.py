@@ -17,17 +17,17 @@ thread count of the one replicate loop, :func:`sbergsma.statistic.replicate_valu
 * Bootstrap resample b: ``integers(0, T, size=T)`` row indices from
   ``stream(seed, b)``; a resample with a constant column is redrawn from the
   same stream, at most ``_REDRAWS`` draws per resample.
-* Pair-screen cutoff: standard normal pairs in ranges of 2000; the range
-  starting at replicate lo is one ``standard_normal((n, T, 2))`` draw from
-  ``stream(seed, lo)``.
+* Pair-screen cutoff: normal pairs in blocks of 2000; the block starting at
+  pair lo is drawn from ``stream(seed, lo)`` in budget-sized slices, which
+  give the normals of one ``standard_normal((n, T, 2))`` draw.
 * The asymptotic null's ``n_draws`` uniforms, mapped by its law's inverse CDF,
   and ``simulate_panel``, which no ``test`` runs: ``stream(seed)``, disjoint
   from every numbered stream.
 
 These draws are not independent of one another within one seed: the Monte
-Carlo replicate, the bootstrap resample and the cutoff range numbered r all
-read ``stream(seed, r)``.  With a standard normal null, replicate 0's noise is
-exactly the first T * R normals of cutoff range 0.
+Carlo replicate, the bootstrap resample and the cutoff block starting at pair r
+all read ``stream(seed, r)``.  With a standard normal null, replicate 0's noise
+is exactly the first T * R normals of cutoff block 0.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import check_time_points, pairwise_kappa, rho_from_kappa
+from .bergsma import batch_rows, check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -25,9 +25,6 @@ from .exceptions import (
     SizeError,
 )
 from .weights import ProximityMatrix
-
-#: most replicates of one range of :func:`replicate_values`; no value depends on it
-_RANGE = 200
 
 
 @dataclass(frozen=True)
@@ -100,11 +97,11 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     """S~_B for a (B, T, R) stack of panels.
 
     The simulation workhorse of the Monte Carlo null, the bootstrap and the
-    theta sweep.  :func:`sbergsma.bergsma.pairwise_kappa`, the one owner of
-    the kernel byte budget, groups and tiles the batch, so memory stays
-    bounded for any B, R and T and each value is bitwise the same however the
-    batch is split.  Raises if the stack is not 3-d, T < 3, or any replicate
-    has a degenerate or non-finite column.
+    theta sweep.  :func:`sbergsma.bergsma.pairwise_kappa` groups and tiles
+    the batch within the batch byte budget, so memory stays bounded for any
+    B, R and T and each value is bitwise the same however the batch is split.
+    Raises if the stack is not 3-d, T < 3, or any replicate has a degenerate
+    or non-finite column.
     """
     X = np.asarray(panels, dtype=float)
     if X.ndim != 3:
@@ -116,14 +113,14 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)
 
 
-def replicate_values(values, n: int, n_jobs: int = 1, size: int | None = None) -> np.ndarray:
-    """Join ``values(lo, hi)``, the S~_B of replicates lo..hi-1 along its last
+def replicate_values(values, n: int, row_bytes: int, n_jobs: int = 1) -> np.ndarray:
+    """Join ``values(lo, hi)``, the values of units lo..hi-1 along its last
     axis, over ranges that cover 0..n-1.
 
     The one replicate loop of the Monte Carlo null, the theta sweep, the
-    bootstrap and the pair cutoff.  Each thread gets a range of
-    min(200, ceil(n / threads)) replicates unless the values, as the pair
-    cutoff's do, depend on where ranges start: those pass a fixed ``size``.
+    bootstrap and the pair cutoff.  A unit holds ``row_bytes`` bytes, and each
+    thread gets a range of min(batch_rows(row_bytes), ceil(n / threads)) units,
+    so memory stays bounded in T; no value may depend on where ranges start.
     Ranges run on min(``n_jobs``, usable cores, ranges) threads (one: the
     calling thread) and join in index order, so no value or error depends on
     ``n_jobs``: the first error in index order cancels the ranges not yet started.
@@ -133,8 +130,7 @@ def replicate_values(values, n: int, n_jobs: int = 1, size: int | None = None) -
 
     workers = min(n_jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-    if size is None:
-        size = min(_RANGE, max(1, -(-n // workers)))
+    size = min(batch_rows(row_bytes), -(-n // workers))
     starts = range(0, n, size)
     ends = [min(lo + size, n) for lo in starts]
     workers = min(workers, len(starts))

@@ -385,7 +385,7 @@ def test_kappa_spans_several_tiles(monkeypatch):
     data = stream(10).standard_normal((60, 3))
     whole = pairwise_kappa(data)
     for offsets in (7, 10):
-        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", 3 * 60 * 8 * offsets)
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", 3 * 60 * 8 * offsets)
         assert np.allclose(pairwise_kappa(data), whole, rtol=1e-13, atol=0)
 
 
@@ -415,13 +415,13 @@ def test_batch_sb_matches_naive_oracle_across_groups_and_tiles(B, T, R, scale, o
     W = ProximityMatrix(w)
     stack = R * T * 8 * (T // 2)
     for budget in (1 << 30, R * T * 8 * 7, 2 * stack):
-        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", budget)
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
         assert np.all(np.abs(sb_values_batch(data, W) - want) <= 1e-12 * term_scale)
 
 
 def test_kappa_memory_bounded_for_any_batch():
     # 1000 panels of R=14, T=50 hold 140 MB of pair distances; the panels run
-    # in groups within the kernel budget, so the peak is about the tile
+    # in groups within the byte budget, so the peak is about the tile
     # buffer plus the 1.6 MB of kappa~
     import tracemalloc
 

@@ -165,12 +165,17 @@ def test_sweep_theta_zero_matches_monte_carlo_null(w_chain6):
     assert np.array_equal(T * sweep.samples[0.0], null.samples)
 
 
-def test_sweep_bitwise_same_on_any_thread_count(w_chain6):
-    one = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=450, seed=4)
-    two = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=450, seed=4, n_jobs=2)
-    for theta in (0.0, 0.5):
-        assert np.array_equal(one.samples[theta], two.samples[theta])
-    assert one.summaries == two.summaries
+def test_sweep_bitwise_same_on_any_thread_count(monkeypatch, w_chain6):
+    # at the default byte budget, and at one that holds one replicate per range
+    import sbergsma.bergsma as bergsma
+
+    for budget, reps in ((bergsma._BATCH_BYTES, 450), (2 * 10 * 6 * 8, 60)):
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
+        one = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=reps, seed=4)
+        two = theta_sweep("SAR", w_chain6, [0.0, 0.5], T=10, reps=reps, seed=4, n_jobs=2)
+        for theta in (0.0, 0.5):
+            assert np.array_equal(one.samples[theta], two.samples[theta])
+        assert one.summaries == two.summaries
 
 
 def test_small_run_gives_each_thread_a_range(monkeypatch, w_chain6):

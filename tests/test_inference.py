@@ -22,6 +22,7 @@ from sbergsma import (
     sb_values_batch,
     simulate_panel,
     test_spatial_independence,
+    theta_sweep,
 )
 from sbergsma.exceptions import (
     DegenerateRegionError,
@@ -175,15 +176,25 @@ def test_bootstrap_degenerate_column_exhausts_redraws(monkeypatch):
 
 @pytest.mark.parametrize("n_jobs", [2, 3])
 def test_bootstrap_and_cutoff_bitwise_identical_for_any_thread_count(monkeypatch, w5, n_jobs):
-    # B = 200 is two or three ranges of the replicate loop, B = 650 four;
-    # n_sim = 5000 is three blocks
+    # at the default byte budget, B = 200 and 650 are two or three ranges of
+    # the replicate loop, and n_sim = 5000 is three blocks, each drawn at
+    # once, in one range per thread; at the second budget of each loop, each
+    # of 200 resamples is a range of its own, and so is each block, drawn 83
+    # pairs at a time
+    import sbergsma.bergsma as bergsma
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     panel = SpatialPanel(stream(33).standard_normal((15, 5)))
-    for B in (200, 650):
-        assert (bootstrap_ci(panel, w5, B=B, seed=2, n_jobs=n_jobs)
-                == bootstrap_ci(panel, w5, B=B, seed=2))
-    assert (independence_rho_quantile(12, n_sim=5000, seed=3, n_jobs=n_jobs)
-            == independence_rho_quantile(12, n_sim=5000, seed=3))
+    default = bergsma._BATCH_BYTES
+    for budget, sizes in ((default, (200, 650)), (15 * 5 * 8, (200,))):
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
+        for B in sizes:
+            assert (bootstrap_ci(panel, w5, B=B, seed=2, n_jobs=n_jobs)
+                    == bootstrap_ci(panel, w5, B=B, seed=2))
+    for budget in (default, 8 * 2000):
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
+        assert (independence_rho_quantile(12, n_sim=5000, seed=3, n_jobs=n_jobs)
+                == independence_rho_quantile(12, n_sim=5000, seed=3))
 
 
 def test_small_bootstrap_gives_each_thread_a_range(monkeypatch, w5):
@@ -304,6 +315,47 @@ def test_pair_cutoff_is_the_95th_percentile_of_simulated_rho():
            for x in stream(seed, lo).standard_normal((min(2000, n_sim - lo), T, 2))]
     want = np.quantile(rho, 0.95)
     assert abs(independence_rho_quantile(T, n_sim=n_sim, seed=seed) - want) <= 1e-12
+
+
+def test_slices_of_one_stream_draw_the_normals_one_draw_would():
+    # the pair cutoff draws each block of 2000 pairs from one stream in
+    # slices of as many pairs as fit the byte budget, which changes no value
+    whole = stream(7, 2000).standard_normal((2000, 50, 2))
+    for sizes in ([7, 993, 1000], [300] * 6 + [200]):
+        rng = stream(7, 2000)
+        parts = [rng.standard_normal((n, 50, 2)) for n in sizes]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_every_loop_hands_the_kernel_batches_within_the_byte_budget(monkeypatch):
+    # at T = 200 and a 64 KiB budget, every array pairwise_kappa gets fits
+    # the budget, however many replicates, resamples or pairs a loop runs
+    import sbergsma.bergsma as bergsma
+    import sbergsma.inference as inference
+    import sbergsma.statistic as statistic
+
+    budget, T = 1 << 16, 200
+    monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
+    sizes = []
+
+    def recording(data):
+        sizes.append(np.asarray(data).nbytes)
+        return bergsma.pairwise_kappa(data)
+
+    monkeypatch.setattr(statistic, "pairwise_kappa", recording)
+    monkeypatch.setattr(inference, "pairwise_kappa", recording)
+    W = row_standardize(linear_chain(4))
+    runs = {
+        "null": lambda: monte_carlo_null(NORMAL, T, W, reps=30, seed=1, n_jobs=2),
+        "sweep": lambda: theta_sweep("SAR", W, [0.0, 0.5], T, reps=30, seed=1),
+        "bootstrap": lambda: bootstrap_ci(SpatialPanel(stream(36).standard_normal((T, 4))),
+                                          W, B=200, seed=1, n_jobs=2),
+        "cutoff": lambda: independence_rho_quantile(T, n_sim=100, seed=1),
+    }
+    for name, run in runs.items():
+        sizes.clear()
+        run()
+        assert sizes and max(sizes) <= budget, name
 
 
 def _forbid_nulls(monkeypatch):

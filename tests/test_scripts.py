@@ -11,8 +11,10 @@ import pytest
 
 from sbergsma import (
     ReferenceDistribution,
+    asymptotic_null_sample,
     linear_chain,
     monte_carlo_null,
+    nystrom_eigenvalues,
     row_standardize,
     theta_sweep,
 )
@@ -60,6 +62,55 @@ def test_run_null_study(tmp_path, monkeypatch):
     assert not {"threads", "outdir"} & set(summary["config"])
 
 
+def test_run_null_study_compares_the_first_family_with_its_own_asymptotic_law(
+    tmp_path, monkeypatch
+):
+    # the asymptotic law was always the normal one, so with uniform first the
+    # normal law was compared with the uniform Monte Carlo null
+    from scipy.stats import ks_2samp
+
+    _run_script("run_null_study", [
+        "--R", "4", "--T", "12", "--reps", "400", "--families", "uniform,normal",
+        "--K", "60", "--grid", "800", "--seed", "3", "--threads", "1",
+        "--outdir", str(tmp_path),
+    ], monkeypatch)
+    W = row_standardize(linear_chain(4))
+    uniform = ReferenceDistribution("uniform")
+    asym = asymptotic_null_sample([nystrom_eigenvalues(uniform, K=60, m=800)] * 4, W,
+                                  n_draws=400, seed=3)
+    got = [float(r["sample"]) for r in _csv_rows(tmp_path / "null_asymptotic.csv")]
+    assert np.array_equal(got, asym.samples)
+    mc = monte_carlo_null(uniform, 12, W, reps=400, seed=3)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["ks_asym_vs_mc"] == ks_2samp(asym.samples, mc.samples).statistic
+
+
+def test_run_null_study_writes_every_file_atomically(tmp_path, monkeypatch):
+    # summary.json was the one output written by a plain open, which a
+    # failed run can leave half written; one family, which has no pairwise
+    # KS distance, used to fail before it on max() of no values
+    import sbergsma.io
+
+    written = []
+
+    def recording(path, text):
+        written.append(Path(path).name)
+        real(path, text)
+
+    real = sbergsma.io.atomic_write_text
+    monkeypatch.setattr(sbergsma.io, "atomic_write_text", recording)
+    _run_script("run_null_study", [
+        "--R", "4", "--T", "12", "--reps", "40", "--families", "normal",
+        "--K", "60", "--grid", "800", "--seed", "3", "--threads", "1",
+        "--outdir", str(tmp_path),
+    ], monkeypatch)
+    assert sorted(written) == sorted(p.name for p in tmp_path.iterdir())
+    assert "summary.json" in written
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (tmp_path / "summary.json").read_text() == json.dumps(summary, indent=2,
+                                                                 sort_keys=True)
+
+
 def test_run_theta_sweep(tmp_path, monkeypatch):
     _run_script("run_theta_sweep", [
         "--R", "4", "--T", "12", "--reps", "40", "--thetas", "0,0.5",
@@ -94,6 +145,8 @@ def test_run_theta_sweep_thetas_that_do_not_parse_are_usage_errors(
     ("run_theta_sweep", "--seed", "-1", "must be at least 0, got -1"),
     # a thread count below 1 used to end in an InvalidParameterError traceback
     ("run_null_study", "--threads", "0", "must be at least 1, got 0"),
+    # and an unknown family in an UnsupportedDistributionError traceback
+    ("run_null_study", "--families", "normal,cauchy", "unknown family 'cauchy'; supported:"),
     # and these in an EmptyNullError, SampleSizeError, SizeError or
     # InvalidParameterError traceback, after --outdir was made
     *[("run_null_study", flag, "0", "must be at least 1, got 0")

@@ -25,6 +25,7 @@ from sbergsma.exceptions import (
     SizeError,
 )
 from sbergsma.rng import stream
+from sbergsma.bergsma import _BATCH_BYTES
 from sbergsma.statistic import replicate_values
 
 from conftest import naive_sb
@@ -162,11 +163,11 @@ def test_batch_bitwise_independent_of_split(monkeypatch):
     for size in (1, 3, 7):
         parts = [sb_values_batch(panels[lo : lo + size], W) for lo in range(0, 10, size)]
         assert np.array_equal(np.concatenate(parts), whole)
-    # from one replicate's 4 x 9 x 4 pair stack up, the kernel byte budget
+    # from one replicate's 4 x 9 x 4 pair stack up, the byte budget
     # only sets how many replicates share a group; test_kappa_spans_several_tiles
     # covers smaller budgets, which cut one replicate into tiles
     for budget in (4 * 9 * 4 * 8, 4 * 9 * 4 * 8 * 3, 1 << 30):
-        monkeypatch.setattr(bergsma, "_KERNEL_BYTES", budget)
+        monkeypatch.setattr(bergsma, "_BATCH_BYTES", budget)
         assert np.array_equal(sb_values_batch(panels, W), whole)
     # R = 4, T = 400: one replicate's 2.56 MB pair stack spans two offset
     # tiles (163 and 37 offsets), so each replicate is a group of its own
@@ -237,14 +238,22 @@ def test_non_finite_self_covariance_raises():
 @pytest.mark.parametrize("n_jobs", [1, 2, 3])
 @pytest.mark.parametrize("size", [1, 7, 200])
 def test_replicate_ranges_join_in_index_order(n_jobs, size):
-    got = replicate_values(lambda lo, hi: np.arange(lo, hi) * [[1.0], [-1.0]], 50,
-                           n_jobs=n_jobs, size=size)
+    # units of a size-th of the budget, so a range holds at most size of them
+    ranges = []
+
+    def values(lo, hi):
+        ranges.append(hi - lo)
+        return np.arange(lo, hi) * [[1.0], [-1.0]]
+
+    got = replicate_values(values, 50, _BATCH_BYTES // size, n_jobs=n_jobs)
     assert np.array_equal(got, np.arange(50) * [[1.0], [-1.0]])
+    assert max(ranges) <= size
 
 
 @pytest.mark.parametrize("cores", [None, 1, 3])
 def test_replicate_threads_capped_at_the_usable_cores(monkeypatch, cores):
-    # eight ranges of one replicate, so a missing cap starts at most 8 threads
+    # eight ranges of one replicate each, as each fills the byte budget, so a
+    # missing cap starts at most 8 threads
     if cores is None:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     else:
@@ -257,7 +266,7 @@ def test_replicate_threads_capped_at_the_usable_cores(monkeypatch, cores):
         time.sleep(0.01)  # keeps this thread busy, so the next range needs another
         return np.arange(lo, hi) * [[1.0], [-1.0]]
 
-    got = replicate_values(values, 8, n_jobs=64, size=1)
+    got = replicate_values(values, 8, _BATCH_BYTES, n_jobs=64)
     assert np.array_equal(got, np.arange(8) * [[1.0], [-1.0]])
     assert len(set(idents)) <= min(8, cores)
     if cores == 1:
@@ -278,8 +287,8 @@ def test_replicate_ranges_stop_at_the_first_error():
         return np.zeros(hi - lo)
 
     with pytest.raises(LengthError, match="range 0 failed"):
-        replicate_values(values, 100, n_jobs=2, size=1)
+        replicate_values(values, 100, _BATCH_BYTES, n_jobs=2)
     # the ranges not yet started are cancelled, not run to the end
     assert len(started) < 100
     with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
-        replicate_values(values, 100, n_jobs=0)
+        replicate_values(values, 100, 8, n_jobs=0)
