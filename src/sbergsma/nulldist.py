@@ -12,8 +12,9 @@ Two generation routes:
   with all Z i.i.d. standard normal, using the leading eigenvalues of the
   population kernel on an equal-probability-mass grid (Nystrom), by Lanczos
   on a matrix-free product, checked against its trace and square sum.  The sum
-  is one law Q, whose CDF is tabulated once from its characteristic function,
-  with the small weights made one normal (Lindsay, Pilla & Basak 2000).
+  is one law Q, whose CDF is tabulated once from its characteristic function
+  up to its truncation point, the small weights made one normal (Lindsay,
+  Pilla & Basak 2000).
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ _RITZ_TOL = 1e-13
 _KEEP = 100
 #: probability mass the CDF table may leave beyond each end of its grid
 _TAIL_MASS = 1e-12
-#: grid sizes a CDF table may take, and its target truncation error
-_GRIDS = 2 ** np.arange(14, 21)
+#: numbers of points at which a CDF table may evaluate its characteristic
+#: function, the fewest points of a table, and its target truncation error
+_GRIDS = 2 ** np.arange(4, 21)
+_TABLE = 2**14
 _TRUNC_TOL = 1e-7
 
 
@@ -131,14 +134,16 @@ def _grid_operator(dist: ReferenceDistribution, m: int):
 
 def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
     """The K eigenvalues of largest magnitude of the symmetric m x m operator
-    ``apply``, in decreasing magnitude, by n Lanczos steps, each orthogonalised
-    against the whole basis twice: one pass let in spurious copies of converged
-    values (Parlett, *The Symmetric Eigenvalue Problem*).  n = min(m, 2K) doubles
-    until the top K Ritz residuals |beta_n s_ni| are <= _RITZ_TOL |theta_1|, or
-    until n = m, where they are exact.  A zero beta stops at the Ritz values
-    found, those of an invariant subspace.  The start frac(phi a^2) - 1/2 draws
-    nothing and has no symmetry under the grid's reflection, which would hide
-    half the spectrum of a symmetric law."""
+    ``apply``, in decreasing magnitude, by n Lanczos steps.  A step takes the
+    three-term recurrence off H q, leaving only rounding-sized parts along the
+    basis, then one Gram-Schmidt pass against the whole basis, and a second
+    only if the first removed over half the norm (twice is enough: Daniel,
+    Gragg, Kaufman & Stewart 1976), so no spurious copies of converged values
+    come in.  n = min(m, 2K) doubles until the top K Ritz residuals
+    |beta_n s_ni| are <= _RITZ_TOL |theta_1|, or until n = m, where they are
+    exact.  A zero beta stops at the Ritz values of an invariant subspace.  The
+    start frac(phi a^2) - 1/2 draws nothing and has no symmetry under the
+    grid's reflection, which would hide half the spectrum of a symmetric law."""
     # the golden ratio's fractional part, (sqrt(5) - 1) / 2
     start = np.mod(np.arange(1.0, m + 1) ** 2 * 0.6180339887498949, 1.0) - 0.5
     n = min(m, 2 * K)
@@ -149,7 +154,10 @@ def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
             basis[j] = q
             w = apply(q)
             alpha.append(q @ w)
-            for _ in range(2):
+            w -= alpha[-1] * q + (beta[-1] * basis[j - 1] if j else 0.0)
+            before = np.linalg.norm(w)
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+            if np.linalg.norm(w) < 0.5 * before:
                 w -= (basis[:j + 1] @ w) @ basis[:j + 1]
             beta.append(np.linalg.norm(w))
             if beta[-1] == 0.0:
@@ -191,12 +199,11 @@ def _cdf_table(c, d, var_rest):
     """CDF table (y, F) of sum_j c_j (chi2_{d_j} - d_j) + N(0, var_rest).
 
     F(y) = 1/2 - int_0^inf Im(exp(-ity) phi(t)) / (pi t) dt (Gil-Pelaez; Imhof
-    1961) is summed by the midpoint rule with one FFT on a grid between Chernoff
-    bounds that leave mass _TAIL_MASS beyond each end, of the fewest _GRIDS
-    points with truncation error |phi(t_max)| / (pi t_max) below _TRUNC_TOL.
-    log phi is summed over blocks of weights whose (t, c) entries fit the
-    batch byte budget, 2^18 at 2 MiB, or of one weight on a larger grid: the
-    paper's null then peaks at about 10 MiB in tracemalloc.
+    1961) is summed by the midpoint rule on a grid between Chernoff bounds
+    that leave mass _TAIL_MASS beyond each end, with phi at the fewest _GRIDS
+    points k whose truncation error |phi(t_k)| / (pi t_k) is below _TRUNC_TOL,
+    and one FFT zero-padded to n = max(k, _TABLE) points: the paper's null
+    takes k = 32 for n = 2^14 and peaks at about 0.8 MiB in tracemalloc.
     """
     log_eps, mu = -np.log(_TAIL_MASS), float(d @ c)
     z = np.sqrt(2.0 * log_eps * var_rest)
@@ -206,15 +213,16 @@ def _cdf_table(c, d, var_rest):
     t_max = 2 * np.pi * _GRIDS / span
     log_err = (-0.25 * (np.log1p(np.multiply.outer(2 * t_max, c) ** 2) @ d)
                - 0.5 * var_rest * t_max**2 - np.log(np.pi * t_max))
-    n = int(_GRIDS[min(np.sum(log_err > np.log(_TRUNC_TOL)), _GRIDS.size - 1)])
-    t = (np.arange(n) + 0.5) * (2 * np.pi / span)
-    # log phi(t) - i t lo, summed over blocks of weights
+    k = int(_GRIDS[min(np.sum(log_err > np.log(_TRUNC_TOL)), _GRIDS.size - 1)])
+    n = max(k, _TABLE)
+    t = (np.arange(k) + 0.5) * (2 * np.pi / span)
+    # log phi(t) - i t lo, summed over blocks of weights that fit the byte budget
     log_phi = -1j * t * (mu + lo) - 0.5 * var_rest * t * t
-    step = batch_rows(8 * n)  # weights per block, at n float64 (t, c) entries each
+    step = batch_rows(8 * k)  # weights per block, at k float64 (t, c) entries each
     for j in range(0, c.size, step):
         x = np.multiply.outer(2.0 * t, c[j:j + step])
         log_phi += (0.5j * np.arctan(x) - 0.25 * np.log1p(x * x)) @ d[j:j + step]
-    S = np.fft.fft(np.exp(log_phi) / t) * np.exp(-1j * np.pi * np.arange(n) / n)
+    S = np.fft.fft(np.exp(log_phi) / t, n) * np.exp(-1j * np.pi * np.arange(n) / n)
     F = np.maximum.accumulate(np.clip(0.5 - 2.0 * S.imag / span, 0.0, 1.0))
     return lo + span / n * np.arange(n), F
 
