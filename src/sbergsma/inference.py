@@ -8,12 +8,7 @@ import numpy as np
 
 from .bergsma import batch_rows, check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import DegenerateRegionError, EmptyNullError, InvalidParameterError
-from .nulldist import (
-    asymptotic_null_sample,
-    monte_carlo_null,
-    nystrom_eigenvalues,
-    p_value,
-)
+from .nulldist import asymptotic_null, monte_carlo_null, p_value
 from .reference import STANDARD_NORMAL, ReferenceDistribution
 from .rng import stream
 from .statistic import SBResult, SpatialPanel, replicate_values, sb_statistic, sb_values_batch
@@ -56,8 +51,9 @@ def test_spatial_independence(
     independence, so spatial dependence only moves T * S~_B up and the p-value
     is the add-one share of null samples at or above it (:func:`p_value`).
     ``null_method`` is ``"mc"``, Monte Carlo simulation, or ``"asym"``, the
-    eigenvalue-based asymptotic law, as with ``--null``; either is built from
-    ``reps`` replicates.  To reuse one null over many panels, build it once
+    eigenvalue-based asymptotic law from at most ``K`` eigenvalues on an
+    ``m``-point grid (:func:`asymptotic_null`), as with ``--null``; either is
+    built from ``reps`` replicates.  To reuse one null over many panels, build it once
     and call ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference
     distribution defaults to standard normal: the null law is insensitive to
     F, and residual inputs are continuous.  ``n_jobs`` threads the Monte Carlo
@@ -72,12 +68,12 @@ def test_spatial_independence(
     if ci_resamples is not None:
         _check_bootstrap(ci_resamples, ci_level)
     sb = sb_statistic(panel, W)
-    # the spectrum checks K and m before the null is simulated; each draw
-    # builds its own generators, so the order changes no value (the bootstrap
-    # and the Monte Carlo null read the same stream(seed, r), so they are not
-    # independent; the asymptotic null reads stream(seed): see rng)
+    # the asymptotic null, which checks K and m, comes before the bootstrap;
+    # each draw builds its own generators, so the order changes no value (the
+    # bootstrap and the Monte Carlo null read the same stream(seed, r), so they
+    # are not independent; the asymptotic null reads stream(seed): see rng)
     if null_method == "asym":
-        spectrum = nystrom_eigenvalues(null_dist, K=K, m=m)
+        null = asymptotic_null(null_dist, W, K=K, m=m, n_draws=reps, seed=seed)
     ci = None
     notes = []
     if ci_resamples is not None:
@@ -89,10 +85,6 @@ def test_spatial_independence(
     if null_method == "mc":
         null = monte_carlo_null(null_dist, panel.n_time, W, reps=reps, seed=seed,
                                 n_jobs=n_jobs)
-    else:
-        null = asymptotic_null_sample(
-            [spectrum] * panel.n_regions, W, n_draws=reps, seed=seed
-        )
     if not W.standardized:
         notes.append("W not row-standardized; S0 taken as the raw weight sum")
     return TestReport(

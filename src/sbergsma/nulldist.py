@@ -11,14 +11,16 @@ Two generation routes:
 
   with all Z i.i.d. standard normal, using the leading eigenvalues of the
   population kernel on an equal-probability-mass grid (Nystrom), by Lanczos
-  on a matrix-free product, checked against its trace and square sum.  The sum
-  is one law Q, whose CDF is tabulated once from its characteristic function
-  up to its truncation point, the small weights made one normal (Lindsay,
-  Pilla & Basak 2000).
+  on a matrix-free product, and the grid operator's exact square sum, so the
+  eigenvalues not found still count.  The sum is one law Q, whose CDF is
+  tabulated once from its characteristic function up to its truncation
+  point, the small weights made one normal (Lindsay, Pilla & Basak 2000);
+  ``asymptotic_null`` finds only the eigenvalues that table keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +40,18 @@ from .reference import ReferenceDistribution
 from .rng import stream
 from .weights import ProximityMatrix
 
-#: relative tolerance for the Nystrom trace / squared-trace consistency checks
+#: relative tolerance of the grid's trace against g(F)/2
 TRACE_TOL = 0.02
-#: midpoint grid size of the mean behind the squared-trace target; twice as
-#: many points move it by under 1e-7 relative, far inside TRACE_TOL
-_CHECK_GRID = 2**15
 #: Ritz residual, relative to the top Ritz value, below which Lanczos stops
 _RITZ_TOL = 1e-13
+#: relative rounding a square sum may show below the sum of its eigenvalues' squares
+_SQUARE_ROUNDING = 1e-12
 
 #: weights of the limit law kept exactly, the largest in magnitude; the rest
 #: become one normal
 _KEEP = 100
+#: eigenvalues the asymptotic test finds first, before it doubles them
+_FIRST = 16
 #: probability mass the CDF table may leave beyond each end of its grid
 _TAIL_MASS = 1e-12
 #: numbers of points at which a CDF table may evaluate its characteristic
@@ -60,9 +63,11 @@ _TRUNC_TOL = 1e-7
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Leading eigenvalues of the population kernel operator for one F."""
+    """Leading eigenvalues of the population kernel operator for one F, and
+    the square sum of its whole spectrum, by default that of the values given."""
 
-    eigenvalues: np.ndarray  # K values, decreasing by magnitude
+    eigenvalues: np.ndarray  # decreasing by magnitude
+    square_sum: float | None = None
 
     def __post_init__(self):
         if self.eigenvalues.size == 0:
@@ -72,6 +77,17 @@ class EigenSpectrum:
         if not np.any(self.eigenvalues):
             raise DegenerateRegionError("eigen spectrum is all zero: the law's kernel vanishes")
         self.eigenvalues.setflags(write=False)
+        found = float(np.sum(self.eigenvalues**2))
+        if self.square_sum is None:
+            object.__setattr__(self, "square_sum", found)
+        elif not math.isfinite(self.square_sum):
+            raise NonFiniteError(f"eigen spectrum square sum is {self.square_sum!r}")
+        elif self.square_sum <= 0.0:
+            raise InvalidParameterError(f"eigen spectrum square sum {self.square_sum!r} <= 0")
+        elif self.square_sum < found * (1.0 - _SQUARE_ROUNDING):
+            # a smaller one would give a pair a negative remainder variance
+            raise ConvergenceError(f"eigen spectrum square sum {self.square_sum!r} is below "
+                                   f"its eigenvalues' {found!r}")
 
 
 @dataclass(frozen=True)
@@ -88,48 +104,62 @@ class NullDistribution:
         self.samples.setflags(write=False)
 
 
+def _check_k(K: int, m: int) -> None:
+    if K < 1 or K > m:
+        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
+
+
 def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000) -> EigenSpectrum:
     """Approximate the K leading kernel-operator eigenvalues on an m-point grid.
 
     The grid places equal probability mass 1/m at inverse-CDF midpoints, so
-    the discretized operator is the symmetric matrix h_F(x_a, x_b) / m whose
-    eigenvalues estimate the operator spectrum directly.  The K leading ones
-    come from Lanczos iteration on v -> H v in O(m) (:func:`_top_eigenvalues`),
-    with no m x m matrix: at K = 100, m = 2000 any law peaks near 4 MiB in
-    tracemalloc, on 1 or 2 BLAS threads with the same bits.
-    Two checks guard against a too-coarse grid or too small a K, each within
-    2%: the eigenvalue sum must match the trace g(F)/2 and the square sum
-    E h_F(Z1, Z2)^2.  A failed or NaN comparison raises ConvergenceError.  No
-    random numbers are drawn; the spectrum is read-only.
+    the discretized operator is the symmetric matrix H = h_F(x_a, x_b) / m
+    whose eigenvalues estimate the operator spectrum directly.  Its exact
+    trace and square sum take O(m) (:func:`_grid_moments`); the trace must be
+    within 2% of g(F)/2, or the grid is too coarse and ConvergenceError is
+    raised, and the square sum goes with the spectrum, so no K is too small.
+    The K leading eigenvalues come from Lanczos iteration on v -> H v in O(m)
+    (:func:`_top_eigenvalues`), with no m x m matrix: at K = 100, m = 2000 any
+    law peaks near 4 MiB in tracemalloc, on 1 or 2 BLAS threads with the same
+    bits.  Lanczos returns fewer than K values only when its Krylov space
+    holds no more.  No random numbers are drawn; the spectrum is read-only.
     """
-    if K < 1 or K > m:
-        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
-    lam = _top_eigenvalues(_grid_operator(dist, m), m, K)
-
-    checks = [("sum", lam.sum(), dist.mean_abs_gap() / 2),
-              ("square sum", np.sum(lam**2), _kernel_square_mean(dist))]
-    for name, got, want in checks:
-        if not abs(got - want) <= TRACE_TOL * abs(want):
-            raise ConvergenceError(f"eigenvalue {name} {got:.6g} misses its target "
-                                   f"{want:.6g}; grid too coarse or K too small")
-    return EigenSpectrum(lam)
+    _check_k(K, m)
+    want = dist.mean_abs_gap() / 2
+    x = dist.ppf((np.arange(m) + 0.5) / m)
+    s, g0 = x - x[0], dist.mean_abs_from(x) - want
+    trace, square_sum = _grid_moments(s, g0)
+    if not abs(trace - want) <= TRACE_TOL * want:
+        raise ConvergenceError(f"grid trace {trace:.6g} misses its target g(F)/2 = "
+                               f"{want:.6g}; grid too coarse")
+    return EigenSpectrum(_top_eigenvalues(_grid_operator(s, g0), m, K), square_sum)
 
 
-def _grid_operator(dist: ReferenceDistribution, m: int):
+def _grid_operator(s: np.ndarray, g0: np.ndarray):
     """v -> H v, H = h_F(x_a, x_b) / m on the sorted midpoint grid x, in O(m).
 
     h_F(a, b) = -(|a - b| - g0(a) - g0(b)) / 2 with g0 = g_F - g(F)/2, so the g0
     terms are rank one; with s = x - x_0, C1 = cumsum(v) and C2 = cumsum(s v),
     sum_b |x_a - x_b| v_b = s_a (2 C1_a - C1_m) - (2 C2_a - C2_m).
     """
-    x = dist.ppf((np.arange(m) + 0.5) / m)
-    s, g0 = x - x[0], dist.mean_abs_from(x) - dist.mean_abs_gap() / 2
+    m = s.size
 
     def apply(v):
         c1, c2 = np.cumsum(v), np.cumsum(s * v)
         return (s * (2 * c1 - c1[-1]) - (2 * c2 - c2[-1]) - g0 * c1[-1] - g0 @ v) * (-0.5 / m)
 
     return apply
+
+
+def _grid_moments(s: np.ndarray, g0: np.ndarray) -> tuple[float, float]:
+    """trace H = sum g0 / m and ||H||_F^2 = sum_ab (|x_a - x_b| - g0_a - g0_b)^2 /
+    (4 m^2) = [2m s's - 2(sum s)^2 - 4 g0'D1 + 2m g0'g0 + 2(sum g0)^2] / (4 m^2),
+    where D1_a = sum_b |x_a - x_b| = s_a (2(a + 1) - m) - (2 C2_a - C2_m), C2 = cumsum(s)."""
+    m, c2 = s.size, np.cumsum(s)
+    d1 = s * (2.0 * np.arange(1, m + 1) - m) - (2 * c2 - c2[-1])
+    square_sum = (2 * m * (s @ s) - 2 * c2[-1] ** 2 - 4 * (g0 @ d1)
+                  + 2 * m * (g0 @ g0) + 2 * g0.sum() ** 2) / (4.0 * m * m)
+    return float(g0.sum() / m), float(square_sum)
 
 
 def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
@@ -139,44 +169,42 @@ def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
     basis, then one Gram-Schmidt pass against the whole basis, and a second
     only if the first removed over half the norm (twice is enough: Daniel,
     Gragg, Kaufman & Stewart 1976), so no spurious copies of converged values
-    come in.  n = min(m, 2K) doubles until the top K Ritz residuals
-    |beta_n s_ni| are <= _RITZ_TOL |theta_1|, or until n = m, where they are
-    exact.  A zero beta stops at the Ritz values of an invariant subspace.  The
-    start frac(phi a^2) - 1/2 draws nothing and has no symmetry under the
-    grid's reflection, which would hide half the spectrum of a symmetric law."""
+    come in.  n = min(m, 2K) doubles, the basis kept and its buffer grown,
+    until the top K Ritz residuals |beta_n s_ni| are <= _RITZ_TOL |theta_1|,
+    or until n = m, where they are exact.  A beta within m eps max|alpha| of 0
+    means the Krylov space is invariant: the Ritz values found are then
+    eigenvalues, which may be fewer than K.  The start
+    frac(phi a^2) - 1/2 draws nothing and has no symmetry under the grid's
+    reflection, which would hide half the spectrum of a symmetric law."""
     # the golden ratio's fractional part, (sqrt(5) - 1) / 2
     start = np.mod(np.arange(1.0, m + 1) ** 2 * 0.6180339887498949, 1.0) - 0.5
-    n = min(m, 2 * K)
+    basis, alpha, beta, size = np.empty((min(m, 2 * K), m)), [], [], 0.0
+    tiny = m * np.finfo(float).eps
+    q = start / np.linalg.norm(start)
     while True:
-        alpha, beta, basis = [], [], np.empty((n, m))
-        q = start / np.linalg.norm(start)
-        for j in range(n):
+        for j in range(len(alpha), len(basis)):
             basis[j] = q
             w = apply(q)
             alpha.append(q @ w)
+            size = max(size, abs(alpha[-1]))
             w -= alpha[-1] * q + (beta[-1] * basis[j - 1] if j else 0.0)
             before = np.linalg.norm(w)
             w -= (basis[:j + 1] @ w) @ basis[:j + 1]
             if np.linalg.norm(w) < 0.5 * before:
                 w -= (basis[:j + 1] @ w) @ basis[:j + 1]
             beta.append(np.linalg.norm(w))
-            if beta[-1] == 0.0:
+            if beta[-1] <= tiny * size:
                 break
             q = w / beta[-1]
         theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
         top = np.argsort(-np.abs(theta), kind="stable")[:K]
-        # a NaN residual stops too, and the caller's checks reject the NaN values
-        if n == m or not np.any(beta[-1] * np.abs(S[-1, top]) > _RITZ_TOL * abs(theta[top[0]])):
+        # a NaN residual stops too, and the spectrum rejects the NaN values
+        if (len(alpha) == m or beta[-1] <= tiny * size
+                or not np.any(beta[-1] * np.abs(S[-1, top]) > _RITZ_TOL * abs(theta[top[0]]))):
             return theta[top]
-        n = min(m, 2 * n)
-
-
-def _kernel_square_mean(dist: ReferenceDistribution) -> float:
-    """E h_F(Z1, Z2)^2 = g(F)^2/4 + E[(Z - EZ)^2 - g_F(Z)^2]/2, the mean taken on
-    the same _CHECK_GRID inverse-CDF midpoints for every law."""
-    z = dist.ppf((np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID)
-    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
-    return dist.mean_abs_gap() ** 2 / 4 + spread / 2
+        grown = np.empty((min(m, 2 * len(basis)), m))
+        grown[:len(basis)] = basis
+        basis = grown
 
 
 # -- asymptotic draws --------------------------------------------------------
@@ -227,43 +255,87 @@ def _cdf_table(c, d, var_rest):
     return lo + span / n * np.arange(n), F
 
 
-def asymptotic_null_sample(
-    spectra, W: ProximityMatrix, n_draws: int = 10_000, seed: int = 0
-) -> NullDistribution:
-    """Sample the weighted-chi-square limit law of T * S~_B.
+def _limit_law(spectra, W: ProximityMatrix):
+    """Q's _KEEP weights of largest magnitude, their counts, and the variance of
+    the normal that stands for all its other weights.
 
-    ``spectra`` is one :class:`EigenSpectrum` per region.  Each distinct pair of
-    spectra finds its distinct weights c_kl and their counts once; each pair p
-    keeps its _KEEP largest, scaled by w_p / S0, as no other can be among Q's
-    _KEEP largest, so memory is O(K^2 + pairs * _KEEP).  Equal weights of all
-    pairs merge, and one table of Q is inverted at ``n_draws`` uniforms of
-    ``stream(seed)``.  ``meta`` holds only what the draw computed: the table's
-    weights kept, remainder variance and tail mass beyond its grid.
+    Each distinct pair of spectra finds its distinct weights c_kl =
+    lam_k lam_l / sqrt(S_i S_j), S the square sums, and their counts once, and
+    keeps its _KEEP largest: no other can be among Q's _KEEP largest.  Over
+    the whole spectra the pair's d c^2 sum to 1, so its normal takes
+    2 (1 - sum_kept d c^2), the values not found included.  Scaled by
+    w_p / S0, equal weights of all pairs merge.
     """
-    if n_draws < 1:
-        raise EmptyNullError("n_draws must be >= 1")
-    R = W.n_regions
-    if len(spectra) != R:
-        raise SpectraMismatchError(f"{len(spectra)} spectra for {R} regions")
-    iu = np.triu_indices(R, k=1)
+    iu = np.triu_indices(W.n_regions, k=1)
     w_pair = (W.weights + W.weights.T)[iu] / W.s0
     laws, scaled, counts, var_rest = {}, [], [], 0.0
     for p in np.flatnonzero(w_pair):
-        lam_i, lam_j = spectra[iu[0][p]].eigenvalues, spectra[iu[1][p]].eigenvalues
-        key = frozenset((lam_i.tobytes(), lam_j.tobytes()))
+        a, b = spectra[iu[0][p]], spectra[iu[1][p]]
+        key = frozenset(((a.eigenvalues.tobytes(), a.square_sum),
+                         (b.eigenvalues.tobytes(), b.square_sum)))
         if key not in laws:
-            c = np.multiply.outer(lam_i, lam_j) / np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
-            laws[key] = _largest(*np.unique(c, return_counts=True))
+            c = np.multiply.outer(a.eigenvalues, b.eigenvalues)
+            c, d, _ = _largest(*np.unique(c / np.sqrt(a.square_sum * b.square_sum),
+                                          return_counts=True))
+            laws[key] = c, d, 2.0 * max(0.0, 1.0 - float(d @ c**2))
         c, d, rest = laws[key]
         scaled.append(w_pair[p] * c)
         counts.append(d)
         var_rest += rest * float(w_pair[p]) ** 2
     c, merged = np.unique(np.concatenate(scaled), return_inverse=True)
     c, d, rest = _largest(c, np.bincount(merged, weights=np.concatenate(counts)))
-    y, F = _cdf_table(c, d, var_rest + rest)
-    meta = {"weights_kept": c.size, "remainder_variance": var_rest + rest,
+    return c, d, var_rest + rest
+
+
+def _draw(law, n_draws: int, seed: int) -> NullDistribution:
+    """``n_draws`` lookups of ``stream(seed)`` uniforms in the table of a law (c, d, var_rest)."""
+    c, d, var_rest = law
+    y, F = _cdf_table(c, d, var_rest)
+    meta = {"weights_kept": c.size, "remainder_variance": var_rest,
             "table_tail_mass": float(1.0 - F[-1])}
     return NullDistribution(np.interp(stream(seed).random(n_draws), F, y), meta)
+
+
+def asymptotic_null_sample(
+    spectra, W: ProximityMatrix, n_draws: int = 10_000, seed: int = 0
+) -> NullDistribution:
+    """Sample the weighted-chi-square limit law of T * S~_B.
+
+    ``spectra`` is one :class:`EigenSpectrum` per region.  One table of Q,
+    from :func:`_limit_law` in O(K^2 + pairs * _KEEP) memory, is inverted at
+    ``n_draws`` uniforms of ``stream(seed)``.  ``meta`` holds only what the
+    draw computed: the table's weights kept, remainder variance and tail mass
+    beyond its grid.
+    """
+    if n_draws < 1:
+        raise EmptyNullError("n_draws must be >= 1")
+    if len(spectra) != W.n_regions:
+        raise SpectraMismatchError(f"{len(spectra)} spectra for {W.n_regions} regions")
+    return _draw(_limit_law(spectra, W), n_draws, seed)
+
+
+def asymptotic_null(dist: ReferenceDistribution, W: ProximityMatrix, K: int = 100,
+                    m: int = 2000, n_draws: int = 10_000, seed: int = 0) -> NullDistribution:
+    """:func:`asymptotic_null_sample` with F at every region, from the fewest
+    of its K leading eigenvalues that fix the table: n = min(16, K) doubles,
+    never past K, until w_max |lam_1 lam_n| / S, the largest weight a value
+    past lam_n could give, is below Q's _KEEP-th kept weight.  No value not
+    found can then enter the table; its remainder counts them through the
+    square sum S.  The paper's district W stops at n = 16 for all six laws.
+    """
+    if n_draws < 1:
+        raise EmptyNullError("n_draws must be >= 1")
+    _check_k(K, m)
+    w_max = float(np.max(W.weights + W.weights.T)) / W.s0
+    n = min(_FIRST, K)
+    while True:
+        spectrum = nystrom_eigenvalues(dist, K=n, m=m)
+        law = _limit_law([spectrum] * W.n_regions, W)
+        lam, c = spectrum.eigenvalues, law[0]
+        if (n == K or lam.size < n or (c.size == _KEEP and w_max * abs(lam[0] * lam[-1])
+                                        / spectrum.square_sum < abs(c[-1]))):
+            return _draw(law, n_draws, seed)
+        n = min(K, 2 * n)
 
 
 # -- Monte Carlo route -------------------------------------------------------

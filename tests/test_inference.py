@@ -30,6 +30,7 @@ from sbergsma.exceptions import (
     InvalidParameterError,
     LengthError,
 )
+from sbergsma.nulldist import asymptotic_null
 from sbergsma.rng import stream
 
 NORMAL = ReferenceDistribution("normal")
@@ -111,8 +112,7 @@ def test_thread_counts_below_one_rejected_before_any_work(monkeypatch, w5, null_
     def no_work(*args, **kw):
         raise AssertionError("work ran")
 
-    for name in ("sb_statistic", "bootstrap_ci", "monte_carlo_null",
-                 "nystrom_eigenvalues", "asymptotic_null_sample"):
+    for name in ("sb_statistic", "bootstrap_ci", "monte_carlo_null", "asymptotic_null"):
         monkeypatch.setattr(inference, name, no_work)
     panel = SpatialPanel(stream(8).standard_normal((30, 5)))
     with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
@@ -364,7 +364,7 @@ def _forbid_nulls(monkeypatch):
     def no_null(*args, **kw):
         raise AssertionError("a null was simulated")
 
-    for name in ("monte_carlo_null", "nystrom_eigenvalues", "asymptotic_null_sample"):
+    for name in ("monte_carlo_null", "asymptotic_null"):
         monkeypatch.setattr(inference, name, no_null)
 
 
@@ -412,7 +412,8 @@ def test_independence_rho_quantile_rejects_zero_sims():
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
-@pytest.mark.parametrize("entry", ["monte_carlo_null", "bootstrap_ci", "asymptotic_null_sample"])
+@pytest.mark.parametrize("entry", ["monte_carlo_null", "bootstrap_ci", "asymptotic_null_sample",
+                                   "asymptotic_null"])
 def test_bad_seed_is_an_invalid_parameter(entry, seed, w5):
     # numpy raised its own ValueError for -1 and a TypeError for 1.5
     panel = SpatialPanel(stream(13).standard_normal((20, 5)))
@@ -420,6 +421,7 @@ def test_bad_seed_is_an_invalid_parameter(entry, seed, w5):
     call = {
         "monte_carlo_null": lambda: monte_carlo_null(NORMAL, 20, w5, reps=10, seed=seed),
         "bootstrap_ci": lambda: bootstrap_ci(panel, w5, B=200, seed=seed),
+        "asymptotic_null": lambda: asymptotic_null(NORMAL, w5, n_draws=10, seed=seed),
         "asymptotic_null_sample": lambda: asymptotic_null_sample([spectrum] * 5, w5,
                                                                  n_draws=10, seed=seed),
     }[entry]

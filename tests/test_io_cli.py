@@ -671,10 +671,10 @@ def test_cli_size_arguments_rejected_before_any_simulation(
         raise AssertionError("a simulation ran")
 
     monkeypatch.setattr(inference, "monte_carlo_null", no_simulation)
-    # nystrom_eigenvalues itself runs, so its K and grid checks can fail first,
-    # but its eigensolve may not
+    # asymptotic_null itself runs, so its K and grid checks can fail first,
+    # but its eigensolve and its draws may not
     monkeypatch.setattr(nulldist, "_top_eigenvalues", no_simulation)
-    monkeypatch.setattr(inference, "asymptotic_null_sample", no_simulation)
+    monkeypatch.setattr(nulldist, "_draw", no_simulation)
     # the bootstrap's S~_B values, and the pair cutoff's rho~ values
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
     monkeypatch.setattr(inference, "pairwise_kappa", no_simulation)

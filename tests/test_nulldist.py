@@ -30,7 +30,7 @@ from sbergsma.exceptions import (
     SpectraMismatchError,
 )
 from sbergsma import nulldist
-from sbergsma.nulldist import NullDistribution
+from sbergsma.nulldist import NullDistribution, asymptotic_null
 from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
@@ -92,51 +92,62 @@ def test_nystrom_grid_refinement():
     assert np.all(rel <= 0.01)
 
 
+#: every family, chi-square at its default df = 1, plus chi-square at df = 3
+ALL_LAWS = [ReferenceDistribution(f) for f in FAMILIES] + [
+    ReferenceDistribution("chi-square", df=3.0)]
+
+
+def _grid(dist, m):
+    """The midpoint grid x, s = x - x_0 and g0 = g_F - g(F)/2 of an m-point spectrum."""
+    x = dist.ppf((np.arange(m) + 0.5) / m)
+    return x, x - x[0], dist.mean_abs_from(x) - dist.mean_abs_gap() / 2
+
+
+@pytest.mark.parametrize("m", [400, 401])
+@pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
+def test_grid_moments_match_the_kernel_matrix(dist, m):
+    x, s, g0 = _grid(dist, m)
+    H = dist.kernel(x[:, None], x[None, :]) / m
+    trace, square_sum = nulldist._grid_moments(s, g0)
+    assert trace == pytest.approx(np.trace(H), rel=1e-13, abs=0)
+    assert square_sum == pytest.approx(np.sum(H * H), rel=1e-13, abs=0)
+    assert nystrom_eigenvalues(dist, K=10, m=m).square_sum == square_sum
+
+
 @pytest.mark.parametrize(
     "dist",
-    [ReferenceDistribution(f) for f in FAMILIES]
-    + [ReferenceDistribution("chi-square", df=df) for df in (2.5, 4.0)],
+    ALL_LAWS + [ReferenceDistribution("chi-square", df=df) for df in (2.5, 4.0)],
     ids=str,
 )
-def test_kernel_square_mean_matches_sampling(dist):
+def test_grid_square_sum_matches_sampling(dist):
+    # the grid's ||H||_F^2 estimates E h_F(Z1, Z2)^2 within the trace's tolerance
     rng = stream(31)
     h2 = dist.kernel(dist.sample(200_000, rng), dist.sample(200_000, rng)) ** 2
-    se = h2.std() / np.sqrt(h2.size)
-    assert abs(nulldist._kernel_square_mean(dist) - h2.mean()) < 4 * se
+    square_sum = nystrom_eigenvalues(dist, K=1, m=2000).square_sum
+    assert abs(square_sum - h2.mean()) <= nulldist.TRACE_TOL * h2.mean()
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_kernel_square_mean_grid_is_fine_enough(family):
-    # every law takes the mean on one grid of 2^15 midpoints; on twice that
-    # grid it moves by at most 1.6e-8 relative, against the check's 2%
-    dist = ReferenceDistribution(family)
-    z = dist.ppf((np.arange(2**16) + 0.5) / 2**16)
-    spread = np.mean((z - z.mean()) ** 2 - dist.mean_abs_from(z) ** 2)
-    finer = dist.mean_abs_gap() ** 2 / 4 + spread / 2
-    assert nulldist._CHECK_GRID == 2**15
-    assert nulldist._kernel_square_mean(dist) == pytest.approx(finer, rel=1e-7, abs=0)
-
-
-def test_kernel_square_mean_uniform_is_exact():
+def test_uniform_grid_square_sum_is_the_operators():
     # the uniform kernel's eigenvalues are 1/(pi k)^2, whose squares sum to 1/90
-    assert nulldist._kernel_square_mean(UNIFORM) == pytest.approx(1 / 90, rel=1e-6)
+    assert nystrom_eigenvalues(UNIFORM, K=1, m=2000).square_sum == pytest.approx(1 / 90, rel=1e-6)
 
 
-def test_nystrom_trace_check_fires_when_k_is_too_small():
-    # the 20 leading eigenvalues hold 4.3% less than the trace g(F)/2
-    with pytest.raises(ConvergenceError, match="eigenvalue sum"):
-        nystrom_eigenvalues(NORMAL, K=20, m=2000)
+def test_nystrom_k_20_succeeds():
+    # the 20 leading eigenvalues hold 4.3% less than the trace g(F)/2, which
+    # failed a check; the square sum now carries the values not found
+    spec = nystrom_eigenvalues(NORMAL, K=20, m=2000)
+    assert spec.eigenvalues.size == 20
+    full = nystrom_eigenvalues(NORMAL, K=100, m=2000)
+    assert spec.square_sum == full.square_sum > np.sum(full.eigenvalues**2) > np.sum(
+        spec.eigenvalues**2)
+    np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[:20], rtol=0,
+                               atol=1e-13 * full.eigenvalues[0])
 
 
 def _patch_eigensolve(monkeypatch, change):
     """Route the eigenvalues of the next spectrum through ``change``."""
     solve = nulldist._top_eigenvalues
     monkeypatch.setattr(nulldist, "_top_eigenvalues", lambda *a: change(solve(*a)))
-
-
-#: every family, chi-square at its default df = 1, plus chi-square at df = 3
-ALL_LAWS = [ReferenceDistribution(f) for f in FAMILIES] + [
-    ReferenceDistribution("chi-square", df=3.0)]
 
 
 @pytest.mark.parametrize("m", [400, 401, 60])
@@ -156,9 +167,9 @@ def test_nystrom_lanczos_matches_full_solve(dist, m):
 @pytest.mark.parametrize("m", [400, 401])
 @pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
 def test_grid_operator_matches_the_kernel_matrix(dist, m):
-    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    grid, s, g0 = _grid(dist, m)
     H = dist.kernel(grid[:, None], grid[None, :]) / m
-    apply = nulldist._grid_operator(dist, m)
+    apply = nulldist._grid_operator(s, g0)
     a = np.arange(m)
     for v in (np.ones(m), a / m, np.cos(0.7 * a) + 0.3):
         np.testing.assert_allclose(apply(v), H @ v, rtol=0, atol=1e-15 * np.abs(H).max() * m)
@@ -166,12 +177,13 @@ def test_grid_operator_matches_the_kernel_matrix(dist, m):
 
 def test_lanczos_doubles_its_steps_until_the_ritz_values_converge():
     # evenly spaced eigenvalues converge slowly: 2K = 10 steps are not enough,
-    # and each doubled run restarts, so 10 + 20 + ... + 320 = 630 products
+    # and each doubling grows the basis it has, so 320 products in all, where
+    # restarting at each doubling took 10 + 20 + ... + 320 = 630
     d = np.linspace(1.0, 2.0, 1000)
     steps = []
     lam = nulldist._top_eigenvalues(lambda v: steps.append(1) or d * v, d.size, 5)
     np.testing.assert_allclose(lam, d[::-1][:5], rtol=1e-13, atol=0)
-    assert len(steps) == 630
+    assert len(steps) == 320
 
 
 def test_lanczos_finds_a_fast_decaying_spectrum():
@@ -182,23 +194,59 @@ def test_lanczos_finds_a_fast_decaying_spectrum():
     np.testing.assert_allclose(lam, d[:100], rtol=1e-12, atol=0)
 
 
-def test_lanczos_second_pass_keeps_the_basis_orthogonal():
-    # eigenvalues 1 down to 1e-30: late steps leave a residual near rounding,
-    # and the first Gram-Schmidt pass removes more than half of the norm at 25
-    # of the 60 steps; with that pass alone the basis lost orthogonality and
-    # the top value came out as 1.9e3
+def test_lanczos_stops_where_the_residual_reaches_rounding():
+    # eigenvalues 1 down to 1e-30: once the values left are below rounding the
+    # residual beta falls to m eps max|alpha| and the values found are returned;
+    # going on from that residual, with one Gram-Schmidt pass per step, the
+    # basis lost orthogonality and the top value came out as 1.9e3
     d = 10.0 ** -np.linspace(0.0, 30.0, 60)
     lam = nulldist._top_eigenvalues(lambda v: d * v, d.size, d.size)
-    np.testing.assert_allclose(lam, d, rtol=0, atol=nulldist._RITZ_TOL)
+    np.testing.assert_allclose(lam, d[:lam.size], rtol=0, atol=nulldist._RITZ_TOL)
+    assert np.all(d[lam.size:] <= nulldist._RITZ_TOL)
 
 
-def test_nystrom_single_point_grid_fails_its_checks_without_a_warning():
-    # one grid point: the first Lanczos step spans the whole space and its
-    # residual is exactly zero, which stops the iteration instead of dividing
+def _assert_finds_the_eigenvalues(apply, H, K):
+    """Lanczos on ``apply`` returns eigenvalues of the dense H, within
+    1e-13 |lambda_1|, each no more often than H has it, and every distinct one."""
+    full = np.linalg.eigvalsh(H)
+    tol = 1e-13 * np.abs(full).max()
+    got = nulldist._top_eigenvalues(apply, len(H), K)
+    near_got = np.abs(got[:, None] - got[None, :]) <= tol
+    near_full = np.abs(got[:, None] - full[None, :]) <= tol
+    assert np.all(near_full.sum(axis=1) >= near_got.sum(axis=1))
+    assert np.all(np.any(np.abs(full[:, None] - got[None, :]) <= tol, axis=1))
+    return got
+
+
+def test_lanczos_stops_on_an_invariant_krylov_space():
+    # two distinct eigenvalues span a 2-dimensional Krylov space; stopping
+    # only at beta == 0.0 went on from rounding noise and returned +-1.1e51
+    d = np.r_[np.ones(5), np.zeros(55)]
+    got = _assert_finds_the_eigenvalues(lambda v: d * v, np.diag(d), 30)
+    assert got.size == 2 and got[0] == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
+def test_lanczos_finds_a_tied_sample_operator():
+    # the kernel of a 700-point sample on 8 levels, through the grid
+    # operator's formula: 7 nonzero eigenvalues, and 0 693 times; Lanczos
+    # returned NaN
+    x = np.sort(stream(12).integers(0, 8, 700).astype(float))
+    g = np.abs(x[:, None] - x[None, :]).mean(axis=1)
+    H = -(np.abs(x[:, None] - x[None, :]) - g[:, None] - g[None, :] + g.mean()) / (2 * x.size)
+    apply = nulldist._grid_operator(x - x[0], g - g.mean() / 2)
+    got = _assert_finds_the_eigenvalues(apply, H, 16)
+    assert got.size < 16 and np.count_nonzero(np.abs(got) > 1e-13 * got[0]) == 7
+
+
+def test_nystrom_single_point_grid_fails_its_trace_check_without_a_warning():
+    # one grid point: its trace misses g(F)/2 by half; and a one-point
+    # operator's first Lanczos residual is zero, which stops the iteration
+    # instead of dividing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="eigenvalue sum"):
+        with pytest.raises(ConvergenceError, match="trace"):
             nystrom_eigenvalues(UNIFORM, K=1, m=1)
+        assert nulldist._top_eigenvalues(lambda v: 2.0 * v, 1, 1) == [2.0]
 
 
 @pytest.mark.parametrize("m", [400, 401])
@@ -280,21 +328,22 @@ def test_asymptotic_null_builds_one_table_and_opens_one_stream(monkeypatch):
 
 def test_one_pair_table_is_the_pair_law(monkeypatch):
     # with one nonzero pair, w_p / S0 = 1 and the null's table is that pair's
-    # law: its 100 largest distinct weights and a normal of the rest
-    lam_i = nystrom_eigenvalues(NORMAL, K=100, m=2000).eigenvalues
-    lam_j = 1.0 / np.arange(1.0, 41.0) ** 1.5
-    c, d = np.unique(np.outer(lam_i, lam_j) / np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2)),
+    # law: its 100 largest distinct weights, normalised by the square sums of
+    # the whole spectra, and a normal of the rest, found or not
+    spec_i = nystrom_eigenvalues(NORMAL, K=100, m=2000)
+    lam_i, lam_j = spec_i.eigenvalues, 1.0 / np.arange(1.0, 41.0) ** 1.5
+    assert spec_i.square_sum > np.sum(lam_i**2)
+    c, d = np.unique(np.outer(lam_i, lam_j) / np.sqrt(spec_i.square_sum * np.sum(lam_j**2)),
                      return_counts=True)
-    order = np.argsort(-np.abs(c), kind="stable")
-    kept, rest = order[:100], order[100:]
-    want = nulldist._cdf_table(c[kept], d[kept], 2.0 * float(d[rest] @ c[rest] ** 2))
+    kept = np.argsort(-np.abs(c), kind="stable")[:100]
+    want = nulldist._cdf_table(c[kept], d[kept], 2.0 * (1.0 - float(d[kept] @ c[kept] ** 2)))
     tables = []
     cdf_table = nulldist._cdf_table
     monkeypatch.setattr(nulldist, "_cdf_table",
                         lambda *a: tables.append(cdf_table(*a)) or tables[-1])
     w = np.zeros((3, 3))
     w[2, 0] = 3.0
-    spectra = [_synthetic_spectrum(lam_i), _synthetic_spectrum([1.0]), _synthetic_spectrum(lam_j)]
+    spectra = [spec_i, _synthetic_spectrum([1.0]), _synthetic_spectrum(lam_j)]
     asymptotic_null_sample(spectra, ProximityMatrix(w), n_draws=10, seed=0)
     (y, F), = tables
     assert np.array_equal(y, want[0]) and np.array_equal(F, want[1])
@@ -302,19 +351,19 @@ def test_one_pair_table_is_the_pair_law(monkeypatch):
 
 def test_nystrom_square_sum_check_fires(monkeypatch):
     def spread(e):
-        # same sum, 5% more square sum
+        # same sum, 5% more square sum than the whole grid operator has
         c = e.mean()
         s = np.sqrt((1.05 * np.sum(e**2) - e.size * c**2) / np.sum((e - c) ** 2))
         return c + s * (e - c)
 
     _patch_eigensolve(monkeypatch, spread)
-    with pytest.raises(ConvergenceError, match="eigenvalue square sum"):
+    with pytest.raises(ConvergenceError, match="square sum .* is below its eigenvalues'"):
         nystrom_eigenvalues(NORMAL, K=400, m=400)
 
 
 def test_nystrom_nan_spectrum_fails_its_checks(monkeypatch):
     _patch_eigensolve(monkeypatch, lambda e: np.full_like(e, np.nan))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NonFiniteError):
         nystrom_eigenvalues(NORMAL, K=50, m=400)
 
 
@@ -486,6 +535,115 @@ def test_eigen_spectrum_rejects_degenerate_eigenvalues(lam, error):
     # an all-zero spectrum gave all-NaN null samples, and p = 1/101 from 100
     with pytest.raises(error):
         _synthetic_spectrum(lam)
+
+
+@pytest.mark.parametrize("square_sum, error", [
+    (np.nan, NonFiniteError),
+    (np.inf, NonFiniteError),
+    (0.0, InvalidParameterError),
+    (-1.0, InvalidParameterError),
+    (1.0 + 0.25 - 1e-9, ConvergenceError),
+], ids=["nan", "inf", "zero", "negative", "below"])
+def test_eigen_spectrum_rejects_a_bad_square_sum(square_sum, error):
+    # a square sum below the eigenvalues' own gave a pair a negative remainder
+    with pytest.raises(error):
+        EigenSpectrum(np.array([1.0, -0.5]), square_sum)
+
+
+def test_eigen_spectrum_square_sum_defaults_to_its_eigenvalues():
+    lam = np.array([1.0, -0.5, 0.1])
+    assert EigenSpectrum(lam).square_sum == 1.26
+    # a rounding below the eigenvalues' own passes; more than it counts
+    assert EigenSpectrum(lam, 1.26 * (1 - 1e-14)).square_sum == 1.26 * (1 - 1e-14)
+    assert EigenSpectrum(lam, 2.0).square_sum == 2.0
+
+
+def _spectrum_calls(monkeypatch):
+    """The K of every spectrum the next asymptotic test path finds."""
+    calls, solve = [], nulldist.nystrom_eigenvalues
+    monkeypatch.setattr(nulldist, "nystrom_eigenvalues",
+                        lambda dist, K, m: calls.append(K) or solve(dist, K, m))
+    return calls
+
+
+def _one_pair_w():
+    w = np.zeros((3, 3))
+    w[2, 0] = 3.0
+    return ProximityMatrix(w)
+
+
+def test_asymptotic_null_finds_16_eigenvalues_for_the_district_w(monkeypatch, w_adjacency):
+    # the bound on a weight of a value not found, w_max |lam_1 lam_16| / S, is
+    # 0.77 - 0.90 of the 100th kept weight for every family
+    calls = _spectrum_calls(monkeypatch)
+    for family in FAMILIES:
+        calls.clear()
+        asymptotic_null(ReferenceDistribution(family), w_adjacency, n_draws=10, seed=1)
+        assert calls == [16]
+
+
+def test_asymptotic_null_finds_more_for_one_pair(monkeypatch):
+    # one pair keeps weights down to lam_40 - lam_48; K caps the doubling
+    calls = _spectrum_calls(monkeypatch)
+    asymptotic_null(NORMAL, _one_pair_w(), n_draws=10, seed=1)
+    assert calls == [16, 32, 64]
+    calls.clear()
+    asymptotic_null(NORMAL, _one_pair_w(), K=40, n_draws=10, seed=1)
+    assert calls == [16, 32, 40]
+    calls.clear()
+    asymptotic_null(NORMAL, _one_pair_w(), K=10, n_draws=10, seed=1)
+    assert calls == [10]
+
+
+def _table_at_the_parent(spectra, W):
+    """Oracle: the table with each pair normalised by the square sum of the
+    eigenvalues found and its remainder the square sum of its weights dropped."""
+    iu = np.triu_indices(W.n_regions, k=1)
+    w_pair = (W.weights + W.weights.T)[iu] / W.s0
+    scaled, counts, var_rest = [], [], 0.0
+    for p in np.flatnonzero(w_pair):
+        lam_i, lam_j = spectra[iu[0][p]].eigenvalues, spectra[iu[1][p]].eigenvalues
+        c = np.multiply.outer(lam_i, lam_j) / np.sqrt(np.sum(lam_i**2) * np.sum(lam_j**2))
+        c, d, rest = nulldist._largest(*np.unique(c, return_counts=True))
+        scaled.append(w_pair[p] * c)
+        counts.append(d)
+        var_rest += rest * w_pair[p] ** 2
+    c, merged = np.unique(np.concatenate(scaled), return_inverse=True)
+    c, d, rest = nulldist._largest(c, np.bincount(merged, weights=np.concatenate(counts)))
+    return nulldist._cdf_table(c, d, var_rest + rest)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fewest_eigenvalue_table_matches_the_k_100_table(monkeypatch, w_adjacency, family):
+    # the district W's table from 16 eigenvalues and the square sum, and one
+    # pair's from the eigenvalues the test path finds, against the K = 100
+    # table normalised by the values found: the tail past them moves F
+    dist = ReferenceDistribution(family)
+    spectrum = nystrom_eigenvalues(dist, K=100, m=2000)
+    tables, cdf_table = [], nulldist._cdf_table
+    monkeypatch.setattr(nulldist, "_cdf_table",
+                        lambda *a: tables.append(cdf_table(*a)) or tables[-1])
+    for W, tol in ((w_adjacency, 3e-7), (_one_pair_w(), 4e-6)):
+        tables.clear()
+        asymptotic_null(dist, W, n_draws=10, seed=1)
+        asymptotic_null_sample([nystrom_eigenvalues(dist, K=16, m=2000)] * W.n_regions, W,
+                               n_draws=10, seed=1)
+        y_want, F_want = _table_at_the_parent([spectrum] * W.n_regions, W)
+        for y, F in tables:
+            assert np.max(np.abs(np.interp(y_want, y, F) - F_want)) <= tol
+
+
+def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(nulldist, "_top_eigenvalues", no_solve)
+    # K = 100 caps a doubling that starts at 16, within a grid of 50 points
+    for K, m in ((100, 50), (0, 50)):
+        with pytest.raises(InvalidParameterError, match="1 <= K <= m"):
+            asymptotic_null(NORMAL, W2, K=K, m=m)
+    with pytest.raises(EmptyNullError):
+        asymptotic_null(NORMAL, W2, n_draws=0)
 
 
 @pytest.mark.parametrize("T", [1, 2])
