@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10_000)
     # the defaults of the flags that one mode reads are in _DEPENDENT_FLAGS
     p.add_argument("--K", type=int,
-                   help="most eigenvalues --null asym may find (default: 100)")
+                   help="--null asym finds min(K, 16) eigenvalues (default: 100)")
     p.add_argument("--grid", type=int, help="Nystrom grid of --null asym (default: 2000)")
     p.add_argument("--bootstrap", type=int, default=None,
                    help="bootstrap resamples for a CI (omit to skip)")

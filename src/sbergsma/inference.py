@@ -51,7 +51,7 @@ def test_spatial_independence(
     independence, so spatial dependence only moves T * S~_B up and the p-value
     is the add-one share of null samples at or above it (:func:`p_value`).
     ``null_method`` is ``"mc"``, Monte Carlo simulation, or ``"asym"``, the
-    eigenvalue-based asymptotic law from at most ``K`` eigenvalues on an
+    eigenvalue-based asymptotic law from min(``K``, 16) eigenvalues on an
     ``m``-point grid (:func:`asymptotic_null`), as with ``--null``; either is
     built from ``reps`` replicates.  To reuse one null over many panels, build it once
     and call ``p_value(sb_statistic(panel, W).scaled_value, null)``.  The reference

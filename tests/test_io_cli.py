@@ -674,7 +674,7 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     # asymptotic_null itself runs, so its K and grid checks can fail first,
     # but its eigensolve and its draws may not
     monkeypatch.setattr(nulldist, "_top_eigenvalues", no_simulation)
-    monkeypatch.setattr(nulldist, "_draw", no_simulation)
+    monkeypatch.setattr(nulldist, "asymptotic_null_sample", no_simulation)
     # the bootstrap's S~_B values, and the pair cutoff's rho~ values
     monkeypatch.setattr(inference, "sb_values_batch", no_simulation)
     monkeypatch.setattr(inference, "pairwise_kappa", no_simulation)

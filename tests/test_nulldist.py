@@ -572,27 +572,18 @@ def _one_pair_w():
     return ProximityMatrix(w)
 
 
-def test_asymptotic_null_finds_16_eigenvalues_for_the_district_w(monkeypatch, w_adjacency):
-    # the bound on a weight of a value not found, w_max |lam_1 lam_16| / S, is
-    # 0.77 - 0.90 of the 100th kept weight for every family
+def test_asymptotic_null_finds_16_eigenvalues(monkeypatch, w_adjacency, w_chain):
+    # one spectrum of min(16, K) values, whatever W: the square sum counts the rest
     calls = _spectrum_calls(monkeypatch)
     for family in FAMILIES:
         calls.clear()
         asymptotic_null(ReferenceDistribution(family), w_adjacency, n_draws=10, seed=1)
         assert calls == [16]
-
-
-def test_asymptotic_null_finds_more_for_one_pair(monkeypatch):
-    # one pair keeps weights down to lam_40 - lam_48; K caps the doubling
-    calls = _spectrum_calls(monkeypatch)
-    asymptotic_null(NORMAL, _one_pair_w(), n_draws=10, seed=1)
-    assert calls == [16, 32, 64]
-    calls.clear()
-    asymptotic_null(NORMAL, _one_pair_w(), K=40, n_draws=10, seed=1)
-    assert calls == [16, 32, 40]
-    calls.clear()
-    asymptotic_null(NORMAL, _one_pair_w(), K=10, n_draws=10, seed=1)
-    assert calls == [10]
+    for W in (w_chain, _one_pair_w()):
+        for K, want in ((100, [16]), (10, [10]), (40, [16])):
+            calls.clear()
+            asymptotic_null(NORMAL, W, K=K, n_draws=10, seed=1)
+            assert calls == want
 
 
 def _table_at_the_parent(spectra, W):
@@ -614,23 +605,20 @@ def _table_at_the_parent(spectra, W):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_fewest_eigenvalue_table_matches_the_k_100_table(monkeypatch, w_adjacency, family):
-    # the district W's table from 16 eigenvalues and the square sum, and one
-    # pair's from the eigenvalues the test path finds, against the K = 100
+def test_fewest_eigenvalue_table_matches_the_k_100_table(w_adjacency, w_chain, family):
+    # the table from 16 eigenvalues and the square sum against the K = 100
     # table normalised by the values found: the tail past them moves F
     dist = ReferenceDistribution(family)
     spectrum = nystrom_eigenvalues(dist, K=100, m=2000)
-    tables, cdf_table = [], nulldist._cdf_table
-    monkeypatch.setattr(nulldist, "_cdf_table",
-                        lambda *a: tables.append(cdf_table(*a)) or tables[-1])
-    for W, tol in ((w_adjacency, 3e-7), (_one_pair_w(), 4e-6)):
-        tables.clear()
-        asymptotic_null(dist, W, n_draws=10, seed=1)
-        asymptotic_null_sample([nystrom_eigenvalues(dist, K=16, m=2000)] * W.n_regions, W,
-                               n_draws=10, seed=1)
+    few = nystrom_eigenvalues(dist, K=16, m=2000)
+    for W, tol in ((w_adjacency, 3e-7), (w_chain, 3e-7), (_one_pair_w(), 4e-6)):
+        y, F = nulldist._cdf_table(*nulldist._limit_law([few] * W.n_regions, W))
         y_want, F_want = _table_at_the_parent([spectrum] * W.n_regions, W)
-        for y, F in tables:
-            assert np.max(np.abs(np.interp(y_want, y, F) - F_want)) <= tol
+        assert np.max(np.abs(np.interp(y_want, y, F) - F_want)) <= tol
+        # the test path draws this table
+        assert np.array_equal(asymptotic_null(dist, W, n_draws=50, seed=1).samples,
+                              asymptotic_null_sample([few] * W.n_regions, W,
+                                                     n_draws=50, seed=1).samples)
 
 
 def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
@@ -638,7 +626,7 @@ def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
         raise AssertionError("an eigensolve ran")
 
     monkeypatch.setattr(nulldist, "_top_eigenvalues", no_solve)
-    # K = 100 caps a doubling that starts at 16, within a grid of 50 points
+    # K = 100 exceeds a grid of 50 points, though the test finds only 16
     for K, m in ((100, 50), (0, 50)):
         with pytest.raises(InvalidParameterError, match="1 <= K <= m"):
             asymptotic_null(NORMAL, W2, K=K, m=m)
