@@ -572,13 +572,19 @@ def _one_pair_w():
     return ProximityMatrix(w)
 
 
-def test_asymptotic_null_finds_16_eigenvalues(monkeypatch, w_adjacency, w_chain):
-    # one spectrum of min(16, K) values, whatever W: the square sum counts the rest
+def test_asymptotic_null_finds_16_eigenvalues_for_the_district_w(monkeypatch, w_adjacency):
+    # one spectrum of 16 values for every family: the square sum counts the rest
     calls = _spectrum_calls(monkeypatch)
     for family in FAMILIES:
         calls.clear()
         asymptotic_null(ReferenceDistribution(family), w_adjacency, n_draws=10, seed=1)
         assert calls == [16]
+
+
+def test_asymptotic_null_finds_min_16_k_eigenvalues_for_any_w(monkeypatch, w_chain):
+    # a chain and one pair, whose law keeps weights past lam_16, find no more;
+    # a K under 16 caps the one solve
+    calls = _spectrum_calls(monkeypatch)
     for W in (w_chain, _one_pair_w()):
         for K, want in ((100, [16]), (10, [10]), (40, [16])):
             calls.clear()
