@@ -15,7 +15,7 @@ Two generation routes:
   eigenvalues not found still count.  The sum is one law Q, whose CDF is
   tabulated once from its characteristic function up to its truncation
   point, the small weights made one normal (Lindsay, Pilla & Basak 2000);
-  ``asymptotic_null`` draws it from F's 16 leading eigenvalues.
+  ``asymptotic_null`` draws it from F's min(16, K) leading eigenvalues.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ class NullDistribution:
         self.samples.setflags(write=False)
 
 
-def _check_k(K: int, m: int) -> None:
-    if K < 1 or K > m:
-        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
-
-
 def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000) -> EigenSpectrum:
     """Approximate the K leading kernel-operator eigenvalues on an m-point grid.
 
@@ -124,7 +119,8 @@ def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000
     bits.  Lanczos returns fewer than K values only when its Krylov space
     holds no more.  No random numbers are drawn; the spectrum is read-only.
     """
-    _check_k(K, m)
+    if K < 1 or K > m:
+        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
     want = dist.mean_abs_gap() / 2
     x = dist.ppf((np.arange(m) + 0.5) / m)
     s, g0 = x - x[0], dist.mean_abs_from(x) - want
@@ -307,15 +303,14 @@ def asymptotic_null_sample(
 def asymptotic_null(dist: ReferenceDistribution, W: ProximityMatrix, K: int = 100,
                     m: int = 2000, n_draws: int = 10_000, seed: int = 0) -> NullDistribution:
     """:func:`asymptotic_null_sample` with F at every region, from its
-    min(16, K) leading eigenvalues on the m-point grid.  The square sum S of
-    the grid operator counts the values not found through the table's
-    remainder normal: against the K = 100 law, F moves by at most 1.0e-7 on a
-    14-region chain and 2.8e-6 on one pair, the size of the m = 2000 grid's own
-    error and far below the Monte Carlo error of a p-value.
+    min(16, K) leading eigenvalues on the m-point grid, which must hold them.
+    The square sum S of the grid operator counts the values not found through
+    the table's remainder normal: against the K = 100 law, F moves by at most
+    1.0e-7 on a 14-region chain and 2.8e-6 on one pair, the size of the
+    m = 2000 grid's own error and far below the Monte Carlo error of a p-value.
     """
     if n_draws < 1:
         raise EmptyNullError("n_draws must be >= 1")
-    _check_k(K, m)
     spectrum = nystrom_eigenvalues(dist, K=min(_FIRST, K), m=m)
     return asymptotic_null_sample([spectrum] * W.n_regions, W, n_draws, seed)
 

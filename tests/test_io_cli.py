@@ -4,6 +4,7 @@ import codecs
 import csv
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -11,7 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from sbergsma import ProximityMatrix, SpatialPanel, inverse_distance, linear_chain, sb_statistic
+from sbergsma import (
+    ProximityMatrix,
+    ReferenceDistribution,
+    SpatialPanel,
+    inverse_distance,
+    linear_chain,
+    monte_carlo_null,
+    sb_statistic,
+    theta_sweep,
+)
 from sbergsma.cli import main
 from sbergsma.exceptions import (
     DimensionMismatchError,
@@ -28,6 +38,8 @@ from sbergsma.io import (
     load_weights,
     save_acf_table,
     save_panel,
+    save_samples,
+    save_sweep,
     save_weights,
 )
 from sbergsma.rng import stream
@@ -315,6 +327,36 @@ def test_cli_sweep_rows_in_the_order_of_thetas(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert [float(r["theta"]) for r in rows] == [0.5, 0.0, 0.25]
+
+
+def test_cli_readme_study_commands_run_and_match_the_library(tmp_path, monkeypatch):
+    # README gives the paper's studies as sbergsma calls; each runs here at
+    # small sizes, and the sweep and null files hold what the library returns
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("\n## Studies\n", 1)[1].split("\n## ", 1)[0]
+    studies = [shlex.split(line)[1:] for line in section.splitlines()
+               if line.startswith("sbergsma ")]
+    assert sorted({argv[0] for argv in studies}) == ["null", "spectrum", "sweep"]
+    small = {"--T": "10", "--reps": "20", "--grid": "200"}
+    monkeypatch.chdir(tmp_path)
+    for argv in studies:
+        argv = [small.get(flag, value) for flag, value in zip([None, *argv], argv)]
+        assert main(argv) == 0, argv
+        if argv[0] == "spectrum":
+            continue
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        W = row_standardize(linear_chain(int(opts["--linear-chain"])))
+        T, reps, seed = int(opts["--T"]), int(opts["--reps"]), int(opts["--seed"])
+        if argv[0] == "sweep":
+            # the paper's theta grid, the sweep's default
+            save_sweep("want.csv", theta_sweep(opts["--model"].upper(), W,
+                                               [0.0, 0.1, 0.25, 0.5, 0.75, 0.9], T,
+                                               reps=reps, seed=seed))
+        else:
+            save_samples("want.csv", monte_carlo_null(ReferenceDistribution(opts["--dist"]),
+                                                      T, W, reps=reps, seed=seed).samples)
+        with open(opts["-o"]) as got, open("want.csv") as want:
+            assert got.readline().startswith("# meta: ") and got.read() == want.read(), argv
 
 
 def test_cli_weights_edges(tmp_path):
@@ -644,7 +686,7 @@ def test_cli_rejects_flags_the_command_does_not_read(
         # K and the grid are checked before the bootstrap resamples
         *[(["test", "{panel}", "--linear-chain", "4", "--null", "asym", *sizes,
             "--bootstrap", "2000"], "InvalidParameterError")
-          for sizes in (["--K", "0"], ["--grid", "50"], ["--K", "60", "--grid", "0"])],
+          for sizes in (["--K", "0"], ["--grid", "10"], ["--K", "60", "--grid", "0"])],
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
         # unchecked, T = 1 ends in a ZeroDivisionError traceback and T = 2 in a

@@ -631,13 +631,19 @@ def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("an eigensolve ran")
 
-    monkeypatch.setattr(nulldist, "_top_eigenvalues", no_solve)
-    # K = 100 exceeds a grid of 50 points, though the test finds only 16
-    for K, m in ((100, 50), (0, 50)):
-        with pytest.raises(InvalidParameterError, match="1 <= K <= m"):
-            asymptotic_null(NORMAL, W2, K=K, m=m)
-    with pytest.raises(EmptyNullError):
-        asymptotic_null(NORMAL, W2, n_draws=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(nulldist, "_top_eigenvalues", no_solve)
+        # a grid of 10 points cannot hold the 16 eigenvalues the test finds
+        for K, m in ((100, 10), (0, 50)):
+            with pytest.raises(InvalidParameterError, match="1 <= K <= m"):
+                asymptotic_null(NORMAL, W2, K=K, m=m)
+        with pytest.raises(EmptyNullError):
+            asymptotic_null(NORMAL, W2, n_draws=0)
+    # K = 100 exceeds a grid of 50 points, which holds the 16 values the test finds
+    sixteen = nystrom_eigenvalues(NORMAL, K=16, m=50)
+    assert sixteen.eigenvalues.size == 16
+    assert np.array_equal(asymptotic_null(NORMAL, W2, K=100, m=50, n_draws=20, seed=1).samples,
+                          asymptotic_null_sample([sixteen] * 2, W2, n_draws=20, seed=1).samples)
 
 
 @pytest.mark.parametrize("T", [1, 2])
