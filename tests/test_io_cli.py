@@ -19,6 +19,7 @@ from sbergsma import (
     inverse_distance,
     linear_chain,
     monte_carlo_null,
+    nystrom_eigenvalues,
     sb_statistic,
     theta_sweep,
 )
@@ -39,6 +40,7 @@ from sbergsma.io import (
     save_acf_table,
     save_panel,
     save_samples,
+    save_spectrum,
     save_sweep,
     save_weights,
 )
@@ -329,34 +331,49 @@ def test_cli_sweep_rows_in_the_order_of_thetas(tmp_path):
     assert [float(r["theta"]) for r in rows] == [0.5, 0.0, 0.25]
 
 
-def test_cli_readme_study_commands_run_and_match_the_library(tmp_path, monkeypatch):
-    # README gives the paper's studies as sbergsma calls; each runs here at
-    # small sizes, and the sweep and null files hold what the library returns
+def _readme_studies():
+    """The argv of every `sbergsma` line in README's Studies section."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         section = fh.read().split("\n## Studies\n", 1)[1].split("\n## ", 1)[0]
-    studies = [shlex.split(line)[1:] for line in section.splitlines()
-               if line.startswith("sbergsma ")]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("sbergsma ")]
+
+
+def test_cli_readme_studies_cover_sweep_null_and_spectrum():
+    studies = _readme_studies()
     assert sorted({argv[0] for argv in studies}) == ["null", "spectrum", "sweep"]
+    # each study writes its own file
+    outputs = [argv[argv.index("-o") + 1] for argv in studies]
+    assert len(set(outputs)) == len(studies)
+
+
+@pytest.mark.parametrize("argv", _readme_studies(),
+                         ids=lambda argv: argv[argv.index("-o") + 1])
+def test_cli_readme_study_commands_run_and_match_the_library(argv, tmp_path, monkeypatch):
+    # README gives the paper's studies as sbergsma calls; each runs here at
+    # small sizes, and its file holds what the library returns
     small = {"--T": "10", "--reps": "20", "--grid": "200"}
     monkeypatch.chdir(tmp_path)
-    for argv in studies:
-        argv = [small.get(flag, value) for flag, value in zip([None, *argv], argv)]
-        assert main(argv) == 0, argv
-        if argv[0] == "spectrum":
-            continue
-        opts = dict(zip(argv[1::2], argv[2::2]))
+    argv = [small.get(flag, value) for flag, value in zip([None, *argv], argv)]
+    assert main(argv) == 0
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "spectrum":
+        save_spectrum("want.csv", nystrom_eigenvalues(ReferenceDistribution(opts["--dist"]),
+                                                      K=int(opts["--K"]),
+                                                      m=int(opts["--grid"])).eigenvalues)
+    else:
         W = row_standardize(linear_chain(int(opts["--linear-chain"])))
         T, reps, seed = int(opts["--T"]), int(opts["--reps"]), int(opts["--seed"])
-        if argv[0] == "sweep":
-            # the paper's theta grid, the sweep's default
-            save_sweep("want.csv", theta_sweep(opts["--model"].upper(), W,
-                                               [0.0, 0.1, 0.25, 0.5, 0.75, 0.9], T,
-                                               reps=reps, seed=seed))
-        else:
-            save_samples("want.csv", monte_carlo_null(ReferenceDistribution(opts["--dist"]),
-                                                      T, W, reps=reps, seed=seed).samples)
-        with open(opts["-o"]) as got, open("want.csv") as want:
-            assert got.readline().startswith("# meta: ") and got.read() == want.read(), argv
+    if argv[0] == "sweep":
+        # the paper's theta grid, the sweep's default
+        save_sweep("want.csv", theta_sweep(opts["--model"].upper(), W,
+                                           [0.0, 0.1, 0.25, 0.5, 0.75, 0.9], T,
+                                           reps=reps, seed=seed))
+    elif argv[0] == "null":
+        save_samples("want.csv", monte_carlo_null(ReferenceDistribution(opts["--dist"]),
+                                                  T, W, reps=reps, seed=seed).samples)
+    with open(opts["-o"]) as got, open("want.csv") as want:
+        assert got.readline().startswith("# meta: ") and got.read() == want.read()
 
 
 def test_cli_weights_edges(tmp_path):
@@ -689,6 +706,11 @@ def test_cli_rejects_flags_the_command_does_not_read(
           for sizes in (["--K", "0"], ["--grid", "10"], ["--K", "60", "--grid", "0"])],
         (["sweep", "--model", "sar", "--reps", "0", "--linear-chain", "4"],
          "SampleSizeError"),
+        (["null", "--R", "4", "--T", "10", "--reps", "0", "--linear-chain", "4"],
+         "EmptyNullError"),
+        # a one-region W has no pair to weight
+        (["null", "--R", "1", "--T", "10", "--linear-chain", "1"], "SizeError"),
+        (["sweep", "--model", "sar", "--linear-chain", "1"], "SizeError"),
         # unchecked, T = 1 ends in a ZeroDivisionError traceback and T = 2 in a
         # DegenerateRegionError after the whole simulation; T < 3 is the
         # LengthError a panel file with fewer than 3 rows raises
@@ -733,6 +755,21 @@ def test_cli_size_arguments_rejected_before_any_simulation(
     assert json.loads(capsys.readouterr().err)["error_category"] == category
 
 
+@pytest.mark.parametrize("sizes", [["--K", "0"], ["--grid", "0"], ["--K", "60", "--grid", "50"]])
+def test_cli_spectrum_sizes_rejected_before_any_eigensolve(sizes, monkeypatch, tmp_path,
+                                                           capsys):
+    import sbergsma.nulldist as nulldist
+
+    def no_solve(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(nulldist, "_top_eigenvalues", no_solve)
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", *sizes, "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error_category"] == "InvalidParameterError"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("thetas", ["0,abc", "0,,0.5", ""])
 def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -775,7 +812,14 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
         *[([c, *args, "--linear-chain", "3", "--seed", "-1"],
            "argument --seed: must be at least 0, got -1")
           for c, args in (("simulate", ["--model", "sma", "--theta", "0.5"]),
-                          ("sweep", ["--model", "sma"]))],
+                          ("sweep", ["--model", "sma"]), ("test", ["{panel}"]),
+                          ("null", ["--R", "3", "--T", "10"]))],
+        # a family outside the six is a usage error, not an
+        # UnsupportedDistributionError traceback
+        *[([c, *args, "--dist", "cauchy"], "argument --dist: invalid choice: 'cauchy'")
+          for c, args in (("null", ["--R", "3", "--T", "10", "--linear-chain", "3"]),
+                          ("sweep", ["--model", "sma", "--linear-chain", "3"]),
+                          ("spectrum", []))],
         # a negative region count ended in numpy's "negative dimensions" error
         (["weights", "--weights", "{panel}", "--weights-kind", "edges", "--regions", "-3"],
          "argument --regions: must be at least 1, got -3"),
@@ -819,8 +863,9 @@ def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, c
 def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
     out = tmp_path / "out.csv"
     argv = [a.format(panel=panel_file) for a in argv]
+    seeded = argv[0] in ("test", "null") and "--seed" not in argv
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "1"] * (argv[0] in ("test", "null")) + ["-o", str(out)])
+        main(argv + ["--seed", "1"] * seeded + ["-o", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
