@@ -304,21 +304,13 @@ def _output_path(path: str) -> str:
     return path
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="sbergsma",
-        description="Spatial association testing with Bergsma's correlation",
-    )
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="S~_B and the pairwise rho~ matrix")
+def _compute_args(p):
     p.add_argument("panel")
     _add_weight_args(p)
     _add_output(p, required=False)
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("test", help="test spatial pairwise independence")
+
+def _test_args(p):
     p.add_argument("panel")
     _add_weight_args(p)
     _add_dist_args(p)
@@ -339,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     _add_threads(p)
     _add_output(p, required=False)
-    p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("null", help="Monte Carlo null samples of T*S~_B")
+
+def _null_args(p):
     _add_weight_args(p)
     _add_dist_args(p)
     p.add_argument("--R", type=int, required=True)
@@ -350,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     _add_threads(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_null)
 
-    p = sub.add_parser("simulate", help="simulate an SMA/SAR dependent panel")
+
+def _simulate_args(p):
     p.add_argument("--model", choices=("sma", "sar"), required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--T", type=int, default=50)
@@ -360,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p)
     _add_seed(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="S~_B moment summaries over a theta grid")
+
+def _sweep_args(p):
     p.add_argument("--model", choices=("sma", "sar"), required=True)
     p.add_argument("--thetas", type=_float_list, default="0,0.1,0.25,0.5,0.75,0.9")
     p.add_argument("--T", type=int, default=50)
@@ -372,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     _add_threads(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("prewhiten", help="per-region AR(p) residual panel")
+
+def _prewhiten_args(p):
     p.add_argument("panel")
     p.add_argument("--ar", type=_positive_int, default=3)
     p.add_argument("--acf-output", type=_output_path,
@@ -382,20 +374,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acf-lags", type=_non_negative_int,
                    help="lags of --acf-output (default: 10)")
     _add_output(p)
-    p.set_defaults(func=_cmd_prewhiten)
 
-    p = sub.add_parser("weights", help="build and save a proximity matrix")
+
+def _weights_args(p):
     _add_weight_args(p, standardize=False)
     _add_output(p)
-    p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("spectrum", help="Nystrom kernel eigenvalues for one F")
+
+def _spectrum_args(p):
     _add_dist_args(p)
     p.add_argument("--K", type=int, help="eigenvalues (default: 100)")
     p.add_argument("--grid", type=int, help="Nystrom grid (default: 2000)")
     _add_output(p)
-    p.set_defaults(func=_cmd_spectrum)
 
+
+#: each subcommand's handler, help line and the function that adds its arguments
+_COMMANDS = {
+    "compute": (_cmd_compute, "S~_B and the pairwise rho~ matrix", _compute_args),
+    "test": (_cmd_test, "test spatial pairwise independence", _test_args),
+    "null": (_cmd_null, "Monte Carlo null samples of T*S~_B", _null_args),
+    "simulate": (_cmd_simulate, "simulate an SMA/SAR dependent panel", _simulate_args),
+    "sweep": (_cmd_sweep, "S~_B moment summaries over a theta grid", _sweep_args),
+    "prewhiten": (_cmd_prewhiten, "per-region AR(p) residual panel", _prewhiten_args),
+    "weights": (_cmd_weights, "build and save a proximity matrix", _weights_args),
+    "spectrum": (_cmd_spectrum, "Nystrom kernel eigenvalues for one F", _spectrum_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  Its usage
+    line names every subcommand either way, so ``command``'s help and errors
+    read the same."""
+    ap = argparse.ArgumentParser(
+        prog="sbergsma",
+        description="Spatial association testing with Bergsma's correlation",
+    )
+    ap.add_argument("--version", action="version", version=__version__)
+    # the text argparse gives the choices when all are added
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (handler, help_text, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return ap
 
 
@@ -416,7 +438,10 @@ _DEPENDENT_FLAGS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call reads one subcommand's arguments; any argv that does not start
+    # with a subcommand's name (none, --version, -h, an unknown word) gets all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     for flag, reads, when, default in _DEPENDENT_FLAGS:
         dest = flag[2:].replace("-", "_")

@@ -163,13 +163,15 @@ def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
     ``apply``, in decreasing magnitude, by n Lanczos steps.  A step takes the
     three-term recurrence off H q, leaving only rounding-sized parts along the
     basis, then one Gram-Schmidt pass against the whole basis, so no spurious
-    copies of converged values come in.  n = min(m, 2K) doubles, the basis
-    kept and its buffer grown, until the top K Ritz residuals |beta_n s_ni|
-    are <= _RITZ_TOL |theta_1|, or until n = m, where they are exact.  A beta
-    within m eps max|alpha| of 0 means the Krylov space is invariant: the Ritz
-    values found are then eigenvalues, which may be fewer than K.  The start
-    frac(phi a^2) - 1/2 draws nothing and has no symmetry under the grid's
-    reflection, which would hide half the spectrum of a symmetric law."""
+    copies of converged values come in.  n = min(m, 2K) grows by max(1, n/4)
+    steps, so by at least K/2, the basis kept and its buffer grown, until the
+    top K Ritz residuals |beta_n s_ni| are <= _RITZ_TOL |theta_1|, or until
+    n = m, where they are exact: K = 16 on the six laws' m = 2000 grids
+    converges by step 42 and stops at n = 50, where doubling n ran on to 64.
+    A beta within m eps max|alpha| of 0 means the Krylov space is invariant:
+    the Ritz values found are then eigenvalues, which may be fewer than K.
+    The start frac(phi a^2) - 1/2 draws nothing and has no symmetry under the
+    grid's reflection, which would hide half the spectrum of a symmetric law."""
     # the golden ratio's fractional part, (sqrt(5) - 1) / 2
     start = np.mod(np.arange(1.0, m + 1) ** 2 * 0.6180339887498949, 1.0) - 0.5
     basis, alpha, beta, size = np.empty((min(m, 2 * K), m)), [], [], 0.0
@@ -193,8 +195,9 @@ def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
         if (len(alpha) == m or beta[-1] <= tiny * size
                 or not np.any(beta[-1] * np.abs(S[-1, top]) > _RITZ_TOL * abs(theta[top[0]]))):
             return theta[top]
-        grown = np.empty((min(m, 2 * len(basis)), m))
-        grown[:len(basis)] = basis
+        n = len(basis)
+        grown = np.empty((min(m, n + max(1, n // 4)), m))
+        grown[:n] = basis
         basis = grown
 
 
@@ -311,6 +314,9 @@ def asymptotic_null(dist: ReferenceDistribution, W: ProximityMatrix, K: int = 10
     """
     if n_draws < 1:
         raise EmptyNullError("n_draws must be >= 1")
+    # checked here, so the message names the K the caller gave
+    if K < 1 or min(_FIRST, K) > m:
+        raise InvalidParameterError(f"need 1 <= K and min(K, {_FIRST}) <= m, got K={K}, m={m}")
     spectrum = nystrom_eigenvalues(dist, K=min(_FIRST, K), m=m)
     return asymptotic_null_sample([spectrum] * W.n_regions, W, n_draws, seed)
 

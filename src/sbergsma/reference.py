@@ -20,10 +20,10 @@ adaptive quadrature.
 
 Only chi-square needs scipy: its inverse CDF and CDF are the
 ``scipy.special`` forms that ``scipy.stats`` uses, imported where they are
-called.  The normal inverse CDF is the stdlib's ``statistics.NormalDist.inv_cdf``
-(Wichura's AS241, good to about 1e-16 relative), also imported on first use,
-and the normal g_F reads Phi through ``math.erf``; the other inverse CDFs are
-closed forms in numpy.
+called.  The normal inverse CDF is the C routine behind the stdlib's
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241, good to about 1e-16
+relative), called without importing ``statistics``, and the normal g_F reads
+Phi through ``math.erf``; the other inverse CDFs are closed forms in numpy.
 """
 
 from __future__ import annotations
@@ -42,12 +42,23 @@ _ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 def _ndtri(q):
-    """Standard normal quantile, the stdlib's, with -inf and inf at q = 0 and 1."""
-    from statistics import NormalDist
+    """Standard normal quantile, with -inf and inf at q = 0 and 1.
 
+    Inside (0, 1) it is ``_statistics._normal_dist_inv_cdf``, the routine that
+    ``statistics.NormalDist.inv_cdf`` calls, so the bits are the stdlib's
+    without the ``statistics`` import (which loads ``fractions`` and
+    ``decimal``); an interpreter without that module uses ``NormalDist``.
+    """
     x = np.where(q < 0.5, -np.inf, np.inf)
     inner = (q > 0.0) & (q < 1.0)
-    x[inner] = np.frompyfunc(NormalDist().inv_cdf, 1, 1)(q[inner])
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
+
+        x[inner] = np.frompyfunc(NormalDist().inv_cdf, 1, 1)(q[inner])
+    else:
+        x[inner] = np.frompyfunc(_normal_dist_inv_cdf, 3, 1)(q[inner], 0.0, 1.0)
     return x
 
 

@@ -23,7 +23,7 @@ from sbergsma import (
     sb_statistic,
     theta_sweep,
 )
-from sbergsma.cli import main
+from sbergsma.cli import build_parser, main
 from sbergsma.exceptions import (
     DimensionMismatchError,
     DuplicateLabelError,
@@ -770,6 +770,18 @@ def test_cli_spectrum_sizes_rejected_before_any_eigensolve(sizes, monkeypatch, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes,given", [([], "K=100"), (["--K", "20"], "K=20")])
+def test_cli_asym_grid_error_names_the_k_given(sizes, given, panel_file, tmp_path, capsys):
+    # the test finds min(K, 16) eigenvalues; the error named that K, 16
+    out = tmp_path / "out.json"
+    assert main(["test", panel_file, "--linear-chain", "3", "--null", "asym", *sizes,
+                 "--grid", "10", "--cutoff", "0.2", "--seed", "1", "-o", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error_category": "InvalidParameterError",
+                   "message": f"need 1 <= K and min(K, 16) <= m, got {given}, m=10"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("thetas", ["0,abc", "0,,0.5", ""])
 def test_cli_sweep_thetas_that_do_not_parse_are_usage_errors(thetas, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -869,6 +881,34 @@ def test_cli_usage_errors(argv, message, panel_file, tmp_path, capsys):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_SUBCOMMANDS = ("compute", "test", "null", "simulate", "sweep", "prewhiten", "weights",
+                "spectrum")
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in _SUBCOMMANDS), ["bogus"],
+                                  [], ["--version"], ["compute", "p.csv", "--weights"],
+                                  ["test", "p.csv", "--linear-chain", "3", "--foo"]],
+                         ids=lambda argv: " ".join(argv) or "no-word")
+def test_cli_help_and_usage_read_as_the_full_parsers(argv, capsys):
+    # main adds only the arguments of the subcommand that argv names
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = exc.value.code, capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert got == (exc.value.code, capsys.readouterr())
+    assert got[1].out or got[1].err
+
+
+def test_cli_flag_errors_read_as_the_full_parsers(panel_file, capsys):
+    with pytest.raises(SystemExit):
+        main(["test", panel_file, "--linear-chain", "3", "--K", "5"])
+    got = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().error("argument --K: only read with --null asym")
+    assert got == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,name", [

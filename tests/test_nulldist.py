@@ -166,6 +166,17 @@ def test_nystrom_lanczos_matches_full_solve(dist, m):
 
 @pytest.mark.parametrize("m", [400, 401])
 @pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
+def test_nystrom_sixteen_values_match_full_solve(dist, m):
+    # the asymptotic test's K, whose Lanczos stops after at most 50 steps
+    grid = dist.ppf((np.arange(m) + 0.5) / m)
+    full = np.linalg.eigvalsh(dist.kernel(grid[:, None], grid[None, :]) / m)
+    want = full[np.argsort(np.abs(full))[::-1][:16]]
+    got = nystrom_eigenvalues(dist, K=16, m=m).eigenvalues
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * abs(want[0]))
+
+
+@pytest.mark.parametrize("m", [400, 401])
+@pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
 def test_grid_operator_matches_the_kernel_matrix(dist, m):
     grid, s, g0 = _grid(dist, m)
     H = dist.kernel(grid[:, None], grid[None, :]) / m
@@ -175,15 +186,31 @@ def test_grid_operator_matches_the_kernel_matrix(dist, m):
         np.testing.assert_allclose(apply(v), H @ v, rtol=0, atol=1e-15 * np.abs(H).max() * m)
 
 
-def test_lanczos_doubles_its_steps_until_the_ritz_values_converge():
+def test_lanczos_grows_its_steps_by_a_quarter_until_the_ritz_values_converge():
     # evenly spaced eigenvalues converge slowly: 2K = 10 steps are not enough,
-    # and each doubling grows the basis it has, so 320 products in all, where
-    # restarting at each doubling took 10 + 20 + ... + 320 = 630
+    # and n = 10, 12, 15, ..., 235, 293 grows the basis it has, so 293 products
+    # in all; doubling n took 320, and restarting at each doubling 630
     d = np.linspace(1.0, 2.0, 1000)
     steps = []
     lam = nulldist._top_eigenvalues(lambda v: steps.append(1) or d * v, d.size, 5)
     np.testing.assert_allclose(lam, d[::-1][:5], rtol=1e-13, atol=0)
-    assert len(steps) == 320
+    assert len(steps) == 293
+
+
+@pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
+def test_lanczos_finds_the_tests_sixteen_values_in_at_most_50_products(dist, monkeypatch):
+    # every law converges by step 42 on the m = 2000 grid, so n = 32, 40, 50
+    # stops at 50 products, where doubling n ran on to 64
+    products = []
+    grid_operator = nulldist._grid_operator
+
+    def counted(s, g0):
+        apply = grid_operator(s, g0)
+        return lambda v: products.append(1) or apply(v)
+
+    monkeypatch.setattr(nulldist, "_grid_operator", counted)
+    assert nystrom_eigenvalues(dist, K=16, m=2000).eigenvalues.size == 16
+    assert len(products) <= 50
 
 
 def test_lanczos_finds_a_fast_decaying_spectrum():
@@ -633,9 +660,11 @@ def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(nulldist, "_top_eigenvalues", no_solve)
-        # a grid of 10 points cannot hold the 16 eigenvalues the test finds
+        # a grid of 10 points cannot hold the 16 eigenvalues the test finds;
+        # the message names the K given, not the min(16, K) passed on
         for K, m in ((100, 10), (0, 50)):
-            with pytest.raises(InvalidParameterError, match="1 <= K <= m"):
+            with pytest.raises(InvalidParameterError,
+                               match=rf"min\(K, 16\) <= m, got K={K}, m={m}$"):
                 asymptotic_null(NORMAL, W2, K=K, m=m)
         with pytest.raises(EmptyNullError):
             asymptotic_null(NORMAL, W2, n_draws=0)

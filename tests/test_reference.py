@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from sbergsma import ReferenceDistribution, reference
+from sbergsma import ReferenceDistribution, SpatialPanel, reference
 from sbergsma.exceptions import InvalidParameterError, UnsupportedDistributionError
+from sbergsma.io import save_panel
 from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
 
@@ -74,10 +75,22 @@ def test_ppf_matches_scipy_stats(dist):
                                np.array([1e-300, 1e-20, 1 - 1e-16])],
                          ids=["grid-2000", "grid-2^16", "tails"])
 def test_normal_ppf_matches_ndtri(q):
-    # the stdlib's NormalDist.inv_cdf (AS241) against the Cephes ndtri that
+    # the stdlib's normal quantile (AS241) against the Cephes ndtri that
     # scipy.stats.norm uses
     np.testing.assert_allclose(ReferenceDistribution("normal").ppf(q), special.ndtri(q),
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("q", [(np.arange(2000) + 0.5) / 2000,
+                               (np.arange(2**16) + 0.5) / 2**16,
+                               np.array([5e-324, 1e-300, 1e-20, 1 - 1e-16])],
+                         ids=["grid-2000", "grid-2^16", "tails"])
+def test_normal_ppf_is_normal_dist_inv_cdf_bit_for_bit(q):
+    # the C routine is called without the statistics import, on the same bits
+    from statistics import NormalDist
+
+    want = np.array([NormalDist().inv_cdf(p) for p in q])
+    assert np.array_equal(ReferenceDistribution("normal").ppf(q), want)
 
 
 _SUPPORT = {"normal": (-np.inf, np.inf), "uniform": (0.0, 1.0), "exponential": (0.0, np.inf),
@@ -147,10 +160,21 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
 
 
 def test_cli_import_loads_neither_statistics_nor_scipy():
-    # the normal quantile imports statistics on first use, so a run that never
-    # calls it does not pay for the import
     code = f"import sys, sbergsma.cli; print('statistics' in sys.modules, {_SCIPY_LOADED})"
     assert _python(code) == "False []"
+
+
+def test_asymptotic_test_run_loads_neither_statistics_fractions_nor_decimal(tmp_path):
+    # the normal quantile calls the C routine behind NormalDist.inv_cdf; the
+    # statistics module it sits in imports fractions and decimal, 2.3 ms
+    panel = str(tmp_path / "panel.csv")
+    save_panel(panel, SpatialPanel(stream(1).standard_normal((20, 3))))
+    argv = ["test", panel, "--linear-chain", "3", "--null", "asym", "--reps", "20",
+            "--cutoff", "0.2", "--seed", "1", "-o", str(tmp_path / "out.json")]
+    code = ("import sys; from sbergsma.cli import main; "
+            f"print(main({argv!r}), [m for m in ('statistics', 'fractions', 'decimal') "
+            "if m in sys.modules])")
+    assert _python(code) == "0 []"
 
 
 def test_monte_carlo_null_run_loads_no_scipy(tmp_path):
