@@ -5,6 +5,10 @@ correlation between all region pairs of a time-by-region panel, aggregated
 through a spatial proximity matrix, with Monte Carlo and eigenvalue-based
 asymptotic null distributions, SAR/SMA dependence simulators, bootstrap
 confidence intervals, and AR pre-whitening for temporally dependent panels.
+
+Every record exported here but ReferenceDistribution holds arrays, directly
+or through another record, and compares and hashes by identity: an array
+has no single truth value, so field-by-field equality could only raise.
 """
 
 __version__ = "0.1.0"

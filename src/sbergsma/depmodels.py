@@ -40,7 +40,7 @@ def _spectral_radius(W: ProximityMatrix) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(W.weights))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependenceSpec:
     """Model family, dependence strength and ingredients of one simulator."""
 
@@ -136,7 +136,7 @@ def simulate_panel(spec: DependenceSpec, T: int, seed: int = 0) -> SpatialPanel:
     return SpatialPanel(y, spec.W.region_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Per-theta S~_B samples and moment summaries from a sweep, each dict keyed
     by theta in the order the thetas were given."""

@@ -20,7 +20,7 @@ _CUTOFF_BLOCK = 2000
 _REDRAWS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestReport:
     """Everything Table-1-style reporting needs for one panel/W test, and none
     of its inputs, such as the CI level or the null method: the caller has them."""

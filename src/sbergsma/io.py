@@ -42,8 +42,9 @@ _FMT = "%.17g"
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via temp-file + rename; never leaves partial files.
 
-    A new file gets the mode ``open(path, "w")`` would give it, 0o666 less
-    the umask; a replaced file keeps its mode.
+    The text is written as UTF-8, the encoding every loader reads, whatever
+    the locale.  A new file gets the mode ``open(path, "w")`` would give it,
+    0o666 less the umask; a replaced file keeps its mode.
     """
     if not path:
         raise OutputPathError("the output path is empty")
@@ -55,7 +56,7 @@ def atomic_write_text(path: str, text: str) -> None:
     # exclusive, like tempfile.mkstemp, but created 0o666 so the umask applies
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         if os.path.isfile(path):
             shutil.copymode(path, tmp)

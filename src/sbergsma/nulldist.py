@@ -61,7 +61,7 @@ _TABLE = 2**14
 _TRUNC_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSpectrum:
     """Leading eigenvalues of the population kernel operator for one F, and
     the square sum of its whole spectrum, by default that of the values given."""
@@ -90,7 +90,7 @@ class EigenSpectrum:
                                    f"its eigenvalues' {found!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullDistribution:
     """Sampled law of T * S~_B under the independence null.  ``meta`` holds only
     diagnostics the draw computed, not the arguments it was drawn from."""

@@ -42,9 +42,10 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     """Generator for the stream identified by ``(seed, *ids)``.
 
     The same arguments always yield the same stream, independent of call
-    order and worker count.  Every draw checks its seed here: an integer >= 0.
+    order and worker count.  Every draw checks its seed here: an integer >= 0,
+    and not a bool.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameterError(f"seed must be an integer of at least 0, got {seed!r}")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))

@@ -12,7 +12,6 @@ symmetrization.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .exceptions import (
 from .weights import ProximityMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialPanel:
     """T x R matrix of observations; rows are time points, columns regions."""
 
@@ -61,7 +60,7 @@ class SpatialPanel:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SBResult:
     """Value of S~_B plus the full pairwise rho~ matrix; S0 and whether W is
     row-standardized are read from W itself."""
@@ -137,6 +136,10 @@ def replicate_values(values, n: int, row_bytes: int, n_jobs: int = 1) -> np.ndar
     if workers <= 1:
         parts = list(map(values, starts, ends))
     else:
+        # imported here: it loads logging, queue and traceback, which a
+        # one-thread call never uses
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             parts = list(pool.map(values, starts, ends))

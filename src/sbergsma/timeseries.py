@@ -21,7 +21,7 @@ from .exceptions import (
 from .statistic import SpatialPanel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ARFit:
     """One region's AR(p) fit: intercept-first coefficients and residuals."""
 

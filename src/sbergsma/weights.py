@@ -20,7 +20,7 @@ from .exceptions import (
 _ROWSUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProximityMatrix:
     """Nonnegative R x R weight matrix with zero diagonal.
 

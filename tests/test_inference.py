@@ -411,11 +411,12 @@ def test_independence_rho_quantile_rejects_zero_sims():
             independence_rho_quantile(T, n_sim=10)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False])
 @pytest.mark.parametrize("entry", ["monte_carlo_null", "bootstrap_ci", "asymptotic_null_sample",
                                    "asymptotic_null"])
 def test_bad_seed_is_an_invalid_parameter(entry, seed, w5):
-    # numpy raised its own ValueError for -1 and a TypeError for 1.5
+    # numpy raised its own ValueError for -1 and a TypeError for 1.5, and
+    # took True as seed 1 and False as seed 0
     panel = SpatialPanel(stream(13).standard_normal((20, 5)))
     spectrum = nystrom_eigenvalues(NORMAL, K=60, m=800)
     call = {

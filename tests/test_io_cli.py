@@ -405,6 +405,21 @@ def test_cli_prewhiten(tmp_path):
     assert len(acf_lines) == 8
 
 
+def test_cli_prewhiten_writes_utf8_labels_under_the_c_locale(tmp_path):
+    # the output's encoding was the locale's, so an ASCII locale raised a
+    # UnicodeEncodeError traceback and a Latin-1 one wrote a file no loader reads
+    panel = tmp_path / "p.csv"
+    save_panel(str(panel), SpatialPanel(stream(6).standard_normal((40, 3)),
+                                        ("Zürich", "Genève", "Bern")))
+    out = tmp_path / "resid.csv"
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    run = subprocess.run([sys.executable, "-m", "sbergsma.cli", "prewhiten", str(panel),
+                          "--ar", "1", "-o", str(out)], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert load_panel(str(out)).region_labels == ("Zürich", "Genève", "Bern")
+
+
 def test_cli_spectrum(tmp_path):
     out = tmp_path / "spec.csv"
     rc = main([

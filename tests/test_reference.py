@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import sbergsma
 from sbergsma import ReferenceDistribution, SpatialPanel, reference
 from sbergsma.exceptions import InvalidParameterError, UnsupportedDistributionError
 from sbergsma.io import save_panel
@@ -206,6 +207,59 @@ def test_bootstrap_test_loads_no_numpy_ma(tmp_path):
     code = ("import sys, numpy; bare = 'numpy.ma' in sys.modules; from sbergsma.cli import main; "
             f"print(main({argv!r}), bare or 'numpy.ma' not in sys.modules)")
     assert _python(code) == "0 True"
+
+
+#: the thread pool and three of the modules it loads
+_POOL = ("concurrent.futures", "logging", "queue", "traceback")
+_POOL_MODULES = f"[m for m in {_POOL!r} if m in sys.modules]"
+
+
+def test_one_thread_bootstrap_test_loads_no_thread_pool(tmp_path):
+    panel = str(tmp_path / "panel.csv")
+    save_panel(panel, SpatialPanel(stream(1).standard_normal((20, 3))))
+    argv = ["test", panel, "--linear-chain", "3", "--null", "mc", "--reps", "20",
+            "--bootstrap", "200", "--cutoff-sims", "200", "--threads", "1", "--seed", "1",
+            "-o", str(tmp_path / "out.json")]
+    code = f"import sys; from sbergsma.cli import main; print(main({argv!r}), {_POOL_MODULES})"
+    assert _python(code) == "0 []"
+
+
+def test_two_thread_null_loads_the_pool_and_writes_the_one_thread_bytes(tmp_path):
+    # 20 replicates on 2 threads are two ranges of 10; with one usable core
+    # they are one range on the calling thread
+    argv = ["null", "--linear-chain", "3", "--R", "3", "--T", "10", "--reps", "20", "--seed", "1"]
+    outs = [tmp_path / f"null{n}.csv" for n in (1, 2)]
+    code = ("import sys; from sbergsma.cli import main; "
+            f"print(main({argv + ['--threads', '1', '-o', str(outs[0])]!r}), {_POOL_MODULES}); "
+            f"print(main({argv + ['--threads', '2', '-o', str(outs[1])]!r}), {_POOL_MODULES})")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _python(code) == f"0 []\n0 {list(_POOL) if cores > 1 else []}"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_array_records_compare_and_hash_by_identity():
+    W = sbergsma.linear_chain(3)
+    panel = SpatialPanel(stream(1).standard_normal((10, 3)))
+    sb = sbergsma.sb_statistic(panel, W)
+    records = {
+        sbergsma.ProximityMatrix: lambda: sbergsma.ProximityMatrix(W.weights),
+        SpatialPanel: lambda: SpatialPanel(panel.data),
+        sbergsma.SBResult: lambda: sbergsma.sb_statistic(panel, W),
+        sbergsma.DependenceSpec: lambda: sbergsma.DependenceSpec("SMA", 0.2, W),
+        sbergsma.SweepResult: lambda: sbergsma.theta_sweep("SMA", W, [0.0], T=10, reps=4),
+        sbergsma.EigenSpectrum: lambda: sbergsma.EigenSpectrum(np.array([1.0, 0.5])),
+        sbergsma.NullDistribution: lambda: sbergsma.NullDistribution(np.array([1.0, 2.0])),
+        sbergsma.TestReport: lambda: sbergsma.TestReport(sb, 0.5, None, {}),
+        sbergsma.ARFit: lambda: sbergsma.ARFit(np.array([0.0, 0.5]), np.zeros(5)),
+    }
+    for cls, build in records.items():
+        # field-by-field == raised on the arrays' truth value, and hash() a TypeError
+        assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__), cls
+        a, b = build(), build()
+        assert type(a) is cls and a == a and a != b and len({a, a, b}) == 2
+    normal = ReferenceDistribution("normal")
+    assert normal == ReferenceDistribution("normal") != ReferenceDistribution("uniform")
+    assert hash(normal) == hash(ReferenceDistribution("normal"))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
