@@ -68,12 +68,10 @@ def test_spatial_independence(
     if ci_resamples is not None:
         _check_bootstrap(ci_resamples, ci_level)
     sb = sb_statistic(panel, W)
-    # the asymptotic null, which checks K and m, comes before the bootstrap;
-    # each draw builds its own generators, so the order changes no value (the
-    # bootstrap and the Monte Carlo null read the same stream(seed, r), so they
-    # are not independent; the asymptotic null reads stream(seed): see rng)
     if null_method == "asym":
         null = asymptotic_null(null_dist, W, K=K, m=m, n_draws=reps, seed=seed)
+    else:
+        null = monte_carlo_null(null_dist, panel.n_time, W, reps=reps, seed=seed, n_jobs=n_jobs)
     ci = None
     notes = []
     if ci_resamples is not None:
@@ -82,9 +80,6 @@ def test_spatial_independence(
         ci = (lo, hi)
         if not (lo <= sb.value <= hi):
             notes.append("percentile CI excludes the point estimate")
-    if null_method == "mc":
-        null = monte_carlo_null(null_dist, panel.n_time, W, reps=reps, seed=seed,
-                                n_jobs=n_jobs)
     if not W.standardized:
         notes.append("W not row-standardized; S0 taken as the raw weight sum")
     return TestReport(

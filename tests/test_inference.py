@@ -1,6 +1,7 @@
 """Inference workflow tests: independence test, bootstrap CI, pair screen."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,21 +214,34 @@ def test_small_bootstrap_gives_each_thread_a_range(monkeypatch, w5):
     assert batches == [100, 100]
 
 
+def _peak_bytes(run):
+    """Peak memory that tracemalloc sees while ``run()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_bootstrap_memory_does_not_grow_with_B():
     # the resamples are held a range at a time; one array of all B of them
     # grows by T * R * 8 bytes per resample, 8 MiB from B = 500 to 2000
-    import tracemalloc
-
     panel = SpatialPanel(stream(34).standard_normal((50, 14)))
     W = row_standardize(linear_chain(14))
-    peaks = []
-    for B in (500, 2000):
-        tracemalloc.start()
-        try:
-            bootstrap_ci(panel, W, B=B, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_peak_bytes(lambda: bootstrap_ci(panel, W, B=B, seed=1)) for B in (500, 2000)]
+    assert peaks[1] - peaks[0] < 2**20
+
+
+@pytest.mark.parametrize("loop", [
+    lambda T: monte_carlo_null(NORMAL, T, row_standardize(linear_chain(14)), reps=100, seed=1),
+    lambda T: independence_rho_quantile(T, n_sim=500, seed=1),
+], ids=["null", "cutoff"])
+def test_replicate_loop_memory_does_not_grow_with_T(loop):
+    # one byte budget sizes every range and cutoff slice, so the peaks grow
+    # 0.4 and 0.2 MiB; drawing the cutoff's 500 pairs whole grew 1.3 MiB, and
+    # null ranges of up to 200 replicates 3.7 MiB
+    peaks = [_peak_bytes(lambda: loop(T)) for T in (100, 400)]
     assert peaks[1] - peaks[0] < 2**20
 
 
