@@ -114,8 +114,7 @@ def pairwise_kappa(data) -> np.ndarray:
     """All-pairs kappa~ (..., R, R) of (..., T, R) panels, group by group, tile by tile."""
     data = np.asarray(data, dtype=float)
     *lead, T, R = data.shape
-    if T < 2:
-        raise LengthError(f"series length {T} < required 2")
+    check_time_points(T)
     X = data.reshape(-1, T, R)
     P, K = len(X), T // 2
     n = min(K, batch_rows(R * T * X.itemsize))  # offsets per tile
@@ -177,5 +176,4 @@ def rho_tilde(x, y) -> float:
     y = _validated_series(y)
     if x.size != y.size:
         raise DimensionMismatchError(f"series lengths differ: {x.size} vs {y.size}")
-    check_time_points(x.size)
     return float(rho_from_kappa(pairwise_kappa(np.column_stack([x, y])), ("x", "y"))[0, 1])

@@ -167,7 +167,7 @@ def _top_eigenvalues(apply, m: int, K: int) -> np.ndarray:
     steps, so by at least K/2, the basis kept and its buffer grown, until the
     top K Ritz residuals |beta_n s_ni| are <= _RITZ_TOL |theta_1|, or until
     n = m, where they are exact: K = 16 on the six laws' m = 2000 grids
-    converges by step 42 and stops at n = 50, where doubling n ran on to 64.
+    converges by step 42 and stops at n = 50.
     A beta within m eps max|alpha| of 0 means the Krylov space is invariant:
     the Ritz values found are then eigenvalues, which may be fewer than K.
     The start frac(phi a^2) - 1/2 draws nothing and has no symmetry under the

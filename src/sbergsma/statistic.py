@@ -23,7 +23,7 @@ from .exceptions import (
     NonFiniteError,
     SizeError,
 )
-from .weights import ProximityMatrix
+from .weights import ProximityMatrix, labels_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +42,9 @@ class SpatialPanel:
             raise SizeError(f"need R >= 2 regions, got {d.shape[1]}")
         if not np.all(np.isfinite(d)):
             raise NonFiniteError("panel contains NaN or infinite values")
-        labels = self.region_labels or tuple(f"R{i+1}" for i in range(d.shape[1]))
-        if len(labels) != d.shape[1]:
-            raise DimensionMismatchError(
-                f"{len(labels)} labels for {d.shape[1]} regions"
-            )
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "region_labels", tuple(labels))
+        object.__setattr__(self, "region_labels", labels_for(self.region_labels, d.shape[1]))
 
     @property
     def n_time(self) -> int:
@@ -105,10 +100,8 @@ def sb_values_batch(panels: np.ndarray, W: ProximityMatrix) -> np.ndarray:
     X = np.asarray(panels, dtype=float)
     if X.ndim != 3:
         raise DimensionMismatchError(f"panels must be a 3-d (B, T, R) stack, got {X.shape}")
-    _, T, R = X.shape
-    check_time_points(T)
-    if W.n_regions != R:
-        raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {R}")
+    if W.n_regions != X.shape[2]:
+        raise DimensionMismatchError(f"W has {W.n_regions} regions, panels have {X.shape[2]}")
     return _weighted_average(rho_from_kappa(pairwise_kappa(X)), W)
 
 

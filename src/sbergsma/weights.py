@@ -20,12 +20,21 @@ from .exceptions import (
 _ROWSUM_TOL = 1e-12
 
 
+def labels_for(labels, n: int) -> tuple[str, ...]:
+    """The labels of n regions: ``labels``, or R1..Rn if none are given."""
+    labels = tuple(labels or (f"R{i+1}" for i in range(n)))
+    if len(labels) != n:
+        raise DimensionMismatchError(f"{len(labels)} labels for {n} regions")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class ProximityMatrix:
     """Nonnegative R x R weight matrix with zero diagonal.
 
-    ``standardized`` records whether every row sums to one.  The matrix is
-    immutable once built.
+    ``standardized`` is whether every row sums to 1 within ``_ROWSUM_TOL``,
+    however W was built; passing ``standardized=True`` asserts it.  The
+    matrix is immutable once built.
     """
 
     weights: np.ndarray
@@ -47,18 +56,14 @@ class ProximityMatrix:
             raise SelfLoopError(f"nonzero diagonal entry w[{i},{i}]")
         if not w.any():
             raise IsolatedRegionError("W has no nonzero weight, so S0 = 0")
-        labels = self.region_labels or tuple(f"R{i+1}" for i in range(w.shape[0]))
-        if len(labels) != w.shape[0]:
-            raise DimensionMismatchError(
-                f"{len(labels)} labels for {w.shape[0]} regions"
-            )
+        labels = labels_for(self.region_labels, w.shape[0])
+        standardized = bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= _ROWSUM_TOL))
+        if self.standardized and not standardized:
+            raise IsolatedRegionError("standardized W has rows not summing to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "region_labels", tuple(labels))
-        if self.standardized:
-            sums = w.sum(axis=1)
-            if not np.allclose(sums, 1.0, rtol=0, atol=_ROWSUM_TOL):
-                raise IsolatedRegionError("standardized W has rows not summing to 1")
+        object.__setattr__(self, "region_labels", labels)
+        object.__setattr__(self, "standardized", standardized)
 
     @property
     def n_regions(self) -> int:
@@ -100,7 +105,7 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
         raise DuplicatePointError(f"regions {i+1} and {j+1} share coordinates")
     w = np.zeros_like(d)
     w[off] = 1.0 / d[off]
-    return ProximityMatrix(w, tuple(labels) if labels else ())
+    return ProximityMatrix(w, labels)
 
 
 def linear_chain(R: int) -> ProximityMatrix:
@@ -121,4 +126,4 @@ def row_standardize(W: ProximityMatrix) -> ProximityMatrix:
     if isolated.size:
         names = ", ".join(W.region_labels[i] for i in isolated)
         raise IsolatedRegionError(f"cannot standardize: zero-weight rows for {names}")
-    return ProximityMatrix(w / sums[:, None], W.region_labels, standardized=True)
+    return ProximityMatrix(w / sums[:, None], W.region_labels)

@@ -7,6 +7,7 @@ import pytest
 
 from sbergsma import (
     DependenceSpec,
+    ProximityMatrix,
     ReferenceDistribution,
     SpatialPanel,
     linear_chain,
@@ -63,6 +64,27 @@ def test_sar_admissibility_bounds(w_chain6):
         DependenceSpec("SAR", -1.2, w_chain6)
     # SMA has no such restriction
     DependenceSpec("SMA", 1.5, w_chain6)
+
+
+def test_sar_bound_of_an_unstandardized_w_is_its_eigenvalue_radius():
+    # the raw chain of 3 has spectral radius sqrt(2)
+    W = linear_chain(3)
+    DependenceSpec("SAR", 0.70, W)
+    with pytest.raises(InvalidParameterError, match=r"= 0\.707107, got theta = 0\.71$"):
+        DependenceSpec("SAR", 0.71, W)
+
+
+def test_sar_bound_of_a_row_stochastic_w_needs_no_eigensolve(monkeypatch):
+    def no_eigensolve(*args, **kw):
+        raise AssertionError("eigenvalues were computed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
+    # built without row_standardize, W reads as standardized from its rows
+    W = ProximityMatrix(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.75, 0.0]]))
+    assert W.standardized
+    DependenceSpec("SAR", 0.99, W)
+    with pytest.raises(InvalidParameterError, match=r"= 1, got theta = 1\.0$"):
+        DependenceSpec("SAR", 1.0, W)
 
 
 @pytest.mark.parametrize("path", ["simulate_panel", "theta_sweep"])

@@ -4,6 +4,7 @@ import codecs
 import csv
 import json
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -35,6 +36,7 @@ from sbergsma.exceptions import (
     SelfLoopError,
 )
 from sbergsma.io import (
+    atomic_write_text,
     load_panel,
     load_weights,
     save_acf_table,
@@ -100,6 +102,23 @@ def test_dense_weight_errors(tmp_path):
     bad.write_text("0,1\n1,0,1\n")
     with pytest.raises(RaggedRowError, match="row 2"):
         load_weights(str(bad))
+
+
+@pytest.mark.parametrize("kind,text,match", [
+    ("dense", "# only a comment\n", "empty weight matrix"),
+    ("edges", "1,2\n2,3,4\n", r"row 2: expected 'i,j', got '2,3,4'$"),
+    ("edges", "", "empty edge list and no region count given"),
+    ("coords", "A,0\n", r"row 1: expected 'label,x,y'$"),
+    ("coords", "name,lon,lat\n", "no coordinate rows"),
+    ("bogus", "0,1\n1,0\n", r"^unknown weights kind 'bogus'$"),
+], ids=["empty-dense", "edge-of-three", "empty-edges", "coord-of-two", "coords-header-only",
+        "unknown-kind"])
+def test_weight_loaders_reject_malformed_files(kind, text, match, tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match) as err:
+        load_weights(str(path), kind)
+    assert type(err.value) is ParseError
 
 
 @pytest.mark.parametrize("source", ["dense", "edges", "ProximityMatrix"])
@@ -215,7 +234,7 @@ def test_cli_compute_writes_s0_and_standardization_of_w(flag, s0, standardized, 
     assert main(["compute", panel_file, "--linear-chain", "3", *flag]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["s0"] == s0
-    # W is row-standardized exactly when the configuration says so: no second copy
+    # the configuration records the flag, and s0 the W it gave: no second copy
     assert "standardized_w" not in payload
     assert payload["meta"]["config"]["standardize"] is standardized
 
@@ -233,6 +252,17 @@ def test_cli_compute_overflow_is_one_json_line(tmp_path):
     assert run.stdout == ""
     line, = run.stderr.splitlines()
     assert json.loads(line)["error_category"] == "NonFiniteError"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cli_compute_rejects_a_non_finite_panel_cell(cell, tmp_path, capsys):
+    panel = tmp_path / "p.csv"
+    panel.write_text(f"A,B,C\n1,2,3\n4,{cell},6\n7,8,0\n")
+    out = tmp_path / "out.json"
+    assert main(["compute", str(panel), "--linear-chain", "3", "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error_category": "NonFiniteError", "message": "panel contains NaN or infinite values"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -274,6 +304,35 @@ def test_cli_test_rerun_byte_identical(tmp_path, capsys):
     payload = json.loads(first)
     assert 0 < payload["p_value"] <= 1
     assert payload["meta"]["config"]["reps"] == 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["null", "--R", "3", "--T", "10", "--reps", "20", "--linear-chain", "3"],
+    ["test", "{panel}", "--linear-chain", "3", "--reps", "20", "--cutoff", "0.2"],
+], ids=["null", "test"])
+def test_cli_fresh_seed_is_printed_and_reruns_to_the_same_bytes(argv, panel_file, tmp_path,
+                                                               capsys):
+    argv = [a.format(panel=panel_file) for a in argv]
+    fresh, again = tmp_path / "fresh.out", tmp_path / "again.out"
+    assert main([*argv, "-o", str(fresh)]) == 0
+    seed = re.fullmatch(r"seed: (\d+)\n", capsys.readouterr().err).group(1)
+    assert main([*argv, "--seed", seed, "-o", str(again)]) == 0
+    assert capsys.readouterr().err == ""
+    assert again.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("rows,notes", [
+    ("0,0.5,0.5\n1,0,0\n0.25,0.75,0\n", []),
+    ("0,1,0\n1,0,1\n0,1,0\n", ["W not row-standardized; S0 taken as the raw weight sum"]),
+], ids=["rows-sum-to-1", "raw-chain"])
+def test_cli_test_notes_w_not_row_standardized_from_its_rows(rows, notes, panel_file, tmp_path):
+    # --no-standardize leaves W as read, so its rows decide the note
+    w = tmp_path / "w.csv"
+    w.write_text(rows)
+    out = tmp_path / "report.json"
+    assert main(["test", panel_file, "--weights", str(w), "--no-standardize", "--reps", "20",
+                 "--cutoff", "0.2", "--seed", "1", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["notes"] == notes
 
 
 def test_cli_simulate_then_compute_matches_library(tmp_path, capsys):
@@ -1174,6 +1233,16 @@ def test_writers_refuse_a_path_that_is_not_a_regular_file(target, tmp_path):
     mode = path.stat().st_mode
     assert stat.S_ISFIFO(mode) if target == "fifo" else stat.S_ISDIR(mode)
     assert [p.name for p in tmp_path.iterdir()] == [target]
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "w.csv"
+    out.write_bytes(b"old\n")
+    # a lone surrogate has no UTF-8 encoding
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(out), "x\udc80")
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)

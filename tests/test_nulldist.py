@@ -200,7 +200,7 @@ def test_lanczos_grows_its_steps_by_a_quarter_until_the_ritz_values_converge():
 @pytest.mark.parametrize("dist", ALL_LAWS, ids=str)
 def test_lanczos_finds_the_tests_sixteen_values_in_at_most_50_products(dist, monkeypatch):
     # every law converges by step 42 on the m = 2000 grid, so n = 32, 40, 50
-    # stops at 50 products, where doubling n ran on to 64
+    # stops at 50 products
     products = []
     grid_operator = nulldist._grid_operator
 

@@ -124,6 +124,18 @@ def test_panel_validation():
         SpatialPanel(np.zeros((2, 3)))
     with pytest.raises(SizeError):
         SpatialPanel(np.zeros((5, 1)))
+    with pytest.raises(DimensionMismatchError, match="2-d"):
+        SpatialPanel(np.zeros(5))
+
+
+@pytest.mark.parametrize("record", [lambda labels: SpatialPanel(np.eye(4)[:, :3], labels),
+                                    lambda labels: ProximityMatrix(1 - np.eye(3), labels)],
+                         ids=["SpatialPanel", "ProximityMatrix"])
+def test_panel_and_w_label_their_regions_alike(record):
+    assert record(()).region_labels == ("R1", "R2", "R3")
+    assert record(["a", "b", "c"]).region_labels == ("a", "b", "c")
+    with pytest.raises(DimensionMismatchError, match=r"^2 labels for 3 regions$"):
+        record(("a", "b"))
 
 
 def test_panel_leaves_the_callers_array_writable():
@@ -182,7 +194,8 @@ def test_batch_bitwise_independent_of_split(monkeypatch):
 @pytest.mark.parametrize(
     "shape,error",
     [((2, 1, 3), LengthError), ((2, 2, 3), LengthError),
-     ((5, 3), DimensionMismatchError), ((1, 2, 5, 3), DimensionMismatchError)],
+     ((5, 3), DimensionMismatchError), ((1, 2, 5, 3), DimensionMismatchError),
+     ((2, 5, 4), DimensionMismatchError), ((2, 0, 3), LengthError)],
 )
 def test_batch_rejects_bad_shapes(shape, error):
     with pytest.raises(error):

@@ -11,6 +11,7 @@ from sbergsma import (
     row_standardize,
 )
 from sbergsma.exceptions import (
+    DimensionMismatchError,
     DuplicatePointError,
     IsolatedRegionError,
     NegativeWeightError,
@@ -59,6 +60,8 @@ def test_inverse_distance_examples():
         inverse_distance(pts, ["A", "B", "C", "D"])
     with pytest.raises(NonFiniteError, match=r"region\(s\) 3, 4$"):
         inverse_distance(pts)
+    with pytest.raises(DimensionMismatchError, match=r"R x 2 coordinates, got \(2, 3\)$"):
+        inverse_distance([(0, 0, 0), (1, 1, 1)])
 
 
 def test_linear_chain_examples():
@@ -136,6 +139,27 @@ def test_negative_weight_rejected():
 def test_all_zero_weights_rejected():
     with pytest.raises(IsolatedRegionError, match="S0 = 0"):
         ProximityMatrix(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("w,kw,error,match", [
+    ([[0.0]], {}, SizeError, "at least 2 regions, got 1"),
+    ([[0.0, np.inf], [1.0, 0.0]], {}, NonFiniteError, "non-finite"),
+    ([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.9, 0.0]], {"standardized": True},
+     IsolatedRegionError, "rows not summing to 1"),
+], ids=["1x1", "inf", "row-off-1"])
+def test_invalid_w_rejected(w, kw, error, match):
+    with pytest.raises(error, match=match):
+        ProximityMatrix(np.array(w), **kw)
+
+
+@pytest.mark.parametrize("flag", [{}, {"standardized": False}, {"standardized": True}])
+def test_standardized_is_read_from_the_rows(flag):
+    # rows within 1e-12 of 1 count as standardized, however W was built
+    w = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.75, 0.0]])
+    w[0, 1] += 5e-13
+    assert ProximityMatrix(w, **flag).standardized
+    w[0, 1] += 1e-12
+    assert not ProximityMatrix(w).standardized
 
 
 def test_weights_leave_the_callers_array_writable():
