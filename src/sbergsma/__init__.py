@@ -9,6 +9,8 @@ confidence intervals, and AR pre-whitening for temporally dependent panels.
 Every record exported here but ReferenceDistribution holds arrays, directly
 or through another record, and compares and hashes by identity: an array
 has no single truth value, so field-by-field equality could only raise.
+Records hold read-only float64 copies of the arrays given, so lists work and
+no caller's array is frozen; a count is an integer, not a bool, >= its bound.
 """
 
 __version__ = "0.1.0"

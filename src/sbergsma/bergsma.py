@@ -37,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import (
     DegenerateRegionError,
     DimensionMismatchError,
+    InvalidParameterError,
     LengthError,
     NonFiniteError,
 )
@@ -58,19 +59,28 @@ def batch_rows(row_bytes: int) -> int:
     return max(1, _BATCH_BYTES // row_bytes)
 
 
-def _validated_series(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-d series, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError("series contains NaN or infinite values")
-    return z
+def frozen_array(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, ``ndim``-d and finite: the one way a
+    record takes an array, so a list is accepted and no caller's array is frozen."""
+    a = np.array(values, dtype=float)
+    if a.ndim != ndim:
+        raise DimensionMismatchError(f"{what} must be {ndim}-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"{what} contains NaN or infinite values")
+    a.setflags(write=False)
+    return a
+
+
+def check_count(value, name: str, least: int, error=InvalidParameterError) -> None:
+    """The one check of a count argument: an integer, a numpy one too but not a bool,
+    of at least ``least``; else ``error`` names the argument, the bound and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def check_time_points(T: int) -> None:
     """The one check of the statistic's T >= 3 time points, for every entry point."""
-    if T < 3:
-        raise LengthError(f"need T >= 3 time points, got {T}")
+    check_count(T, "T", 3, LengthError)
 
 
 def _centring(X: np.ndarray) -> np.ndarray:
@@ -172,8 +182,8 @@ def rho_tilde(x, y) -> float:
     flips).  Unequal lengths raise before too few time points do; a constant
     series, whose self-covariance vanishes, raises too.
     """
-    x = _validated_series(x)
-    y = _validated_series(y)
+    x = frozen_array(x, 1, "series")
+    y = frozen_array(y, 1, "series")
     if x.size != y.size:
         raise DimensionMismatchError(f"series lengths differ: {x.size} vs {y.size}")
     return float(rho_from_kappa(pairwise_kappa(np.column_stack([x, y])), ("x", "y"))[0, 1])

@@ -75,35 +75,32 @@ def _resolve_weights(args, panel_labels=None):
     """
     if args.linear_chain is not None:
         W = linear_chain(args.linear_chain)
-        sources = {}
     else:
         W = load_weights(args.weights, args.weights_kind, n_regions=args.regions)
         if panel_labels is not None and args.weights_kind == "coords":
             _check_labels(args.weights, W.region_labels, panel_labels)
-        sources = {args.weights: _hash_file(args.weights)}
     if args.standardize:
         W = row_standardize(W)
-    return W, sources
+    return W
 
 
 def _panel_and_weights(args):
-    """The panel, its W and the SHA-256 hashes of both input files."""
+    """The panel and its W."""
     panel = load_panel(args.panel)
-    W, hashes = _resolve_weights(args, panel.region_labels)
-    return panel, W, {args.panel: _hash_file(args.panel), **hashes}
+    return panel, _resolve_weights(args, panel.region_labels)
 
 
-def _meta(args, hashes: dict) -> dict:
+def _meta(args) -> dict:
     # no value depends on --threads or on where a file is written
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "threads", "output", "acf_output") and v is not None
+        if k not in ("func", "input_hashes", "threads", "output", "acf_output") and v is not None
     }
     return {
         "version": __version__,
         "config": config,
-        "input_hashes": hashes,
+        "input_hashes": args.input_hashes,
     }
 
 
@@ -126,10 +123,10 @@ def _emit_json(payload: dict, output: str | None) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_compute(args):
-    panel, W, hashes = _panel_and_weights(args)
+    panel, W = _panel_and_weights(args)
     res = sb_statistic(panel, W)
     payload = {
-        "meta": _meta(args, hashes),
+        "meta": _meta(args),
         "value": res.value,
         "scaled_value": res.scaled_value,
         "s0": W.s0,
@@ -141,7 +138,7 @@ def _cmd_compute(args):
 
 def _cmd_test(args):
     seed = _seed(args)
-    panel, W, hashes = _panel_and_weights(args)
+    panel, W = _panel_and_weights(args)
     report = test_spatial_independence(
         panel,
         W,
@@ -162,7 +159,7 @@ def _cmd_test(args):
                                            n_jobs=args.threads)
     flags = pairwise_screen(report.sb.pair_rho, cutoff)
     payload = {
-        "meta": _meta(args, hashes),
+        "meta": _meta(args),
         "sb": report.sb.value,
         "scaled_sb": report.sb.scaled_value,
         "p_value": report.p_value,
@@ -178,53 +175,51 @@ def _cmd_test(args):
 
 def _cmd_null(args):
     seed = _seed(args)
-    W, hashes = _resolve_weights(args)
+    W = _resolve_weights(args)
     if W.n_regions != args.R:
         raise DimensionMismatchError(f"W has {W.n_regions} regions, R = {args.R}")
     null = monte_carlo_null(
         _dist_from_args(args), args.T, W, reps=args.reps, seed=seed, n_jobs=args.threads,
     )
-    save_samples(args.output, null.samples, meta=_meta(args, hashes))
+    save_samples(args.output, null.samples, meta=_meta(args))
 
 
 def _cmd_simulate(args):
     seed = _seed(args)
-    W, hashes = _resolve_weights(args)
+    W = _resolve_weights(args)
     spec = DependenceSpec(args.model.upper(), args.theta, W, _dist_from_args(args))
     panel = simulate_panel(spec, args.T, seed=seed)
-    save_panel(args.output, panel, meta=_meta(args, hashes))
+    save_panel(args.output, panel, meta=_meta(args))
 
 
 def _cmd_sweep(args):
     seed = _seed(args)
-    W, hashes = _resolve_weights(args)
+    W = _resolve_weights(args)
     sweep = theta_sweep(
         args.model.upper(), W, args.thetas, args.T,
         reps=args.reps, seed=seed, noise=_dist_from_args(args), n_jobs=args.threads,
     )
-    save_sweep(args.output, sweep, meta=_meta(args, hashes))
+    save_sweep(args.output, sweep, meta=_meta(args))
 
 
 def _cmd_prewhiten(args):
     panel = load_panel(args.panel)
-    hashes = {args.panel: _hash_file(args.panel)}
     resid = residual_panel(panel, args.ar)
     # both results exist before either file is written
     acfs = [acf(col, args.acf_lags) for col in resid.data.T] if args.acf_output else None
-    save_panel(args.output, resid, meta=_meta(args, hashes))
+    save_panel(args.output, resid, meta=_meta(args))
     if args.acf_output:
         table = dict(zip(resid.region_labels, (vals for vals, _ in acfs)))
-        save_acf_table(args.acf_output, table, acfs[0][1], meta=_meta(args, hashes))
+        save_acf_table(args.acf_output, table, acfs[0][1], meta=_meta(args))
 
 
 def _cmd_weights(args):
-    W, hashes = _resolve_weights(args)
-    save_weights(args.output, W, meta=_meta(args, hashes))
+    save_weights(args.output, _resolve_weights(args), meta=_meta(args))
 
 
 def _cmd_spectrum(args):
     spectrum = nystrom_eigenvalues(_dist_from_args(args), K=args.K, m=args.grid)
-    save_spectrum(args.output, spectrum.eigenvalues, meta=_meta(args, {}))
+    save_spectrum(args.output, spectrum.eigenvalues, meta=_meta(args))
 
 
 # -- parser ------------------------------------------------------------------
@@ -452,15 +447,19 @@ def main(argv=None) -> int:
         if reads(args) and getattr(args, dest) is None:
             setattr(args, dest, default)
     # an output must replace neither an input nor the run's other output
-    paths = {}
+    paths, inputs = {}, []
     for name in ("panel", "--weights", "--output", "--acf-output"):
         path = getattr(args, name.lstrip("-").replace("-", "_"), None)
         if path is not None:
             real = os.path.realpath(path)
-            if real in paths and name in ("--output", "--acf-output"):
+            if name in ("panel", "--weights"):
+                inputs.append(path)
+            elif real in paths:
                 parser.error(f"argument {name}: {path!r} is also the {paths[real]} path")
             paths.setdefault(real, name)
     try:
+        # each input hashed once, for the meta of every output
+        args.input_hashes = {path: _hash_file(path) for path in inputs}
         args.func(args)
     except (SbergsmaError, OSError) as err:
         category = "FileNotFound" if isinstance(err, FileNotFoundError) else type(err).__name__

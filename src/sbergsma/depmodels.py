@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bergsma import check_time_points
+from .bergsma import check_count, check_time_points, frozen_array
 from .exceptions import (
     DegenerateRegionError,
     InvalidParameterError,
@@ -142,8 +142,13 @@ class SweepResult:
     by theta in the order the thetas were given."""
 
     model: str
-    samples: dict  # theta -> np.ndarray of S~_B values
+    samples: dict  # theta -> read-only np.ndarray of S~_B values
     summaries: dict = field(default_factory=dict)  # theta -> (mean, sd, skew, kurt)
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", {
+            theta: frozen_array(v, 1, f"samples at theta = {theta}")
+            for theta, v in self.samples.items()})
 
 
 def theta_sweep(
@@ -164,8 +169,7 @@ def theta_sweep(
     Carlo null run at the same seed, up to the T scaling.  Replicates run on
     ``n_jobs`` threads; no value depends on it.
     """
-    if reps < 4:
-        raise SampleSizeError(f"need reps >= 4 for moment summaries, got {reps}")
+    check_count(reps, "reps", 4, SampleSizeError)  # for moment summaries
     check_time_points(T)
     thetas = tuple(float(t) for t in thetas)
     if not thetas:

@@ -25,7 +25,7 @@ class DimensionMismatchError(SbergsmaError):
 # --- spatial weights errors -------------------------------------------------
 
 class RegionIndexError(SbergsmaError):
-    """Region index outside [1, R]."""
+    """Region index that is not an integer in [1, R]."""
 
 
 class SelfLoopError(SbergsmaError):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import batch_rows, check_time_points, pairwise_kappa, rho_from_kappa
+from .bergsma import batch_rows, check_count, check_time_points, pairwise_kappa, rho_from_kappa
 from .exceptions import DegenerateRegionError, EmptyNullError, InvalidParameterError
 from .nulldist import asymptotic_null, monte_carlo_null, p_value
 from .reference import STANDARD_NORMAL, ReferenceDistribution
@@ -61,10 +61,8 @@ def test_spatial_independence(
     """
     if null_method not in ("mc", "asym"):
         raise InvalidParameterError(f"unknown null method {null_method!r}")
-    if reps < 1:
-        raise EmptyNullError("reps must be >= 1")
-    if n_jobs < 1:
-        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
+    check_count(reps, "reps", 1, EmptyNullError)
+    check_count(n_jobs, "n_jobs", 1)
     if ci_resamples is not None:
         _check_bootstrap(ci_resamples, ci_level)
     sb = sb_statistic(panel, W)
@@ -137,8 +135,7 @@ def bootstrap_ci(
 
 
 def _check_bootstrap(B: int, level: float) -> None:
-    if B < 200:
-        raise InvalidParameterError(f"need B >= 200 bootstrap resamples, got {B}")
+    check_count(B, "B", 200)
     if not (0.0 < level < 1.0):
         raise InvalidParameterError(f"level must be in (0,1), got {level}")
 
@@ -152,8 +149,7 @@ def independence_rho_quantile(T: int, n_sim: int = 10_000, seed: int = 0,
     (seed, 2000 i), drawn in budget-sized slices; no value depends on ``n_jobs``.
     """
     check_time_points(T)
-    if n_sim < 1:
-        raise InvalidParameterError(f"need n_sim >= 1 cutoff simulations, got {n_sim}")
+    check_count(n_sim, "n_sim", 1)
     # pairs drawn at once: slices of one stream draw the normals one draw would
     step = batch_rows(T * 2 * 8)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import batch_rows, check_time_points
+from .bergsma import batch_rows, check_count, check_time_points, frozen_array
 from .depmodels import sb_replicates
 from .exceptions import (
     ConvergenceError,
@@ -70,14 +70,13 @@ class EigenSpectrum:
     square_sum: float | None = None
 
     def __post_init__(self):
-        if self.eigenvalues.size == 0:
+        lam = frozen_array(self.eigenvalues, 1, "eigen spectrum")
+        if lam.size == 0:
             raise SizeError("an eigen spectrum needs at least one eigenvalue")
-        if not np.all(np.isfinite(self.eigenvalues)):
-            raise NonFiniteError("eigen spectrum has NaN or infinite eigenvalues")
-        if not np.any(self.eigenvalues):
+        if not np.any(lam):
             raise DegenerateRegionError("eigen spectrum is all zero: the law's kernel vanishes")
-        self.eigenvalues.setflags(write=False)
-        found = float(np.sum(self.eigenvalues**2))
+        object.__setattr__(self, "eigenvalues", lam)
+        found = float(np.sum(lam**2))
         if self.square_sum is None:
             object.__setattr__(self, "square_sum", found)
         elif not math.isfinite(self.square_sum):
@@ -99,9 +98,7 @@ class NullDistribution:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteError("null distribution has NaN or infinite samples")
-        self.samples.setflags(write=False)
+        object.__setattr__(self, "samples", frozen_array(self.samples, 1, "null distribution"))
 
 
 def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000) -> EigenSpectrum:
@@ -119,8 +116,10 @@ def nystrom_eigenvalues(dist: ReferenceDistribution, K: int = 100, m: int = 2000
     bits.  Lanczos returns fewer than K values only when its Krylov space
     holds no more.  No random numbers are drawn; the spectrum is read-only.
     """
-    if K < 1 or K > m:
-        raise InvalidParameterError(f"need 1 <= K <= m, got K={K}, m={m}")
+    check_count(K, "K", 1)
+    check_count(m, "m", 1)
+    if K > m:
+        raise InvalidParameterError(f"need K <= m, got K={K}, m={m}")
     want = dist.mean_abs_gap() / 2
     x = dist.ppf((np.arange(m) + 0.5) / m)
     s, g0 = x - x[0], dist.mean_abs_from(x) - want
@@ -292,8 +291,7 @@ def asymptotic_null_sample(
     draw computed: the table's weights kept, remainder variance and tail mass
     beyond its grid.
     """
-    if n_draws < 1:
-        raise EmptyNullError("n_draws must be >= 1")
+    check_count(n_draws, "n_draws", 1, EmptyNullError)
     if len(spectra) != W.n_regions:
         raise SpectraMismatchError(f"{len(spectra)} spectra for {W.n_regions} regions")
     c, d, var_rest = _limit_law(spectra, W)
@@ -312,11 +310,12 @@ def asymptotic_null(dist: ReferenceDistribution, W: ProximityMatrix, K: int = 10
     1.0e-7 on a 14-region chain and 2.8e-6 on one pair, the size of the
     m = 2000 grid's own error and far below the Monte Carlo error of a p-value.
     """
-    if n_draws < 1:
-        raise EmptyNullError("n_draws must be >= 1")
+    check_count(n_draws, "n_draws", 1, EmptyNullError)
     # checked here, so the message names the K the caller gave
-    if K < 1 or min(_FIRST, K) > m:
-        raise InvalidParameterError(f"need 1 <= K and min(K, {_FIRST}) <= m, got K={K}, m={m}")
+    check_count(K, "K", 1)
+    check_count(m, "m", 1)
+    if min(_FIRST, K) > m:
+        raise InvalidParameterError(f"need min(K, {_FIRST}) <= m, got K={K}, m={m}")
     spectrum = nystrom_eigenvalues(dist, K=min(_FIRST, K), m=m)
     return asymptotic_null_sample([spectrum] * W.n_regions, W, n_draws, seed)
 
@@ -338,8 +337,7 @@ def monte_carlo_null(
     replicate r's panel depends only on (seed, r), and results are identical
     for any ``n_jobs``.  ``meta`` is empty: every input is an argument.
     """
-    if reps < 1:
-        raise EmptyNullError("reps must be >= 1")
+    check_count(reps, "reps", 1, EmptyNullError)
     check_time_points(T)
     samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
     return NullDistribution(samples)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it with the package, not in the first stream()
 
-from .exceptions import InvalidParameterError
+from .bergsma import check_count
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -45,8 +45,7 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     order and worker count.  Every draw checks its seed here: an integer >= 0,
     and not a bool.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidParameterError(f"seed must be an integer of at least 0, got {seed!r}")
+    check_count(seed, "seed", 0)
     ss = np.random.SeedSequence(seed, spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergsma import batch_rows, check_time_points, pairwise_kappa, rho_from_kappa
-from .exceptions import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonFiniteError,
-    SizeError,
+from .bergsma import (
+    batch_rows,
+    check_count,
+    check_time_points,
+    frozen_array,
+    pairwise_kappa,
+    rho_from_kappa,
 )
+from .exceptions import DimensionMismatchError, SizeError
 from .weights import ProximityMatrix, labels_for
 
 
@@ -34,15 +36,9 @@ class SpatialPanel:
     region_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)  # a copy, so no caller can write it
-        if d.ndim != 2:
-            raise DimensionMismatchError(f"panel must be 2-d, got shape {d.shape}")
+        d = frozen_array(self.data, 2, "panel")
         check_time_points(d.shape[0])
-        if d.shape[1] < 2:
-            raise SizeError(f"need R >= 2 regions, got {d.shape[1]}")
-        if not np.all(np.isfinite(d)):
-            raise NonFiniteError("panel contains NaN or infinite values")
-        d.setflags(write=False)
+        check_count(d.shape[1], "R", 2, SizeError)
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "region_labels", labels_for(self.region_labels, d.shape[1]))
 
@@ -65,7 +61,7 @@ class SBResult:
     scaled_value: float  # T * value
 
     def __post_init__(self):
-        self.pair_rho.setflags(write=False)
+        object.__setattr__(self, "pair_rho", frozen_array(self.pair_rho, 2, "pair_rho"))
 
 
 def sb_statistic(panel: SpatialPanel, W: ProximityMatrix) -> SBResult:
@@ -117,9 +113,7 @@ def replicate_values(values, n: int, row_bytes: int, n_jobs: int = 1) -> np.ndar
     calling thread) and join in index order, so no value or error depends on
     ``n_jobs``: the first error in index order cancels the ranges not yet started.
     """
-    if n_jobs < 1:
-        raise InvalidParameterError(f"need n_jobs >= 1 threads, got {n_jobs}")
-
+    check_count(n_jobs, "n_jobs", 1)
     workers = min(n_jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
     size = min(batch_rows(row_bytes), -(-n // workers))

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergsma import _validated_series
+from .bergsma import check_count, frozen_array
 from .exceptions import (
     LagError,
-    NonFiniteError,
     RankDeficientError,
     SampleSizeError,
     ShortSeriesError,
@@ -29,8 +28,9 @@ class ARFit:
     residuals: np.ndarray  # length T - p, aligned to times p+1..T
 
     def __post_init__(self):
-        self.coefficients.setflags(write=False)
-        self.residuals.setflags(write=False)
+        object.__setattr__(self, "coefficients",
+                           frozen_array(self.coefficients, 1, "AR coefficients"))
+        object.__setattr__(self, "residuals", frozen_array(self.residuals, 1, "AR residuals"))
 
 
 def fit_ar(series, p: int) -> ARFit:
@@ -40,9 +40,8 @@ def fit_ar(series, p: int) -> ARFit:
     deficiency (e.g. a constant series, whose lags are collinear with the
     intercept) raises rather than silently pseudo-inverting.
     """
-    x = _validated_series(series)
-    if p < 1:
-        raise ShortSeriesError(f"AR order must be >= 1, got {p}")
+    x = frozen_array(series, 1, "series")
+    check_count(p, "p", 1, ShortSeriesError)
     T = x.size
     if T <= 2 * p + 2:
         raise ShortSeriesError(f"need T > 2p + 2 = {2*p+2}, got T = {T}")
@@ -73,9 +72,10 @@ def acf(series, max_lag: int):
 
     Returns ``(values, threshold)`` with threshold = 1.96 / sqrt(T).
     """
-    x = _validated_series(series)
+    x = frozen_array(series, 1, "series")
+    check_count(max_lag, "max_lag", 0, LagError)
     T = x.size
-    if not (0 <= max_lag < T):
+    if max_lag >= T:
         raise LagError(f"need 0 <= max_lag < T = {T}, got {max_lag}")
     xc = x - x.mean()
     denom = float(xc @ xc)
@@ -90,11 +90,9 @@ def moments(samples):
 
     A normal sample has kurtosis near 3.
     """
-    x = np.asarray(samples, dtype=float)
+    x = frozen_array(samples, 1, "sample")
     if x.size < 4:
         raise SampleSizeError(f"need at least 4 samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("samples contain NaN or infinite values")
     m = x.mean()
     d = x - m
     m2 = float(np.mean(d**2))

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bergsma import check_count, frozen_array
 from .exceptions import (
     DimensionMismatchError,
     DuplicatePointError,
@@ -42,13 +43,10 @@ class ProximityMatrix:
     standardized: bool = False
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)  # a copy, so no caller can write it
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        w = frozen_array(self.weights, 2, "W")
+        if w.shape[0] != w.shape[1]:
             raise DimensionMismatchError(f"W must be square, got shape {w.shape}")
-        if w.shape[0] < 2:
-            raise SizeError(f"need at least 2 regions, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteError("W contains non-finite entries")
+        check_count(w.shape[0], "R", 2, SizeError)
         if np.any(w < 0):
             raise NegativeWeightError("W contains negative weights")
         if np.any(np.diagonal(w) != 0):
@@ -60,7 +58,6 @@ class ProximityMatrix:
         standardized = bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= _ROWSUM_TOL))
         if self.standardized and not standardized:
             raise IsolatedRegionError("standardized W has rows not summing to 1")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "region_labels", labels)
         object.__setattr__(self, "standardized", standardized)
@@ -77,11 +74,12 @@ class ProximityMatrix:
 
 def adjacency_from_edges(edges, R: int) -> ProximityMatrix:
     """Symmetric 0/1 adjacency matrix from unordered region pairs (1-based)."""
-    if R < 2:
-        raise SizeError(f"need R >= 2 regions, got {R}")
+    check_count(R, "R", 2, SizeError)
     w = np.zeros((R, R))
     for i, j in edges:
-        if not (1 <= i <= R and 1 <= j <= R):
+        for k in (i, j):
+            check_count(k, f"a region index of edge ({i},{j})", 1, RegionIndexError)
+        if max(i, j) > R:
             raise RegionIndexError(f"edge ({i},{j}) outside [1, {R}]")
         w[i - 1, j - 1] = 1.0
         w[j - 1, i - 1] = 1.0
@@ -93,9 +91,10 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatchError(f"expected R x 2 coordinates, got {pts.shape}")
+    labels = labels_for(labels, len(pts))
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
-        names = ", ".join(str(labels[i]) if labels else str(i + 1) for i in bad)
+        names = ", ".join(str(labels[i]) for i in bad)
         raise NonFiniteError(f"non-finite coordinates for region(s) {names}")
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
@@ -110,6 +109,7 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
 
 def linear_chain(R: int) -> ProximityMatrix:
     """Lag-1 adjacency of regions arranged on a line: w_ij = 1 iff |i-j| = 1."""
+    check_count(R, "R", 2, SizeError)  # before range(1, R) reads it
     return adjacency_from_edges([(i, i + 1) for i in range(1, R)], R)
 
 

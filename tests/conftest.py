@@ -1,4 +1,6 @@
-"""Shared fixtures and independent oracles for the test suite."""
+"""Shared fixtures, independent oracles and a memory probe for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ def w_chain() -> ProximityMatrix:
 @pytest.fixture(scope="session")
 def three_ws(w_adjacency, w_invdist, w_chain):
     return {"adjacency": w_adjacency, "inverse_distance": w_invdist, "chain": w_chain}
+
+
+def peak_bytes(f, *args, **kw):
+    """Peak memory that tracemalloc sees while ``f(*args, **kw)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- naive oracles: direct nested-loop transcriptions -----------------------

@@ -1,4 +1,7 @@
-"""Kernel matrix and U-statistic estimator tests."""
+"""Kernel matrix and U-statistic estimator tests, and the intake rules of
+records and count arguments."""
+
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbergsma import (
+    ARFit,
     DependenceSpec,
+    EigenSpectrum,
+    NullDistribution,
     ProximityMatrix,
     ReferenceDistribution,
+    SBResult,
     SpatialPanel,
+    SweepResult,
+    acf,
+    adjacency_from_edges,
+    asymptotic_null_sample,
+    bootstrap_ci,
+    fit_ar,
     independence_rho_quantile,
     linear_chain,
     monte_carlo_null,
+    nystrom_eigenvalues,
     rho_tilde,
     sb_statistic,
     sb_values_batch,
@@ -24,12 +38,27 @@ from sbergsma.bergsma import _centring, panel_kernel_stack, pairwise_kappa
 from sbergsma.exceptions import (
     DegenerateRegionError,
     DimensionMismatchError,
+    EmptyNullError,
+    InvalidParameterError,
+    LagError,
     LengthError,
     NonFiniteError,
+    RegionIndexError,
+    SampleSizeError,
+    ShortSeriesError,
+    SizeError,
 )
+from sbergsma.nulldist import asymptotic_null
 from sbergsma.rng import stream
 
-from conftest import dense_kappa, dense_kernel, naive_kappa, naive_kernel, naive_rho
+from conftest import (
+    dense_kappa,
+    dense_kernel,
+    naive_kappa,
+    naive_kernel,
+    naive_rho,
+    peak_bytes,
+)
 
 series_strategy = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -180,8 +209,101 @@ def test_every_entry_point_rejects_short_panels_alike(entry, monkeypatch):
 
     for module in (depmodels, inference, nulldist):
         monkeypatch.setattr(module, "stream", no_draw)
-    with pytest.raises(LengthError, match=r"^need T >= 3 time points, got 2$"):
+    with pytest.raises(LengthError, match=r"^T must be an integer of at least 3, got 2$"):
         _SHORT_PANEL_ENTRIES[entry](2)
+
+
+#: each record: how it is built from one array, the arrays it holds, and a
+#: value of the right ndim
+_RECORDS = {
+    "SpatialPanel": (SpatialPanel, lambda r: [r.data], [[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]]),
+    "ProximityMatrix": (ProximityMatrix, lambda r: [r.weights], [[0.0, 1.0], [1.0, 0.0]]),
+    "SBResult": (lambda a: SBResult(0.1, a, 0.3), lambda r: [r.pair_rho], [[1.0, 0.0], [0.0, 1.0]]),
+    "EigenSpectrum": (EigenSpectrum, lambda r: [r.eigenvalues], [1.0, 0.5]),
+    "NullDistribution": (NullDistribution, lambda r: [r.samples], [1.0, 2.0]),
+    "ARFit": (lambda a: ARFit(a, a), lambda r: [r.coefficients, r.residuals], [0.5, -0.5]),
+    "SweepResult": (lambda a: SweepResult("SMA", {0.0: a}), lambda r: list(r.samples.values()),
+                    [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_every_record_holds_a_read_only_float64_copy(record):
+    build, arrays, value = _RECORDS[record]
+    for held in arrays(build(value)):
+        assert held.dtype == np.float64 and not held.flags.writeable
+    given = np.array(value, dtype=np.float32)
+    rec = build(given)
+    assert given.flags.writeable
+    given[...] = 9.0
+    for held in arrays(rec):
+        assert np.array_equal(held, value)
+    with pytest.raises(DimensionMismatchError, match=r"-d, got shape \(1, "):
+        build(np.array(value)[None])
+    bad = np.array(value)
+    bad.flat[1] = np.nan
+    with pytest.raises(NonFiniteError, match="contains NaN or infinite values$"):
+        build(bad)
+
+
+_W3, _NORMAL = linear_chain(3), ReferenceDistribution("normal")
+_PANEL = SpatialPanel(stream(3).standard_normal((8, 3)))
+_SERIES = stream(4).standard_normal(12)
+
+#: each count argument: a call that passes it, the error it raises, its
+#: bound, and a value that runs
+_COUNTS = {
+    "monte_carlo_null T": (lambda n: monte_carlo_null(_NORMAL, n, _W3, reps=2), LengthError, 3, 5),
+    "monte_carlo_null reps": (lambda n: monte_carlo_null(_NORMAL, 5, _W3, reps=n),
+                              EmptyNullError, 1, 2),
+    "monte_carlo_null n_jobs": (lambda n: monte_carlo_null(_NORMAL, 5, _W3, reps=2, n_jobs=n),
+                                InvalidParameterError, 1, 2),
+    "monte_carlo_null seed": (lambda n: monte_carlo_null(_NORMAL, 5, _W3, reps=2, seed=n),
+                              InvalidParameterError, 0, 1),
+    "test_spatial_independence reps": (
+        lambda n: inference.test_spatial_independence(_PANEL, _W3, reps=n),
+        EmptyNullError, 1, 2),
+    "test_spatial_independence n_jobs": (
+        lambda n: inference.test_spatial_independence(_PANEL, _W3, reps=2, n_jobs=n),
+        InvalidParameterError, 1, 1),
+    "bootstrap_ci B": (lambda n: bootstrap_ci(_PANEL, _W3, B=n), InvalidParameterError, 200, 200),
+    "independence_rho_quantile T": (lambda n: independence_rho_quantile(n, n_sim=2),
+                                    LengthError, 3, 5),
+    "independence_rho_quantile n_sim": (lambda n: independence_rho_quantile(5, n_sim=n),
+                                        InvalidParameterError, 1, 2),
+    "theta_sweep reps": (lambda n: theta_sweep("SMA", _W3, [0.0], 5, reps=n),
+                         SampleSizeError, 4, 4),
+    "nystrom_eigenvalues K": (lambda n: nystrom_eigenvalues(_NORMAL, K=n, m=50),
+                              InvalidParameterError, 1, 2),
+    "nystrom_eigenvalues m": (lambda n: nystrom_eigenvalues(_NORMAL, K=1, m=n),
+                              InvalidParameterError, 1, 50),
+    "asymptotic_null K": (lambda n: asymptotic_null(_NORMAL, _W3, K=n, m=50, n_draws=2),
+                          InvalidParameterError, 1, 2),
+    "asymptotic_null m": (lambda n: asymptotic_null(_NORMAL, _W3, K=2, m=n, n_draws=2),
+                          InvalidParameterError, 1, 50),
+    "asymptotic_null n_draws": (lambda n: asymptotic_null(_NORMAL, _W3, K=2, m=50, n_draws=n),
+                                EmptyNullError, 1, 2),
+    "asymptotic_null_sample n_draws": (
+        lambda n: asymptotic_null_sample([EigenSpectrum([1.0])] * 3, _W3, n_draws=n),
+        EmptyNullError, 1, 2),
+    "adjacency_from_edges R": (lambda n: adjacency_from_edges([(1, 2)], n), SizeError, 2, 3),
+    "adjacency_from_edges edge": (lambda n: adjacency_from_edges([(n, 2)], 3),
+                                  RegionIndexError, 1, 1),
+    "linear_chain R": (linear_chain, SizeError, 2, 3),
+    "fit_ar p": (lambda n: fit_ar(_SERIES, n), ShortSeriesError, 1, 1),
+    "acf max_lag": (lambda n: acf(_SERIES, n), LagError, 0, 2),
+}
+
+
+@pytest.mark.parametrize("count", sorted(_COUNTS))
+def test_every_count_is_an_integer_of_at_least_its_bound(count):
+    # a float or a bool used to end in a bare TypeError or IndexError, or
+    # to count as 1
+    call, error, least, runs = _COUNTS[count]
+    for bad in (10.5, True, least - 1):
+        with pytest.raises(error, match=re.escape(f"at least {least}, got {bad!r}") + "$"):
+            call(bad)
+    call(np.int64(runs))
 
 
 def test_rho_degenerate_and_length_errors():
@@ -419,16 +541,8 @@ def test_kappa_memory_bounded_for_any_batch():
     # 1000 panels of R=14, T=50 hold 140 MB of pair distances; the panels run
     # in groups within the byte budget, so the peak is about the tile
     # buffer plus the 1.6 MB of kappa~
-    import tracemalloc
-
     data = stream(12).standard_normal((1000, 50, 14))
-    tracemalloc.start()
-    try:
-        pairwise_kappa(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak_bytes(pairwise_kappa, data) < 8 * 2**20
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])

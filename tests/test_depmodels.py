@@ -125,7 +125,7 @@ def test_sweep_rejects_bad_sizes_before_any_draw(monkeypatch, w_chain6):
     with pytest.raises(InvalidParameterError):
         theta_sweep("SMA", w_chain6, [], T=10, reps=10)
     for T in (1, 2):
-        with pytest.raises(LengthError, match="T >= 3"):
+        with pytest.raises(LengthError, match="T must be an integer of at least 3"):
             theta_sweep("SMA", w_chain6, [0.0, 0.5], T=T, reps=10)
     # SweepResult.samples holds one key per theta, so a repeat would be lost
     with pytest.raises(InvalidParameterError, match="distinct"):
@@ -141,7 +141,7 @@ def test_thread_counts_below_one_rejected_before_any_draw(monkeypatch, w_chain6,
         raise AssertionError("noise was drawn")
 
     monkeypatch.setattr(depmodels, "stream", no_draw)
-    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+    with pytest.raises(InvalidParameterError, match="n_jobs must be an integer of at least 1"):
         sb_replicates("SMA", [0.0], w_chain6, NORMAL, T=10, reps=10, seed=0, n_jobs=n_jobs)
 
 

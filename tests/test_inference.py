@@ -1,7 +1,6 @@
 """Inference workflow tests: independence test, bootstrap CI, pair screen."""
 
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,8 @@ from sbergsma.exceptions import (
 )
 from sbergsma.nulldist import asymptotic_null
 from sbergsma.rng import stream
+
+from conftest import peak_bytes
 
 NORMAL = ReferenceDistribution("normal")
 
@@ -116,7 +117,7 @@ def test_thread_counts_below_one_rejected_before_any_work(monkeypatch, w5, null_
     for name in ("sb_statistic", "bootstrap_ci", "monte_carlo_null", "asymptotic_null"):
         monkeypatch.setattr(inference, name, no_work)
     panel = SpatialPanel(stream(8).standard_normal((30, 5)))
-    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+    with pytest.raises(InvalidParameterError, match="n_jobs must be an integer of at least 1"):
         test_spatial_independence(panel, w5, null_method=null_method, reps=100,
                                   ci_resamples=200, n_jobs=n_jobs)
 
@@ -214,22 +215,12 @@ def test_small_bootstrap_gives_each_thread_a_range(monkeypatch, w5):
     assert batches == [100, 100]
 
 
-def _peak_bytes(run):
-    """Peak memory that tracemalloc sees while ``run()`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bootstrap_memory_does_not_grow_with_B():
     # the resamples are held a range at a time; one array of all B of them
     # grows by T * R * 8 bytes per resample, 8 MiB from B = 500 to 2000
     panel = SpatialPanel(stream(34).standard_normal((50, 14)))
     W = row_standardize(linear_chain(14))
-    peaks = [_peak_bytes(lambda: bootstrap_ci(panel, W, B=B, seed=1)) for B in (500, 2000)]
+    peaks = [peak_bytes(bootstrap_ci, panel, W, B=B, seed=1) for B in (500, 2000)]
     assert peaks[1] - peaks[0] < 2**20
 
 
@@ -241,7 +232,7 @@ def test_replicate_loop_memory_does_not_grow_with_T(loop):
     # one byte budget sizes every range and cutoff slice, so the peaks grow
     # 0.4 and 0.2 MiB; drawing the cutoff's 500 pairs whole grew 1.3 MiB, and
     # null ranges of up to 200 replicates 3.7 MiB
-    peaks = [_peak_bytes(lambda: loop(T)) for T in (100, 400)]
+    peaks = [peak_bytes(loop, T) for T in (100, 400)]
     assert peaks[1] - peaks[0] < 2**20
 
 
@@ -421,7 +412,7 @@ def test_independence_rho_quantile_rejects_zero_sims():
         independence_rho_quantile(19, n_sim=0)
     # unchecked, T = 1 divides by C(T, 2) = 0 and T = 2 fails as a constant series
     for T in (1, 2):
-        with pytest.raises(LengthError, match="T >= 3"):
+        with pytest.raises(LengthError, match="T must be an integer of at least 3"):
             independence_rho_quantile(T, n_sim=10)
 
 

@@ -532,6 +532,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "the following arguments are required: --output/-o" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "{absent}", "--linear-chain", "3", "--cutoff", "0.2"],
+    ["null", "--R", "3", "--T", "10", "--weights", "{absent}", "-o", "{out}"],
+], ids=["test-panel", "null-weights"])
+def test_cli_missing_input_fails_before_a_fresh_seed(argv, tmp_path, capsys):
+    # every input is hashed first, so stderr holds the error alone, no "seed: N"
+    paths = {"absent": str(tmp_path / "absent.csv"), "out": str(tmp_path / "out.csv")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert json.loads(capsys.readouterr().err)["error_category"] == "FileNotFound"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_failure_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     rc = main([
@@ -852,7 +864,7 @@ def test_cli_asym_grid_error_names_the_k_given(sizes, given, panel_file, tmp_pat
                  "--grid", "10", "--cutoff", "0.2", "--seed", "1", "-o", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error_category": "InvalidParameterError",
-                   "message": f"need 1 <= K and min(K, 16) <= m, got {given}, m=10"}
+                   "message": f"need min(K, 16) <= m, got {given}, m=10"}
     assert not out.exists()
 
 

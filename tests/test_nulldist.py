@@ -1,6 +1,5 @@
 """Null distribution tests: Nystrom spectra, asymptotic draws, p-values."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +32,8 @@ from sbergsma import nulldist
 from sbergsma.nulldist import NullDistribution, asymptotic_null
 from sbergsma.reference import FAMILIES
 from sbergsma.rng import stream
+
+from conftest import peak_bytes
 
 NORMAL = ReferenceDistribution("normal")
 UNIFORM = ReferenceDistribution("uniform")
@@ -287,30 +288,20 @@ def test_nystrom_builds_no_kernel_matrix(monkeypatch, family, m):
     assert calls == []
 
 
-def _peak_mib(f, *args, **kw):
-    """Peak memory that tracemalloc sees while ``f`` runs, in MiB."""
-    tracemalloc.start()
-    try:
-        f(*args, **kw)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("family", ["normal", "exponential"])
 def test_nystrom_paper_spectrum_memory_is_bounded(family):
     # a Lanczos basis of 2K = 200 vectors of 2000 points, 3.2 MB; the dense
     # exponential solve peaked at 30.7 MiB and the normal fold at 8.0
     dist = ReferenceDistribution(family)
-    assert _peak_mib(nystrom_eigenvalues, dist, K=100, m=2000) < 6
+    assert peak_bytes(nystrom_eigenvalues, dist, K=100, m=2000) < 6 * 2**20
 
 
 def test_asymptotic_paper_null_memory_is_bounded(w_adjacency):
     # R = 14, K = 100 and 50 draws, the benchmark's paper_asym size: 0.8 MiB,
     # and 10.4 MiB when phi was evaluated at all 2^14 table points
     spectrum = nystrom_eigenvalues(NORMAL, K=100, m=2000)
-    assert _peak_mib(asymptotic_null_sample, [spectrum] * 14, w_adjacency,
-                     n_draws=50, seed=1) < 2
+    assert peak_bytes(asymptotic_null_sample, [spectrum] * 14, w_adjacency,
+                      n_draws=50, seed=1) < 2 * 2**20
 
 
 def test_asymptotic_null_memory_does_not_grow_with_the_pairs():
@@ -324,9 +315,9 @@ def test_asymptotic_null_memory_does_not_grow_with_the_pairs():
         spectra = [_synthetic_spectrum(np.sort(rng.uniform(0.1, 1.0, 4))[::-1])
                    for _ in range(R)]
         W = inverse_distance(rng.uniform(0.0, 10.0, (R, 2)))
-        return _peak_mib(asymptotic_null_sample, spectra, W, n_draws=100, seed=1)
+        return peak_bytes(asymptotic_null_sample, spectra, W, n_draws=100, seed=1)
 
-    assert peak(16) - peak(8) < 2 * 8 * nulldist._TABLE / 2**20
+    assert peak(16) - peak(8) < 2 * 8 * nulldist._TABLE
 
 
 def test_asymptotic_null_memory_stays_below_the_pairs_weights():
@@ -334,7 +325,7 @@ def test_asymptotic_null_memory_stays_below_the_pairs_weights():
     # each pair keeps 100 and the null peaks at 7.8 MiB
     spectrum = nystrom_eigenvalues(NORMAL, K=100, m=2000)
     W = inverse_distance(stream(5).uniform(0.0, 10.0, (50, 2)))
-    assert _peak_mib(asymptotic_null_sample, [spectrum] * 50, W, n_draws=100, seed=1) < 16
+    assert peak_bytes(asymptotic_null_sample, [spectrum] * 50, W, n_draws=100, seed=1) < 16 * 2**20
 
 
 def test_asymptotic_null_builds_one_table_and_opens_one_stream(monkeypatch):
@@ -662,10 +653,10 @@ def test_asymptotic_null_checks_its_sizes_before_any_eigensolve(monkeypatch):
         patch.setattr(nulldist, "_top_eigenvalues", no_solve)
         # a grid of 10 points cannot hold the 16 eigenvalues the test finds;
         # the message names the K given, not the min(16, K) passed on
-        for K, m in ((100, 10), (0, 50)):
-            with pytest.raises(InvalidParameterError,
-                               match=rf"min\(K, 16\) <= m, got K={K}, m={m}$"):
-                asymptotic_null(NORMAL, W2, K=K, m=m)
+        with pytest.raises(InvalidParameterError, match=r"min\(K, 16\) <= m, got K=100, m=10$"):
+            asymptotic_null(NORMAL, W2, K=100, m=10)
+        with pytest.raises(InvalidParameterError, match=r"^K must be an integer of at least 1"):
+            asymptotic_null(NORMAL, W2, K=0, m=50)
         with pytest.raises(EmptyNullError):
             asymptotic_null(NORMAL, W2, n_draws=0)
     # K = 100 exceeds a grid of 50 points, which holds the 16 values the test finds
@@ -682,7 +673,7 @@ def test_monte_carlo_rejects_short_series_before_any_draw(monkeypatch, T):
         raise AssertionError("replicates were simulated")
 
     monkeypatch.setattr(nulldist, "sb_replicates", no_draw)
-    with pytest.raises(LengthError, match="T >= 3"):
+    with pytest.raises(LengthError, match="T must be an integer of at least 3"):
         monte_carlo_null(NORMAL, T, row_standardize(linear_chain(4)), reps=10)
 
 

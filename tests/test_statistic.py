@@ -28,7 +28,7 @@ from sbergsma.rng import stream
 from sbergsma.bergsma import _BATCH_BYTES
 from sbergsma.statistic import replicate_values
 
-from conftest import naive_sb
+from conftest import naive_sb, peak_bytes
 
 
 def test_identical_columns_give_one():
@@ -205,17 +205,9 @@ def test_batch_rejects_bad_shapes(shape, error):
 def test_long_series_memory_bounded_in_T():
     # one replicate's R x T x T//2 pair stack is 504 MB here; the offset
     # tiles keep the whole call within a few MiB
-    import tracemalloc
-
     panel = SpatialPanel(stream(27).standard_normal((3000, 14)))
     W = row_standardize(linear_chain(14))
-    tracemalloc.start()
-    try:
-        sb_statistic(panel, W)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak_bytes(sb_statistic, panel, W) < 16 * 2**20
 
 
 def test_batch_degenerate_replicate_named():
@@ -303,5 +295,5 @@ def test_replicate_ranges_stop_at_the_first_error():
         replicate_values(values, 100, _BATCH_BYTES, n_jobs=2)
     # the ranges not yet started are cancelled, not run to the end
     assert len(started) < 100
-    with pytest.raises(InvalidParameterError, match="n_jobs >= 1"):
+    with pytest.raises(InvalidParameterError, match="n_jobs must be an integer of at least 1"):
         replicate_values(values, 100, 8, n_jobs=0)

@@ -36,12 +36,16 @@ def test_adjacency_errors():
         adjacency_from_edges([(1, 1)], 3)
     with pytest.raises(RegionIndexError):
         adjacency_from_edges([(1, 4)], 3)
+    # a float or bool index used to end in numpy's bare IndexError, or count as 1
+    for i in (1.5, True):
+        with pytest.raises(RegionIndexError, match=rf"^a region index of edge \({i},2\) "):
+            adjacency_from_edges([(i, 2)], 3)
 
 
 @pytest.mark.parametrize("R", [1, 0, -3])
 def test_adjacency_needs_two_regions(R):
     # R = -3 used to end in numpy's "negative dimensions are not allowed"
-    with pytest.raises(SizeError, match="R >= 2"):
+    with pytest.raises(SizeError, match="R must be an integer of at least 2"):
         adjacency_from_edges([], R)
 
 
@@ -58,8 +62,11 @@ def test_inverse_distance_examples():
     pts = [(0.0, 0.0), (1.0, 0.0), (np.inf, 0.0), (0.0, np.nan)]
     with pytest.raises(NonFiniteError, match=r"region\(s\) C, D$"):
         inverse_distance(pts, ["A", "B", "C", "D"])
-    with pytest.raises(NonFiniteError, match=r"region\(s\) 3, 4$"):
+    with pytest.raises(NonFiniteError, match=r"region\(s\) R3, R4$"):
         inverse_distance(pts)
+    # the label count is checked first; naming the region ended in an IndexError
+    with pytest.raises(DimensionMismatchError, match=r"^1 labels for 3 regions$"):
+        inverse_distance([(0, 0), (1, np.inf), (2, 2)], ["a"])
     with pytest.raises(DimensionMismatchError, match=r"R x 2 coordinates, got \(2, 3\)$"):
         inverse_distance([(0, 0, 0), (1, 1, 1)])
 
@@ -142,8 +149,8 @@ def test_all_zero_weights_rejected():
 
 
 @pytest.mark.parametrize("w,kw,error,match", [
-    ([[0.0]], {}, SizeError, "at least 2 regions, got 1"),
-    ([[0.0, np.inf], [1.0, 0.0]], {}, NonFiniteError, "non-finite"),
+    ([[0.0]], {}, SizeError, "R must be an integer of at least 2, got 1"),
+    ([[0.0, np.inf], [1.0, 0.0]], {}, NonFiniteError, "^W contains NaN or infinite values$"),
     ([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.9, 0.0]], {"standardized": True},
      IsolatedRegionError, "rows not summing to 1"),
 ], ids=["1x1", "inf", "row-off-1"])
