@@ -16,7 +16,7 @@ no caller's array is frozen; a count is an integer, not a bool, >= its bound.
 __version__ = "0.1.0"
 
 from .bergsma import rho_tilde
-from .depmodels import DependenceSpec, SweepResult, simulate_panel, theta_sweep
+from .depmodels import SweepResult, simulate_panel, theta_sweep
 from .inference import (
     TestReport,
     bootstrap_ci,
@@ -45,7 +45,6 @@ from .weights import (
 
 __all__ = [
     "ARFit",
-    "DependenceSpec",
     "EigenSpectrum",
     "NullDistribution",
     "ProximityMatrix",

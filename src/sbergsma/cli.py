@@ -21,7 +21,7 @@ import sys
 from itertools import zip_longest
 
 from . import __version__
-from .depmodels import DependenceSpec, simulate_panel, theta_sweep
+from .depmodels import simulate_panel, theta_sweep
 from .exceptions import DimensionMismatchError, LabelMismatchError, SbergsmaError
 from .inference import (
     independence_rho_quantile,
@@ -187,8 +187,8 @@ def _cmd_null(args):
 def _cmd_simulate(args):
     seed = _seed(args)
     W = _resolve_weights(args)
-    spec = DependenceSpec(args.model.upper(), args.theta, W, _dist_from_args(args))
-    panel = simulate_panel(spec, args.T, seed=seed)
+    panel = simulate_panel(args.model.upper(), args.theta, W, args.T, seed=seed,
+                           noise=_dist_from_args(args))
     save_panel(args.output, panel, meta=_meta(args))
 
 

@@ -129,4 +129,4 @@ class NonIntegerError(ParseError):
 
 
 class DuplicateLabelError(ParseError):
-    """A panel header or a coordinate list names the same region twice."""
+    """A panel header, a coordinate list or a record's labels name a region twice."""

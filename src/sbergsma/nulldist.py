@@ -333,13 +333,13 @@ def monte_carlo_null(
     """Simulate reps independent T x R i.i.d. panels, R = ``W.n_regions``, and
     collect T * S~_B.
 
-    These are the theta = 0 replicates of :func:`sbergsma.depmodels.sb_replicates`:
-    replicate r's panel depends only on (seed, r), and results are identical
-    for any ``n_jobs``.  ``meta`` is empty: every input is an argument.
+    These are :func:`sbergsma.depmodels.sb_replicates` of the raw noise, maps
+    ``[None]``: replicate r's panel depends only on (seed, r), and results are
+    identical for any ``n_jobs``.  ``meta`` is empty: every input is an argument.
     """
     check_count(reps, "reps", 1, EmptyNullError)
     check_time_points(T)
-    samples = T * sb_replicates("SMA", [0.0], W, dist, T, reps, seed, n_jobs)[0]
+    samples = T * sb_replicates([None], W, dist, T, reps, seed, n_jobs)[0]
     return NullDistribution(samples)
 
 

@@ -9,7 +9,9 @@ import numpy as np
 from .bergsma import check_count, frozen_array
 from .exceptions import (
     DimensionMismatchError,
+    DuplicateLabelError,
     DuplicatePointError,
+    InvalidParameterError,
     IsolatedRegionError,
     NegativeWeightError,
     NonFiniteError,
@@ -22,11 +24,22 @@ _ROWSUM_TOL = 1e-12
 
 
 def labels_for(labels, n: int) -> tuple[str, ...]:
-    """The labels of n regions: ``labels``, or R1..Rn if none are given."""
-    labels = tuple(labels or (f"R{i+1}" for i in range(n)))
+    """The labels of n regions: a tuple, list or 1-d numpy array of n distinct
+    non-blank strings, or R1..Rn if ``labels`` is None or empty."""
+    if isinstance(labels, np.ndarray):
+        labels = labels.tolist()  # numpy strings become str; a 0-d array one str
+    if not isinstance(labels, (tuple, list, type(None))):
+        raise InvalidParameterError(f"region labels must be a sequence of strings, got {labels!r}")
+    if not labels:
+        return tuple(f"R{i+1}" for i in range(n))
     if len(labels) != n:
         raise DimensionMismatchError(f"{len(labels)} labels for {n} regions")
-    return labels
+    for k, label in enumerate(labels):
+        if not isinstance(label, str) or not label.strip():
+            raise InvalidParameterError(f"region label {label!r} is not a non-blank string")
+        if label in labels[:k]:
+            raise DuplicateLabelError(f"duplicate region label {label!r}")
+    return tuple(labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +107,7 @@ def inverse_distance(points, labels=None) -> ProximityMatrix:
     labels = labels_for(labels, len(pts))
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
-        names = ", ".join(str(labels[i]) for i in bad)
+        names = ", ".join(labels[i] for i in bad)
         raise NonFiniteError(f"non-finite coordinates for region(s) {names}")
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))

@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 from sbergsma import (
-    DependenceSpec,
     ReferenceDistribution,
     SpatialPanel,
     independence_rho_quantile,
@@ -29,6 +28,7 @@ from sbergsma import (
     theta_sweep,
 )
 from sbergsma.bergsma import _centring, pairwise_kappa
+from sbergsma.depmodels import dependence_maps
 from sbergsma.rng import stream
 
 from conftest import naive_rho, naive_sb
@@ -188,13 +188,12 @@ def test_criterion_08_size_and_power(null_by_dist, w_adjacency):
             rejections += p_value(s, null) <= 0.05
     size = rejections / trials
 
-    spec = DependenceSpec("SAR", 0.75, w_adjacency)
-    from sbergsma.depmodels import _apply_dependence
+    (M,) = dependence_maps("SAR", [0.75], w_adjacency)
 
     power_hits = 0
     for lo in range(0, trials, chunk):
         rng = stream(89, lo)
-        panels = _apply_dependence(spec, rng.standard_normal((chunk, T50, R14)))
+        panels = rng.standard_normal((chunk, T50, R14)) @ M.T
         stats = T50 * sb_values_batch(panels, w_adjacency)
         for s in stats:
             power_hits += p_value(s, null) <= 0.05

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sbergsma import (
     ARFit,
-    DependenceSpec,
     EigenSpectrum,
     NullDistribution,
     ProximityMatrix,
@@ -193,7 +192,7 @@ _SHORT_PANEL_ENTRIES = {
     "pairwise_kappa": lambda T: pairwise_kappa(np.ones((T, 3))),
     "sb_values_batch": lambda T: sb_values_batch(np.ones((4, T, 3)), linear_chain(3)),
     "rho_tilde": lambda T: rho_tilde(np.arange(T), np.arange(T)),
-    "simulate_panel": lambda T: simulate_panel(DependenceSpec("SMA", 0.5, linear_chain(3)), T),
+    "simulate_panel": lambda T: simulate_panel("SMA", 0.5, linear_chain(3), T),
     "theta_sweep": lambda T: theta_sweep("SMA", linear_chain(3), [0.0], T, reps=10),
     "monte_carlo_null": lambda T: monte_carlo_null(
         ReferenceDistribution("normal"), T, linear_chain(3), reps=10),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sbergsma import (
-    DependenceSpec,
     ProximityMatrix,
     ReferenceDistribution,
     SpatialPanel,
@@ -18,7 +17,7 @@ from sbergsma import (
     simulate_panel,
     theta_sweep,
 )
-from sbergsma.depmodels import _apply_dependence, sb_replicates
+from sbergsma.depmodels import dependence_maps, sb_replicates
 from sbergsma.exceptions import (
     DegenerateRegionError,
     InvalidParameterError,
@@ -38,8 +37,8 @@ def w_chain6():
 
 @pytest.mark.parametrize("model", ["SMA", "SAR"])
 def test_theta_zero_is_raw_noise(model, w_chain6):
-    spec = DependenceSpec(model, 0.0, w_chain6)
-    panel = simulate_panel(spec, T=25, seed=4)
+    assert dependence_maps(model, [0.0, -0.0, 0], w_chain6) == [None] * 3
+    panel = simulate_panel(model, 0.0, w_chain6, T=25, seed=4)
     raw = NORMAL.sample((25, 6), stream(4))
     assert np.array_equal(panel.data, raw)
 
@@ -48,8 +47,7 @@ def test_sma_interior_variance(w_chain6):
     # interior region: y = eps + theta/2 (eps_left + eps_right),
     # so Var(y) = 1 + theta^2 / 2
     theta = 0.6
-    spec = DependenceSpec("SMA", theta, w_chain6)
-    panel = simulate_panel(spec, T=100_000, seed=11)
+    panel = simulate_panel("SMA", theta, w_chain6, T=100_000, seed=11)
     v = panel.data[:, 2].var()
     target = 1 + theta**2 / 2
     # variance of a sample variance of normals is about 2 sigma^4 / n
@@ -59,19 +57,22 @@ def test_sma_interior_variance(w_chain6):
 
 def test_sar_admissibility_bounds(w_chain6):
     with pytest.raises(InvalidParameterError):
-        DependenceSpec("SAR", 1.0, w_chain6)
+        dependence_maps("SAR", [1.0], w_chain6)
     with pytest.raises(InvalidParameterError):
-        DependenceSpec("SAR", -1.2, w_chain6)
+        dependence_maps("SAR", [-1.2], w_chain6)
+    # the theta past the bound is named, wherever it stands
+    with pytest.raises(InvalidParameterError, match="got theta = 1.5$"):
+        dependence_maps("SAR", [0.5, 1.5], w_chain6)
     # SMA has no such restriction
-    DependenceSpec("SMA", 1.5, w_chain6)
+    dependence_maps("SMA", [1.5], w_chain6)
 
 
 def test_sar_bound_of_an_unstandardized_w_is_its_eigenvalue_radius():
     # the raw chain of 3 has spectral radius sqrt(2)
     W = linear_chain(3)
-    DependenceSpec("SAR", 0.70, W)
+    dependence_maps("SAR", [0.70], W)
     with pytest.raises(InvalidParameterError, match=r"= 0\.707107, got theta = 0\.71$"):
-        DependenceSpec("SAR", 0.71, W)
+        dependence_maps("SAR", [0.71], W)
 
 
 def test_sar_bound_of_a_row_stochastic_w_needs_no_eigensolve(monkeypatch):
@@ -82,9 +83,9 @@ def test_sar_bound_of_a_row_stochastic_w_needs_no_eigensolve(monkeypatch):
     # built without row_standardize, W reads as standardized from its rows
     W = ProximityMatrix(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.75, 0.0]]))
     assert W.standardized
-    DependenceSpec("SAR", 0.99, W)
+    dependence_maps("SAR", [0.99], W)
     with pytest.raises(InvalidParameterError, match=r"= 1, got theta = 1\.0$"):
-        DependenceSpec("SAR", 1.0, W)
+        dependence_maps("SAR", [1.0], W)
 
 
 @pytest.mark.parametrize("path", ["simulate_panel", "theta_sweep"])
@@ -92,7 +93,7 @@ def test_sar_near_unit_theta_warns(path):
     W = row_standardize(linear_chain(14))
     with pytest.warns(RuntimeWarning, match="conditioned") as record:
         if path == "simulate_panel":
-            simulate_panel(DependenceSpec("SAR", 0.999, W), T=5, seed=0)
+            simulate_panel("SAR", 0.999, W, T=5, seed=0)
         else:
             theta_sweep("SAR", W, [0.999], T=5, reps=4)
     # the warning names the caller's line, not one inside the library
@@ -142,40 +143,71 @@ def test_thread_counts_below_one_rejected_before_any_draw(monkeypatch, w_chain6,
 
     monkeypatch.setattr(depmodels, "stream", no_draw)
     with pytest.raises(InvalidParameterError, match="n_jobs must be an integer of at least 1"):
-        sb_replicates("SMA", [0.0], w_chain6, NORMAL, T=10, reps=10, seed=0, n_jobs=n_jobs)
+        sb_replicates([None], w_chain6, NORMAL, T=10, reps=10, seed=0, n_jobs=n_jobs)
 
 
-def test_sar_numerically_singular_system_raises(w_chain6):
+def test_sar_numerically_singular_system_raises_before_any_draw(monkeypatch):
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(depmodels, "stream", no_draw)
     # theta just inside 1 / spectral radius: I - theta W has condition ~ 1e13
-    spec = DependenceSpec("SAR", 0.9999999999999, row_standardize(linear_chain(4)))
-    with pytest.raises(SingularSystemError, match="numerically singular"):
-        simulate_panel(spec, T=10, seed=0)
+    W = row_standardize(linear_chain(4))
+    for path in (lambda: simulate_panel("SAR", 0.9999999999999, W, T=10, seed=0),
+                 lambda: theta_sweep("SAR", W, [0.0, 0.9999999999999], T=10, reps=10)):
+        with pytest.raises(SingularSystemError, match="numerically singular"):
+            path()
 
 
 @pytest.mark.parametrize("theta", [0.6, -0.4])
 def test_sar_transform_solves_the_model(w_chain6, theta):
     # y = (I - theta W)^{-1} eps  <=>  (I - theta W) y_t = eps_t for every row
-    spec = DependenceSpec("SAR", theta, w_chain6)
+    (M,) = dependence_maps("SAR", [theta], w_chain6)
     eps = stream(2).standard_normal((3, 8, 6))
-    y = _apply_dependence(spec, eps)
+    y = eps @ M.T
     A = np.eye(6) - theta * w_chain6.weights
     assert np.allclose(y @ A.T, eps, rtol=0, atol=1e-13)
 
 
-def test_bad_model_and_theta(w_chain6):
-    with pytest.raises(InvalidParameterError):
-        DependenceSpec("CAR", 0.1, w_chain6)
-    with pytest.raises(InvalidParameterError):
-        DependenceSpec("SMA", float("nan"), w_chain6)
+def test_bad_model_and_short_panel(w_chain6):
+    with pytest.raises(InvalidParameterError, match="model must be SMA or SAR, got 'CAR'"):
+        simulate_panel("CAR", 0.1, w_chain6, T=10)
+    with pytest.raises(InvalidParameterError, match="model must be SMA or SAR, got 'sar'"):
+        theta_sweep("sar", w_chain6, [0.1], T=10, reps=10)
     with pytest.raises(LengthError):
-        simulate_panel(DependenceSpec("SMA", 0.1, w_chain6), T=2)
+        simulate_panel("SMA", 0.1, w_chain6, T=2)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), 1j, "0.5", None, True,
+                                   np.array([0.1, 0.2])])
+@pytest.mark.parametrize("path", ["simulate_panel", "theta_sweep"])
+def test_theta_must_be_a_real_finite_number_before_any_draw(path, theta, monkeypatch, w_chain6):
+    import sbergsma.depmodels as depmodels
+
+    def no_draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(depmodels, "stream", no_draw)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^theta must be a real, finite number, got "):
+        if path == "simulate_panel":
+            simulate_panel("SMA", theta, w_chain6, T=10)
+        else:
+            theta_sweep("SMA", w_chain6, [0.0, theta], T=10, reps=10)
+
+
+def test_real_thetas_of_any_type_are_float_keys(w_chain6):
+    sweep = theta_sweep("SMA", w_chain6, [np.int64(0), np.float32(0.5), 1], T=10, reps=4)
+    assert [type(theta) for theta in sweep.samples] == [float] * 3
+    assert list(sweep.samples) == [0.0, 0.5, 1.0]
 
 
 def test_simulate_deterministic(w_chain6):
-    spec = DependenceSpec("SAR", 0.4, w_chain6)
-    a = simulate_panel(spec, T=20, seed=7)
-    b = simulate_panel(spec, T=20, seed=7)
-    c = simulate_panel(spec, T=20, seed=8)
+    a = simulate_panel("SAR", 0.4, w_chain6, T=20, seed=7)
+    b = simulate_panel("SAR", 0.4, w_chain6, T=20, seed=7)
+    c = simulate_panel("SAR", 0.4, w_chain6, T=20, seed=8)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
@@ -215,8 +247,8 @@ def test_small_run_gives_each_thread_a_range(monkeypatch, w_chain6):
     runs = []
     for n_jobs, sizes in ((1, [20, 20]), (2, [10] * 4)):  # one batch per theta and range
         batches.clear()
-        runs.append(sb_replicates("SAR", [0.0, 0.5], w_chain6, NORMAL, T=10, reps=20,
-                                  seed=4, n_jobs=n_jobs))
+        runs.append(sb_replicates(dependence_maps("SAR", [0.0, 0.5], w_chain6), w_chain6,
+                                  NORMAL, T=10, reps=20, seed=4, n_jobs=n_jobs))
         assert batches == sizes
     assert np.array_equal(runs[0], runs[1])
 
@@ -241,9 +273,9 @@ def test_sweep_matches_per_replicate_transform(model, theta, w_chain6):
     # noise; the sweep draws that noise once and shares it across thetas
     T, reps, seed = 12, 25, 8
     sweep = theta_sweep(model, w_chain6, [0.0, theta, 0.3], T=T, reps=reps, seed=seed)
-    spec = DependenceSpec(model, theta, w_chain6)
+    (M,) = dependence_maps(model, [theta], w_chain6)
     for r in range(reps):
-        panel = _apply_dependence(spec, NORMAL.sample((T, 6), stream(seed, r)))
+        panel = NORMAL.sample((T, 6), stream(seed, r)) @ M.T
         want = sb_statistic(SpatialPanel(panel), w_chain6).value
         assert abs(sweep.samples[theta][r] - want) <= 1e-12
 
@@ -251,7 +283,6 @@ def test_sweep_matches_per_replicate_transform(model, theta, w_chain6):
 def test_simulated_constant_columns_named():
     # chi-square draws at df 1e-300 all standardize to 0; the panel used to
     # come back all zero
-    spec = DependenceSpec("SMA", 0.3, row_standardize(linear_chain(3)),
-                          ReferenceDistribution("chi-square", df=1e-300))
     with pytest.raises(DegenerateRegionError, match="R1, R2, R3"):
-        simulate_panel(spec, 10, seed=1)
+        simulate_panel("SMA", 0.3, row_standardize(linear_chain(3)), 10, seed=1,
+                       noise=ReferenceDistribution("chi-square", df=1e-300))

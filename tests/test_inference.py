@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sbergsma import (
-    DependenceSpec,
     ReferenceDistribution,
     SpatialPanel,
     asymptotic_null_sample,
@@ -57,7 +56,7 @@ def _shared_p(panel, W, null):
 
 
 def test_report_reproducible(w5, shared_null):
-    panel = simulate_panel(DependenceSpec("SMA", 0.5, w5), T=30, seed=1)
+    panel = simulate_panel("SMA", 0.5, w5, T=30, seed=1)
     assert _shared_p(panel, w5, shared_null) == _shared_p(panel, w5, shared_null)
 
 
@@ -66,7 +65,7 @@ def test_null_panel_p_value_roughly_uniform(w5, shared_null):
     hits = 0
     reps = 200
     for r in range(reps):
-        panel = simulate_panel(DependenceSpec("SMA", 0.0, w5), T=30, seed=500 + r)
+        panel = simulate_panel("SMA", 0.0, w5, T=30, seed=500 + r)
         hits += _shared_p(panel, w5, shared_null) <= 0.05
     # binomial(200, 0.05) within 4 sd
     assert abs(hits - 10) < 4 * np.sqrt(200 * 0.05 * 0.95)
@@ -75,7 +74,7 @@ def test_null_panel_p_value_roughly_uniform(w5, shared_null):
 def test_dependent_panel_rejects(w5, shared_null):
     rejected = 0
     for r in range(40):
-        panel = simulate_panel(DependenceSpec("SAR", 0.7, w5), T=30, seed=900 + r)
+        panel = simulate_panel("SAR", 0.7, w5, T=30, seed=900 + r)
         rejected += _shared_p(panel, w5, shared_null) <= 0.05
     assert rejected >= 30
 
@@ -97,7 +96,7 @@ def test_n_jobs_threads_the_null_without_changing_the_report(monkeypatch, w5):
         return monte_carlo_null(*args, **kw)
 
     monkeypatch.setattr(inference, "monte_carlo_null", recording)
-    panel = simulate_panel(DependenceSpec("SMA", 0.3, w5), T=30, seed=4)
+    panel = simulate_panel("SMA", 0.3, w5, T=30, seed=4)
     # 500 replicates are three ranges, one per thread up to the usable cores
     a, b = (test_spatial_independence(panel, w5, reps=500, seed=7, n_jobs=n)
             for n in (1, 3))
@@ -141,7 +140,7 @@ def test_bootstrap_identical_columns_ci_is_unit(w5):
 def test_bootstrap_covers_estimate_usually(w5):
     from sbergsma import sb_statistic
 
-    panel = simulate_panel(DependenceSpec("SMA", 0.6, w5), T=60, seed=14)
+    panel = simulate_panel("SMA", 0.6, w5, T=60, seed=14)
     lo, hi = bootstrap_ci(panel, w5, B=500, seed=1)
     val = sb_statistic(panel, w5).value
     assert lo <= val <= hi

@@ -345,10 +345,10 @@ def test_cli_simulate_then_compute_matches_library(tmp_path, capsys):
     assert main(["compute", sim, "--linear-chain", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
 
-    from sbergsma import DependenceSpec, simulate_panel
+    from sbergsma import simulate_panel
 
     W = row_standardize(linear_chain(4))
-    panel = simulate_panel(DependenceSpec("SMA", 0.5, W), T=30, seed=9)
+    panel = simulate_panel("SMA", 0.5, W, T=30, seed=9)
     expect = sb_statistic(panel, W).value
     assert payload["value"] == pytest.approx(expect, rel=1e-12)
 

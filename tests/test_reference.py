@@ -245,7 +245,6 @@ def test_array_records_compare_and_hash_by_identity():
         sbergsma.ProximityMatrix: lambda: sbergsma.ProximityMatrix(W.weights),
         SpatialPanel: lambda: SpatialPanel(panel.data),
         sbergsma.SBResult: lambda: sbergsma.sb_statistic(panel, W),
-        sbergsma.DependenceSpec: lambda: sbergsma.DependenceSpec("SMA", 0.2, W),
         sbergsma.SweepResult: lambda: sbergsma.theta_sweep("SMA", W, [0.0], T=10, reps=4),
         sbergsma.EigenSpectrum: lambda: sbergsma.EigenSpectrum(np.array([1.0, 0.5])),
         sbergsma.NullDistribution: lambda: sbergsma.NullDistribution(np.array([1.0, 2.0])),

@@ -10,6 +10,7 @@ import pytest
 from sbergsma import (
     ProximityMatrix,
     SpatialPanel,
+    inverse_distance,
     linear_chain,
     rho_tilde,
     row_standardize,
@@ -19,6 +20,7 @@ from sbergsma import (
 from sbergsma.exceptions import (
     DegenerateRegionError,
     DimensionMismatchError,
+    DuplicateLabelError,
     InvalidParameterError,
     LengthError,
     NonFiniteError,
@@ -128,14 +130,41 @@ def test_panel_validation():
         SpatialPanel(np.zeros(5))
 
 
-@pytest.mark.parametrize("record", [lambda labels: SpatialPanel(np.eye(4)[:, :3], labels),
-                                    lambda labels: ProximityMatrix(1 - np.eye(3), labels)],
-                         ids=["SpatialPanel", "ProximityMatrix"])
+_LABELLED_RECORDS = pytest.mark.parametrize(
+    "record", [lambda labels: SpatialPanel(np.eye(4)[:, :3], labels),
+               lambda labels: ProximityMatrix(1 - np.eye(3), labels),
+               lambda labels: inverse_distance([(0, 0), (1, 0), (0, 1)], labels)],
+    ids=["SpatialPanel", "ProximityMatrix", "inverse_distance"])
+
+
+@_LABELLED_RECORDS
 def test_panel_and_w_label_their_regions_alike(record):
     assert record(()).region_labels == ("R1", "R2", "R3")
-    assert record(["a", "b", "c"]).region_labels == ("a", "b", "c")
+    assert record(None).region_labels == ("R1", "R2", "R3")
+    for labels in (["a", "b", "c"], ("a", "b", "c"), np.array(["a", "b", "c"])):
+        got = record(labels).region_labels
+        assert got == ("a", "b", "c") and {type(label) for label in got} == {str}
     with pytest.raises(DimensionMismatchError, match=r"^2 labels for 3 regions$"):
         record(("a", "b"))
+
+
+@_LABELLED_RECORDS
+@pytest.mark.parametrize("labels,error,message", [
+    ("abc", InvalidParameterError, "region labels must be a sequence of strings, got 'abc'"),
+    ({"a", "b", "c"}, InvalidParameterError, "region labels must be a sequence of strings"),
+    ((1, 2, 3), InvalidParameterError, "region label 1 is not a non-blank string"),
+    (np.array("abc"), InvalidParameterError, "region labels must be a sequence of strings"),
+    (np.arange(3), InvalidParameterError, "region label 0 is not a non-blank string"),
+    (np.array([["a"], ["b"], ["c"]]), InvalidParameterError, r"region label \['a'\] is not a"),
+    (("a", None, "c"), InvalidParameterError, "region label None is not a non-blank string"),
+    (("a", " ", "c"), InvalidParameterError, "region label ' ' is not a non-blank string"),
+    (("a", "b", "a"), DuplicateLabelError, "duplicate region label 'a'"),
+])
+def test_labels_are_distinct_non_blank_strings(record, labels, error, message):
+    # non-str labels used to end in a bare TypeError wherever a message named
+    # regions, a numpy array in a ValueError, and a string split into characters
+    with pytest.raises(error, match=f"^{message}"):
+        record(labels)
 
 
 def test_panel_leaves_the_callers_array_writable():
